@@ -70,9 +70,12 @@ def divergence_probe(
 
     finite = np.isfinite(t)
     if not bool(finite.all()):
-        # a term already overflowed: the partial sums grow without bound
+        # the first non-finite term decides: +inf overflowed, so the partial
+        # sums grow without bound; a NaN says nothing about growth
         onset = int(np.argmax(~finite))
         partial = float(np.sum(t[:onset]))
+        if np.isnan(t[onset]):
+            return DivergenceAssessment(ProbeStatus.UNDECIDED, last_partial=partial)
         return DivergenceAssessment(
             ProbeStatus.CERTIFIED_DIVERGES,
             last_partial=partial,

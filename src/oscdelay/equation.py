@@ -112,8 +112,6 @@ def R_partial(eq: HalfLinearEquation, zeta: int) -> float:
     """Partial sum of r^(-1/alpha) from zeta0 to zeta - 1 (empty sum = 0)."""
     if zeta < eq.zeta0:
         raise DomainError(f"R is defined for zeta >= zeta0 = {eq.zeta0}, got {zeta}")
-    if zeta == eq.zeta0:
-        return 0.0
     terms = eq.inv_r_alpha_array(np.arange(eq.zeta0, zeta, dtype=float))
     if not np.all(np.isfinite(terms)):
         bad = eq.zeta0 + int(np.argmax(~np.isfinite(terms)))
@@ -142,102 +140,140 @@ def _poly_tail_estimate(s_last: float, t_last: float, p: float) -> float:
     return scale * (m / (p - 1.0) + 0.5 + p / (12.0 * m))
 
 
-def _theta_numeric(eq: HalfLinearEquation, zeta: int, cfg: TailConfig) -> TailSumResult:
-    block_sums: list[float] = []
-    hist_t = np.empty(0)
-    hist_s = np.empty(0)
-    prev_min: Optional[float] = None
-    s = zeta
-    n_done = 0
-    keep = max(cfg.fit_window, cfg.ratio_window + 1)
+def _suffix_sums(t: np.ndarray) -> np.ndarray:
+    """out[i] = sum(t[i:]), compensated after Neumaier (1974): TwoSum recovers each
+    rounding error of the reversed np.cumsum, and their running sum is added back."""
+    rev = t[::-1]
+    acc = np.cumsum(rev)
+    prev = np.concatenate(([0.0], acc[:-1]))
+    back = acc - prev
+    return (acc + np.cumsum((prev - (acc - back)) + (rev - back)))[::-1]
 
-    while n_done < cfg.max_terms:
-        m = min(cfg.block, cfg.max_terms - n_done)
-        ss = np.arange(s, s + m, dtype=float)
-        t = eq.inv_r_alpha_array(ss)
+
+class _TailTable:
+    """The truncation loop run once from zeta0 in blocks anchored there (past the
+    scanned range, at its end), so a block evaluated again holds the same terms.
+    theta(z) = suffix sum of z's block + sums of later scanned blocks + remainder.
+    """
+
+    def __init__(self, eq: HalfLinearEquation, cfg: TailConfig):
+        self.eq, self.cfg = eq, cfg
+        if eq.theta_closed_form is not None:
+            # a closed form is only cross-checked, by a looser and shorter pass
+            self.cfg = replace(cfg, tol_abs=max(cfg.tol_abs, 1e-9), max_terms=min(cfg.max_terms, 100_000))
+        sums: list = []
+        *self.meta, self.remainder = self._scan(sums)
+        self.after = [math.fsum(sums[k + 1:]) for k in range(len(sums))]
+        self.rest = self.remainder(self.end, self._t_end)
+        # block number -> (suffix sums, later blocks' sum, remainder); block 0 from the pass
+        self.blocks = {0: (_suffix_sums(self._first), self.after[0], self.rest)}
+        del self._first
+
+    def _terms(self, s: int, m: int) -> np.ndarray:
+        t = self.eq.inv_r_alpha_array(np.arange(s, s + m, dtype=float))
         if not np.all(np.isfinite(t)):
-            raise NonConvergentError(
-                f"tail terms overflow near index {s}: series looks divergent"
-            )
+            raise NonConvergentError(f"tail terms overflow near index {s}: series looks divergent")
+        return t
 
-        below = t <= cfg.tol_abs
-        stop_at = int(np.argmax(below)) if bool(below.any()) else -1
-        if stop_at >= 0:
-            used_t, used_s = t[: stop_at + 1], ss[: stop_at + 1]
-            block_sums.append(float(np.sum(used_t)))
-            hist_t = np.concatenate([hist_t, used_t])[-keep:]
-            hist_s = np.concatenate([hist_s, used_s])[-keep:]
-            partial = math.fsum(block_sums)
-            trunc = int(used_s[-1])
+    def _scan(self, sums: list) -> tuple:
+        """Sum blocks to a tail certificate: (T, tail bound, certified, method, remainder)."""
+        cfg, z0 = self.cfg, self.eq.zeta0
+        hist = np.empty(0)  # the last terms summed, up to the current stop
+        prev_min: Optional[float] = None
+        keep = max(cfg.fit_window, cfg.ratio_window + 1)
+        for s in range(z0, z0 + cfg.max_terms, cfg.block):
+            m = min(cfg.block, z0 + cfg.max_terms - s)
+            t = self._terms(s, m)
+            if s == z0:
+                self._first = t
+            sums.append(float(np.sum(t)))
+            self.end, self._t_end = s + m - 1, float(t[-1])
+            below = t <= cfg.tol_abs
+            stopped = bool(below.any())
+            n = int(np.argmax(below)) + 1 if stopped else m
+            hist = np.concatenate([hist, t[:n]])[-keep:]
+            if stopped:
+                win = hist[hist > 0][-(cfg.ratio_window + 1):]
+                underflow = hist[-1] == 0.0 and win.size >= 2
+                if underflow or win.size == cfg.ratio_window + 1:
+                    rho = float((win[1:] / win[:-1]).max())
+                    if rho <= cfg.ratio_max:
+                        # underflowed to zero after a decaying run: tail is below tol
+                        bound = cfg.tol_abs if underflow else float(win[-1]) * rho / (1.0 - rho)
+                        return (s + n - 1, bound, True, "geometric",
+                                lambda s_last, t_last: t_last * rho / (1.0 - rho))
+                p = _fit_power_exponent(np.arange(s + n - hist.size, s + n, dtype=float), hist)
+                if p is not None and p > cfg.poly_min_exponent and hist[-1] > 0:
+                    return (s + n - 1, None, False, "poly_tail",
+                            lambda s_last, t_last: _poly_tail_estimate(s_last, t_last, p))
+                # tiny terms that decay too slowly to bound: keep summing
+                hist = np.concatenate([hist, t[n:]])[-keep:]
+            cur_min = float(t.min())
+            if prev_min is not None and 0 < cur_min >= (1.0 - cfg.trend_tol) * prev_min:
+                raise NonConvergentError(f"tail terms not decreasing near index {s}: series looks divergent")
+            prev_min = cur_min
+        return self.end, None, False, "max_terms", lambda s_last, t_last: 0.0
 
-            nz = hist_t > 0
-            win_t = hist_t[nz][-(cfg.ratio_window + 1):]
-            if hist_t[-1] == 0.0 and win_t.size >= 2:
-                # underflowed to zero after a decaying run: tail is below tol
-                ratios = win_t[1:] / win_t[:-1]
-                if float(ratios.max()) <= cfg.ratio_max:
-                    return TailSumResult(partial, trunc, cfg.tol_abs, True, "geometric")
-            if win_t.size == cfg.ratio_window + 1:
-                ratios = win_t[1:] / win_t[:-1]
-                rho = float(ratios.max())
-                if rho <= cfg.ratio_max:
-                    bound = float(win_t[-1]) * rho / (1.0 - rho)
-                    return TailSumResult(partial, trunc, bound, True, "geometric")
-
-            p = _fit_power_exponent(hist_s, hist_t)
-            if p is not None and p > cfg.poly_min_exponent and hist_t[-1] > 0:
-                tail = _poly_tail_estimate(float(used_s[-1]), float(used_t[-1]), p)
-                return TailSumResult(partial + tail, trunc, None, False, "poly_tail")
-            # tiny terms that decay too slowly to bound: keep summing
-            if stop_at + 1 < m:
-                rest = t[stop_at + 1:]
-                block_sums[-1] += float(np.sum(rest))
-                hist_t = np.concatenate([hist_t, rest])[-keep:]
-                hist_s = np.concatenate([hist_s, ss[stop_at + 1:]])[-keep:]
+    def lookup(self, zeta: int) -> tuple:
+        """(theta(zeta) for zeta >= zeta0, the partial sum in it: a certified lower bound)."""
+        z0, size, scanned = self.eq.zeta0, self.cfg.block, len(self.after)
+        if zeta <= self.end:
+            k, i = divmod(zeta - z0, size)
+            start, m = z0 + k * size, min(size, self.end + 1 - z0 - k * size)
         else:
-            block_sums.append(float(np.sum(t)))
-            hist_t = np.concatenate([hist_t, t])[-keep:]
-            hist_s = np.concatenate([hist_s, ss])[-keep:]
+            j, i = divmod(zeta - self.end - 1, size)
+            k, start, m = scanned + j, self.end + 1 + j * size, size
+        if k not in self.blocks:
+            t = self._terms(start, m)
+            rest = self.rest if k < scanned else self.remainder(start + m - 1.0, float(t[-1]))
+            self.blocks[k] = (_suffix_sums(t), self.after[k] if k < scanned else 0.0, rest)
+        suffix, after, rest = self.blocks[k]
+        lower = float(suffix[i]) + after
+        return TailSumResult(lower + rest, *self.meta), lower
 
-        cur_min = float(t.min())
-        if prev_min is not None and cur_min > 0 and cur_min >= (1.0 - cfg.trend_tol) * prev_min:
-            raise NonConvergentError(
-                f"tail terms not decreasing near index {s}: series looks divergent"
-            )
-        prev_min = cur_min
-        s += m
-        n_done += m
-
-    return TailSumResult(math.fsum(block_sums), s - 1, None, False, "max_terms")
-
-
-def _cross_check_cfg(cfg: TailConfig) -> TailConfig:
-    return replace(cfg, tol_abs=max(cfg.tol_abs, 1e-9), max_terms=min(cfg.max_terms, 100_000))
+    def gap(self, zeta: int) -> float:
+        """Sum of r^(-1/alpha) over [zeta, zeta0); DomainError where r is not positive."""
+        return math.fsum(self.eq.inv_r_alpha(s) for s in range(zeta, self.eq.zeta0))
 
 
-@functools.lru_cache(maxsize=4096)
-def _theta_cached(eq: HalfLinearEquation, zeta: int, cfg: TailConfig) -> TailSumResult:
-    if eq.theta_closed_form is not None:
-        value = eq.theta_closed_form(zeta)
-        numeric = _theta_numeric(eq, zeta, _cross_check_cfg(cfg))
-        if numeric.certified or numeric.method == "poly_tail":
-            if abs(numeric.value - value) > 1e-3 * max(1.0, abs(value)):
-                raise ValueError(
-                    f"registered closed form for theta({zeta}) = {value} disagrees with "
-                    f"numeric tail sum {numeric.value}"
-                )
-        return TailSumResult(float(value), zeta, 0.0, True, "closed_form")
-    return _theta_numeric(eq, zeta, cfg)
+# tables kept at once; each holds 0.5 MB per default-size block looked up
+_MAX_TABLES = 4
+
+
+@functools.lru_cache(maxsize=_MAX_TABLES)
+def _tail_table(eq: HalfLinearEquation, cfg: TailConfig) -> _TailTable:
+    return _TailTable(eq, cfg)
 
 
 def theta(eq: HalfLinearEquation, zeta: int, cfg: TailConfig = TailConfig()) -> TailSumResult:
-    """Tail sum theta(zeta) = sum_{s=zeta}^{inf} r(s)^(-1/alpha).
+    """Tail sum theta(zeta) = sum_{s=zeta}^{inf} r(s)^(-1/alpha), from one table per (eq, cfg).
 
-    Uses the registered closed form when present (cross-checked against the
-    numeric path); raises NonConvergentError when the terms fail the
-    convergence screen.
+    A registered closed form is checked against the table: past the truncation
+    index it must lie in [partial sum, tail_bound]; before it, match a certified
+    or power-law value; otherwise only the partial sum, a lower bound, can check
+    it and it is reported uncertified.  Raises NonConvergentError when the terms
+    fail the convergence screen.
     """
-    return _theta_cached(eq, int(zeta), cfg)
+    zeta = int(zeta)
+    if zeta < eq.zeta0:
+        return theta_extended(eq, zeta, cfg)
+    numeric, lower = _tail_table(eq, cfg).lookup(zeta)
+    if eq.theta_closed_form is None:
+        return numeric
+    value = eq.theta_closed_form(zeta)
+    if numeric.certified and zeta > numeric.truncation_index:
+        upper = numeric.tail_bound
+    elif numeric.certified or numeric.method == "poly_tail":
+        lower = upper = numeric.value
+    else:
+        upper = math.inf
+    tol = 1e-3 * max(1.0, abs(value))
+    if not lower - tol <= value <= upper + tol:
+        raise ValueError(f"registered closed form for theta({zeta}) = {value} lies outside "
+                         f"[{lower}, {upper}] from the numeric tail sum")
+    if upper == math.inf:
+        return TailSumResult(value, zeta, None, False, "closed_form_unverified")
+    return TailSumResult(value, zeta, 0.0, True, "closed_form")
 
 
 def theta_extended(eq: HalfLinearEquation, zeta: int, cfg: TailConfig = TailConfig()) -> TailSumResult:
@@ -248,11 +284,8 @@ def theta_extended(eq: HalfLinearEquation, zeta: int, cfg: TailConfig = TailConf
     if zeta >= eq.zeta0:
         return theta(eq, zeta, cfg)
     base = theta(eq, eq.zeta0, cfg)
-    extra = math.fsum(eq.inv_r_alpha(s) for s in range(zeta, eq.zeta0))
-    return TailSumResult(
-        base.value + extra, base.truncation_index, base.tail_bound, base.certified,
-        base.method + "+extension",
-    )
+    gap = _tail_table(eq, cfg).gap(zeta)
+    return replace(base, value=base.value + gap, method=base.method + "+extension")
 
 
 def classify_form(eq: HalfLinearEquation, cfg: TailConfig = TailConfig()) -> FormClass:
@@ -298,33 +331,23 @@ def validate(eq: HalfLinearEquation, horizon: int) -> ValidationReport:
     if horizon <= eq.zeta0:
         raise ValueError(f"horizon must exceed zeta0 = {eq.zeta0}")
     violations: list[Violation] = []
-    h1_hit = h2_hit = False
-    any_q_positive = False
-    for z in range(eq.zeta0, horizon + 1):
-        if not h1_hit:
+    for hyp, name, seq, rel in (("H1", "r", eq.r, "<="), ("H2", "q", eq.q, "<")):
+        positive = False
+        for z in range(eq.zeta0, horizon + 1):
             try:
-                rv = eq.r(z)
+                v = seq(z)
             except DomainError as exc:
-                violations.append(Violation("H1", z, f"r not evaluable: {exc}"))
-                h1_hit = True
-            else:
-                if rv <= 0:
-                    violations.append(Violation("H1", z, f"r({z}) = {rv} <= 0"))
-                    h1_hit = True
-        if not h2_hit:
-            try:
-                qv = eq.q(z)
-            except DomainError as exc:
-                violations.append(Violation("H2", z, f"q not evaluable: {exc}"))
-                h2_hit = True
-            else:
-                if qv < 0:
-                    violations.append(Violation("H2", z, f"q({z}) = {qv} < 0"))
-                    h2_hit = True
-                elif qv > 0:
-                    any_q_positive = True
-    if not h2_hit and not any_q_positive:
-        violations.append(
-            Violation("H2", None, f"q is identically zero on [{eq.zeta0}, {horizon}]")
-        )
+                violations.append(Violation(hyp, z, f"{name} not evaluable: {exc}"))
+                break
+            if v < 0 or (v == 0 and hyp == "H1"):
+                violations.append(Violation(hyp, z, f"{name}({z}) = {v} {rel} 0"))
+                break
+            positive = positive or v > 0
+        else:
+            if hyp == "H2" and not positive:
+                violations.append(
+                    Violation("H2", None, f"q is identically zero on [{eq.zeta0}, {horizon}]")
+                )
+    # first offenders in index order; H1 before H2 at the same index (stable sort)
+    violations.sort(key=lambda v: math.inf if v.index is None else v.index)
     return ValidationReport(horizon=horizon, violations=tuple(violations))

@@ -63,10 +63,10 @@ class Sequence:
             if i < 0 or i >= len(self.table):
                 raise DomainError(f"index {zeta} outside table {self.describe()}")
             return self.table[i]
-        if self.kind == "expr":
-            value = expr.eval_at(self.ast, zeta)
-        else:
-            value = float(self.fn(zeta))
+        try:
+            value = expr.eval_at(self.ast, zeta) if self.kind == "expr" else float(self.fn(zeta))
+        except OverflowError:
+            value = math.inf
         if not math.isfinite(value):
             raise DomainError(f"{self.describe()} is not finite at index {zeta}")
         return value
@@ -90,7 +90,7 @@ class Sequence:
             out = np.asarray(out, dtype=float)
             if out.shape == z.shape:
                 return out
-        except Exception:
+        except (TypeError, ValueError):
             pass
         # closed form that does not vectorize: fall back to a scalar loop
         return np.array([float(self.fn(v)) for v in z], dtype=float)

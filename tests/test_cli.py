@@ -47,6 +47,21 @@ horizon = 120
 """
 
 
+POLY_INI = """\
+[equation]
+r = "(z*(z+1.7))^(5/3)"
+q = "2.2*(z^2-1)*z^(2/3)"
+alpha = 5/3
+sigma = 2
+form = delay_plus_one
+zeta0 = 1
+
+[check]
+criteria = all
+horizon = 200
+"""
+
+
 @pytest.fixture
 def ex2_config(tmp_path):
     path = tmp_path / "ex2.ini"
@@ -178,6 +193,17 @@ class TestCli:
     def test_missing_config_exit_one(self):
         assert main(["validate", "--config", "/nonexistent.ini", "--quiet"]) == 1
 
+    def test_overflowing_coefficient_exit_two(self, tmp_path):
+        # 2^1024 overflows a float: a typed stage error (exit 2), not an internal one (3)
+        path = write_config(tmp_path, EXAMPLE2_INI.replace('q = "z^(4/3)"', 'q = "2^z"')
+                            .replace("criteria = all", "criteria = Lem21")
+                            .replace("horizon = 150", "horizon = 1100"))
+        out = tmp_path / "r.json"
+        assert main(["check", "--config", path, "--out", str(out), "--quiet"]) == 2
+        errors = json.loads(out.read_text())["errors"]
+        assert [e["stage"] for e in errors] == ["check:Lem21"]
+        assert "index 1024" in errors[0]["error"]
+
     def test_simulate_and_transform(self, ex3_config, tmp_path):
         out = tmp_path / "sim.json"
         assert main(["simulate", "--config", ex3_config, "--out", str(out), "--quiet"]) == 0
@@ -209,3 +235,24 @@ class TestCli:
         data = json.loads(out.read_text())
         holds = {v["criterion"]: v["holds"] for v in data["verdicts"]}
         assert holds["Thm21"] and holds["Thm23"]
+
+
+def test_tail_terms_summed_once_per_equation(tmp_path, monkeypatch):
+    """check then transform evaluate each tail term about once: the one tail
+    pass (1 M terms) is shared, not repeated for each of the 201 indices."""
+    from oscdelay.equation import HalfLinearEquation, _tail_table
+
+    points = []
+    original = HalfLinearEquation.inv_r_alpha_array
+
+    def counting(self, s):
+        points.append(len(s))
+        return original(self, s)
+
+    monkeypatch.setattr(HalfLinearEquation, "inv_r_alpha_array", counting)
+    _tail_table.cache_clear()
+    path = write_config(tmp_path, POLY_INI)
+    for command in ("check", "transform"):
+        out = tmp_path / f"{command}.json"
+        assert main([command, "--config", path, "--out", str(out), "--quiet"]) == 0
+    assert sum(points) <= 1_100_000

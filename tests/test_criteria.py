@@ -66,6 +66,13 @@ class TestDivergenceProbe:
         probe = divergence_probe([1.0, 2.0, math.inf, 1.0])
         assert probe.status is ProbeStatus.CERTIFIED_DIVERGES
 
+    def test_nan_term_undecided(self):
+        # only +inf is an overflow; a NaN term, when it comes first, says nothing
+        probe = divergence_probe([1.0, math.nan, 0.5, math.inf] + [1.0] * 20)
+        assert probe.status is ProbeStatus.UNDECIDED
+        assert probe.last_partial == 1.0
+        assert divergence_probe([1.0, math.inf, math.nan]).status is ProbeStatus.CERTIFIED_DIVERGES
+
 
 class TestThm21:
     def test_example1_holds(self):

@@ -1,7 +1,10 @@
 """Tests for the equation model, tail sums and form classification."""
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oscdelay import (
     DelayForm,
@@ -17,6 +20,7 @@ from oscdelay import (
     theta_extended,
     validate,
 )
+from oscdelay.equation import _suffix_sums, _tail_table
 from oscdelay.errors import DomainError, NonConvergentError
 
 
@@ -139,6 +143,14 @@ class TestTheta:
                 got = R_partial(eq, z) + theta(eq, z).value
                 assert abs(got - total) <= 1e-9 * abs(total), (n, z)
 
+    def test_suffix_sums_compensated(self):
+        # each reverse running sum is as accurate as math.fsum, not n * eps
+        t = np.random.default_rng(0).uniform(0.0, 1.0, 65536)
+        got = _suffix_sums(t)
+        for i in range(0, t.size, 4096):
+            want = math.fsum(t[i:])
+            assert abs(got[i] - want) <= 2 * math.ulp(want), i
+
     def test_memoization_invisible(self):
         eq = example_equation(2)
         first = theta(eq, 7)
@@ -208,3 +220,86 @@ class TestValidate:
         report = validate(eq, 10)
         h2 = [v for v in report.violations if v.hypothesis == "H2"]
         assert h2 and h2[0].index == 2
+
+
+class TestClosedFormCertification:
+    """A closed form is certified only when a numeric check actually ran."""
+
+    def test_unverifiable_closed_form_not_certified(self):
+        # terms s^(-1.01): the cross-check stops at max_terms, far from the tail
+        eq = make_eq("z^(101/100)", RationalExponent(1, 1),
+                     theta_cf=Sequence.from_expression("12345"))
+        res = theta(eq, 1)
+        assert res.value == 12345.0
+        assert not res.certified
+        assert res.method == "closed_form_unverified"
+        assert classify_form(eq) is FormClass.INCONCLUSIVE
+
+    def test_closed_form_below_partial_sum_rejected(self):
+        # the partial sum of positive terms is a certified lower bound
+        eq = make_eq("z^(101/100)", RationalExponent(1, 1),
+                     theta_cf=Sequence.from_expression("1"))
+        with pytest.raises(ValueError, match="outside"):
+            theta(eq, 1)
+
+    def test_past_truncation_checked_against_tail_bound(self):
+        # 2^(-z) is truncated near 30; theta(100) must lie in [0, tail_bound]
+        eq = make_eq("2^(z/3)", RationalExponent(1, 3),
+                     theta_cf=Sequence.closed_form("bogus", lambda z: 0.5))
+        with pytest.raises(ValueError):
+            theta(eq, 100)
+        good = theta(example_equation(1), 100)
+        assert good.certified and good.method == "closed_form"
+
+
+@st.composite
+def tail_cases(draw):
+    """(equation, tail policy, 40 consecutive indices) with terms r^(-1/alpha)
+    decaying like z^(-p) or b^(-z), every r in the window a finite float."""
+    alpha = draw(st.sampled_from([RationalExponent(1, 3), RationalExponent(1, 1),
+                                  RationalExponent(5, 3), RationalExponent(3, 1)]))
+    c = draw(st.floats(0.5, 4.0))
+    if draw(st.booleans()):
+        p = draw(st.floats(2.0, 4.0))
+        r_text, last = f"{c!r}*pow(z, {p * alpha.value!r})", 300
+    else:
+        base = draw(st.floats(1.2, 4.0)) ** alpha.value
+        r_text, last = f"{c!r}*pow({base!r}, z)", min(300, int(250 / math.log10(base)))
+    zeta0 = draw(st.integers(1, 5))
+    start = draw(st.integers(zeta0, last - 40))
+    cfg = TailConfig(tol_abs=1e-10, block=draw(st.sampled_from([64, 1000, 65536])))
+    return make_eq(r_text, alpha, zeta0=zeta0), cfg, list(range(start, start + 41))
+
+
+class TestThetaProperties:
+    """Invariants of the tail sums over random power-law and geometric r."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(tail_cases())
+    def test_decreasing_and_recurrence(self, case):
+        eq, cfg, zs = case
+        th = {z: theta(eq, z, cfg).value for z in zs}
+        for z in zs[:-1]:
+            assert th[z + 1] < th[z]
+            # theta(z) - theta(z+1) = r(z)^(-1/alpha)
+            assert abs(th[z] - th[z + 1] - eq.inv_r_alpha(z)) <= 1e-12 * th[z]
+
+    @settings(max_examples=30, deadline=None)
+    @given(tail_cases())
+    def test_partial_plus_tail_constant(self, case):
+        eq, cfg, zs = case
+        total = theta(eq, eq.zeta0, cfg).value
+        for z in zs:
+            assert abs(R_partial(eq, z) + theta(eq, z, cfg).value - total) <= 1e-12 * total
+
+    @settings(max_examples=20, deadline=None)
+    @given(tail_cases())
+    def test_call_order_purity(self, case):
+        eq, cfg, zs = case
+        _tail_table.cache_clear()
+        forward = [theta(eq, z, cfg) for z in zs]
+        _tail_table.cache_clear()
+        reverse = [theta(eq, z, cfg) for z in reversed(zs)][::-1]
+        _tail_table.cache_clear()
+        again = [theta(eq, z, cfg) for z in zs]
+        assert forward == reverse == again
