@@ -6,11 +6,12 @@ Exit codes: 0 success, 1 config error, 2 stage error, 3 internal error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import traceback
 
 from . import criteria
-from .config import RunConfig, parse_config
+from .config import CheckConfig, OutputConfig, RunConfig, parse_config, parse_criteria
 from .equation import TailConfig, classify_form, theta, validate
 from .errors import ConfigError, NonConvergentError, OscDelayError, StageError
 from .examples import reproduce_example
@@ -25,10 +26,7 @@ def run_stages(cfg: RunConfig, stages, seed: int = 0) -> dict:
     """Execute the requested stages in pipeline order, recording per-stage errors."""
     report = new_report(cfg.echo(), seed=seed)
     tail_cfg = TailConfig()
-    try:
-        eq = cfg.build_equation()
-    except ConfigError:
-        raise
+    eq = cfg.build_equation()
     wanted = [s for s in STAGE_ORDER if s in stages]
 
     def record_error(stage: str, exc: Exception):
@@ -152,19 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    import dataclasses
-
-    from .config import CheckConfig, OutputConfig, SimulateConfig
-
-    if getattr(args, "criterion", None):
-        raw = args.criterion
-        if raw.lower() == "all":
-            ids = criteria.CRITERION_IDS
-        else:
-            ids = tuple(c.strip() for c in raw.split(",") if c.strip())
-            unknown = [c for c in ids if c not in criteria.CRITERION_IDS]
-            if unknown:
-                raise ConfigError(f"unknown criteria {unknown}")
+    if getattr(args, "criterion", None) is not None:
+        ids = parse_criteria(args.criterion)
         base = cfg.check or CheckConfig(criteria=ids)
         cfg = dataclasses.replace(cfg, check=dataclasses.replace(base, criteria=ids))
     if args.horizon is not None:

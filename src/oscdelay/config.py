@@ -137,6 +137,19 @@ def _get(section, key: str, kind, where: str):
         raise ConfigError(f"bad value for {key!r} in [{where}]: {exc}") from exc
 
 
+def parse_criteria(raw: str) -> tuple:
+    """'all' or a comma list of criterion ids; ConfigError on an empty list or unknown id."""
+    known = criteria.CRITERION_IDS
+    if raw.strip().lower() == "all":
+        return known
+    ids = tuple(c.strip() for c in raw.split(",") if c.strip())
+    unknown = [c for c in ids if c not in known]
+    if unknown or not ids:
+        problem = f"unknown criteria {unknown}" if unknown else "empty criteria list"
+        raise ConfigError(f"{problem}; known: {', '.join(known)}")
+    return ids
+
+
 def parse_config(path: str) -> RunConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
@@ -185,17 +198,8 @@ def parse_config(path: str) -> RunConfig:
     check = None
     if "check" in parser:
         chk = parser["check"]
-        raw = _get(chk, "criteria", str, "check")
-        if raw.strip().lower() == "all":
-            ids = criteria.CRITERION_IDS
-        else:
-            ids = tuple(c.strip() for c in raw.split(",") if c.strip())
-            unknown = [c for c in ids if c not in criteria.CRITERION_IDS]
-            if unknown:
-                raise ConfigError(
-                    f"unknown criteria {unknown}; known: {', '.join(criteria.CRITERION_IDS)}"
-                )
-        check = CheckConfig(criteria=ids, horizon=int(chk.get("horizon", "200")))
+        check = CheckConfig(criteria=parse_criteria(_get(chk, "criteria", str, "check")),
+                            horizon=int(chk.get("horizon", "200")))
 
     output = OutputConfig()
     if "output" in parser:

@@ -190,36 +190,58 @@ class CriterionVerdict:
         return self.status in (VerdictStatus.CERTIFIED_HOLDS, VerdictStatus.NUMERICALLY_SUGGESTED)
 
 
-def _status_from_probe(probe: DivergenceAssessment) -> VerdictStatus:
-    return {
-        ProbeStatus.CERTIFIED_DIVERGES: VerdictStatus.CERTIFIED_HOLDS,
-        ProbeStatus.DIVERGES_SUGGESTED: VerdictStatus.NUMERICALLY_SUGGESTED,
-        ProbeStatus.CONVERGES_SUGGESTED: VerdictStatus.NUMERICALLY_FAILS,
-        ProbeStatus.UNDECIDED: VerdictStatus.INCONCLUSIVE,
-    }[probe.status]
+_VERDICT_OF_PROBE = {
+    ProbeStatus.CERTIFIED_DIVERGES: VerdictStatus.CERTIFIED_HOLDS,
+    ProbeStatus.DIVERGES_SUGGESTED: VerdictStatus.NUMERICALLY_SUGGESTED,
+    ProbeStatus.CONVERGES_SUGGESTED: VerdictStatus.NUMERICALLY_FAILS,
+    ProbeStatus.UNDECIDED: VerdictStatus.INCONCLUSIVE,
+}
 
 
-def _check_valid(eq: HalfLinearEquation, horizon: int):
-    report = validate(eq, eq.zeta0 + max(horizon, 8))
+def _valid_indices(eq: HalfLinearEquation, start: int, horizon: int) -> np.ndarray:
+    """The index column [start, start + horizon), once the hypotheses hold on
+    [zeta0, start + max(horizon, 8)]; so r > 0 and r, q are finite on it."""
+    report = validate(eq, start + max(horizon, 8))
     # an identically-zero q (violation without an offending index) is allowed
     # through: the evaluators then report all-zero terms as a failing verdict
     hard = [v for v in report.violations if v.index is not None]
     if hard:
         first = hard[0]
         raise StageError(f"hypothesis {first.hypothesis} violated: {first.detail}")
+    return np.arange(start, start + horizon)
 
 
-def _series_verdict(criterion, conclusion, rows, flags, start_index, policy) -> CriterionVerdict:
-    terms = [row.term for row in rows]
-    probe = divergence_probe(terms, policy, start_index=start_index)
-    return CriterionVerdict(
-        criterion=criterion,
-        status=_status_from_probe(probe),
-        conclusion=conclusion,
-        evidence=tuple(rows),
-        probe=probe,
-        flags=tuple(flags),
-    )
+def _evidence(start: int, term: np.ndarray, running: Optional[np.ndarray] = None) -> tuple:
+    """An EvidenceRow per index from `start`; partial sums of `term` run left to right
+    (np.cumsum), and the running value is the partial sum unless given."""
+    partial = np.cumsum(term)
+    running = partial if running is None else running
+    z = range(start, start + len(term))
+    return tuple(map(EvidenceRow, z, term.tolist(), partial.tolist(), running.tolist()))
+
+
+def _series_verdict(criterion, conclusion, start, term, policy, flags=()) -> CriterionVerdict:
+    """The one path from a term column to a verdict: evidence rows and the probe."""
+    probe = divergence_probe(term, policy, start_index=start)
+    return CriterionVerdict(criterion, _VERDICT_OF_PROBE[probe.status], conclusion,
+                            _evidence(start, term), probe, tuple(flags))
+
+
+def _exclusive_sum(x: np.ndarray) -> np.ndarray:
+    """out[i] = x[0] + ... + x[i-1], added left to right; out[0] = 0."""
+    out = np.zeros_like(x)
+    np.cumsum(x[:-1], out=out[1:])
+    return out
+
+
+def _theta_column(eq: HalfLinearEquation, start: int, n: int, cfg: TailConfig) -> np.ndarray:
+    return np.array([theta(eq, s, cfg).value for s in range(start, start + n)])
+
+
+def _root_series(eq: HalfLinearEquation, z: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """((1/r(z)) * sum_{s=zeta0}^{z-1} weights(s))^(1/alpha); an overflow is +inf."""
+    with np.errstate(over="ignore"):
+        return (_exclusive_sum(weights) / eq.r.eval_array(z)) ** (eq.alpha.den / eq.alpha.num)
 
 
 def crit_thm21(
@@ -227,25 +249,9 @@ def crit_thm21(
     cfg: TailConfig = TailConfig(),
 ) -> CriterionVerdict:
     """Series of ((1/r(z)) * sum_{s=zeta0}^{z-1} q(s))^(1/alpha)."""
-    _check_valid(eq, horizon)
-    inv_alpha = eq.alpha.den / eq.alpha.num
-    rows = []
-    inner = 0.0
-    for z in range(eq.zeta0, eq.zeta0 + horizon):
-        rv = eq.r(z)
-        if rv <= 0:
-            raise DomainError(f"r({z}) = {rv} is not positive")
-        base = inner / rv
-        try:
-            term = base ** inv_alpha
-        except OverflowError:
-            term = math.inf
-        partial = (rows[-1].partial_sum if rows else 0.0) + term
-        rows.append(EvidenceRow(z, term, partial, partial))
-        inner = inner + eq.q(z)  # S(z+1) = S(z) + q(z), exactly
-    return _series_verdict(
-        THM21, "every solution oscillates or tends to zero", rows, (), eq.zeta0, policy
-    )
+    z = _valid_indices(eq, eq.zeta0, horizon)
+    return _series_verdict(THM21, "every solution oscillates or tends to zero", eq.zeta0,
+                           _root_series(eq, z, eq.q.eval_array(z)), policy)
 
 
 def crit_thm22a(
@@ -253,28 +259,17 @@ def crit_thm22a(
     cfg: TailConfig = TailConfig(),
 ) -> CriterionVerdict:
     """Series of ((1/r(z)) * sum_{s=zeta0}^{z-1} q(s) theta^alpha(s - sigma))^(1/alpha)."""
-    _check_valid(eq, horizon)
-    a = eq.alpha.value
-    inv_alpha = eq.alpha.den / eq.alpha.num
-    rows = []
+    z = _valid_indices(eq, eq.zeta0, horizon)
+    th = np.zeros(horizon)  # a zero weight leaves the inner sum as skipping the term would
     flags: list[str] = []
-    inner = 0.0
-    for z in range(eq.zeta0, eq.zeta0 + horizon):
-        rv = eq.r(z)
-        if rv <= 0:
-            raise DomainError(f"r({z}) = {rv} is not positive")
+    for i, s in enumerate((z - eq.sigma).tolist()):
         try:
-            term = (inner / rv) ** inv_alpha
-        except OverflowError:
-            term = math.inf
-        partial = (rows[-1].partial_sum if rows else 0.0) + term
-        rows.append(EvidenceRow(z, term, partial, partial))
-        try:
-            th = theta_extended(eq, z - eq.sigma, cfg).value
-            inner = inner + eq.q(z) * th ** a
+            th[i] = theta_extended(eq, s, cfg).value
         except DomainError:
-            flags.append(f"theta({z - eq.sigma}) not evaluable; term at s={z} skipped")
-    return _series_verdict(THM22A, "every solution oscillates", rows, flags, eq.zeta0, policy)
+            flags.append(f"theta({s}) not evaluable; term at s={s + eq.sigma} skipped")
+    weights = eq.q.eval_array(z) * th ** eq.alpha.value
+    return _series_verdict(THM22A, "every solution oscillates", eq.zeta0,
+                           _root_series(eq, z, weights), policy, flags)
 
 
 def crit_thm22b(
@@ -282,16 +277,11 @@ def crit_thm22b(
     cfg: TailConfig = TailConfig(),
 ) -> CriterionVerdict:
     """Series of q(s) * theta^(alpha+1)(s + 1)."""
-    _check_valid(eq, horizon)
-    a1 = eq.alpha.value + 1.0
-    rows = []
-    partial = 0.0
-    for s in range(eq.zeta0, eq.zeta0 + horizon):
-        th = theta(eq, s + 1, cfg).value
-        term = eq.q(s) * th ** a1
-        partial = partial + term
-        rows.append(EvidenceRow(s, term, partial, partial))
-    return _series_verdict(THM22B, "every solution oscillates", rows, (), eq.zeta0, policy)
+    z = _valid_indices(eq, eq.zeta0, horizon)
+    th = _theta_column(eq, eq.zeta0 + 1, horizon, cfg)
+    with np.errstate(over="ignore"):
+        term = eq.q.eval_array(z) * th ** (eq.alpha.value + 1.0)
+    return _series_verdict(THM22B, "every solution oscillates", eq.zeta0, term, policy)
 
 
 def crit_lem21(
@@ -299,17 +289,9 @@ def crit_lem21(
     cfg: TailConfig = TailConfig(),
 ) -> CriterionVerdict:
     """Series of q(z) itself."""
-    _check_valid(eq, horizon)
-    rows = []
-    partial = 0.0
-    for z in range(eq.zeta0, eq.zeta0 + horizon):
-        term = eq.q(z)
-        partial = partial + term
-        rows.append(EvidenceRow(z, term, partial, partial))
-    return _series_verdict(
-        LEM21, "every eventually positive solution is eventually decreasing",
-        rows, (), eq.zeta0, policy,
-    )
+    q = eq.q.eval_array(_valid_indices(eq, eq.zeta0, horizon))
+    return _series_verdict(LEM21, "every eventually positive solution is eventually decreasing",
+                           eq.zeta0, q, policy)
 
 
 def crit_thm23(
@@ -322,28 +304,17 @@ def crit_thm23(
     horizon; `zeta1` defaults to zeta0 and may be overridden since finite
     start shifts can move individual v values (though not true divergence).
     """
-    _check_valid(eq, horizon)
     z1 = eq.zeta0 if zeta1 is None else zeta1
     if z1 < eq.zeta0:
         raise ValueError(f"zeta1 must be >= zeta0 = {eq.zeta0}")
-    a = eq.alpha.value
-    rows = []
-    inner = 0.0
-    for z in range(z1, z1 + horizon):
-        if z > z1:
-            q_prev = eq.q(z - 1)
-            inner = inner + q_prev
-        else:
-            q_prev = 0.0
-        th = theta(eq, z, cfg).value
-        v = (th ** a) * inner
-        if not math.isfinite(v):
-            v = math.inf
-        rows.append(EvidenceRow(z, q_prev, inner, v))
+    q = eq.q.eval_array(_valid_indices(eq, z1, horizon))
+    q_prev = np.concatenate(([0.0], q))[:horizon]  # evidence term: q(z - 1), 0 at zeta1
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = _theta_column(eq, z1, horizon, cfg) ** eq.alpha.value * _exclusive_sum(q)
+    v[~np.isfinite(v)] = np.inf
 
-    values = [row.running_value for row in rows]
-    tail = values[len(values) // 2:]
-    estimate = max(tail) if tail else 0.0
+    tail = v[horizon // 2:]
+    estimate = float(tail.max()) if tail.size else 0.0
     if estimate > 1.0 + margin:
         status = VerdictStatus.NUMERICALLY_SUGGESTED
     elif estimate <= 1.0:
@@ -355,14 +326,8 @@ def crit_thm23(
         else ProbeStatus.UNDECIDED,
         last_partial=estimate,
     )
-    return CriterionVerdict(
-        criterion=THM23,
-        status=status,
-        conclusion="every solution oscillates",
-        evidence=tuple(rows),
-        probe=probe,
-        flags=(),
-    )
+    return CriterionVerdict(THM23, status, "every solution oscillates",
+                            _evidence(z1, q_prev, v), probe)
 
 
 _EVALUATORS = {

@@ -294,15 +294,13 @@ def _ratio_pow(base, a: int, b: int):
         # odd/odd ratio: sign-preserving power
         if a < 0 and _any(base == 0):
             raise DivisionByZero("zero base with negative exponent")
-        with np.errstate(over="ignore", divide="ignore"):
-            return np.sign(base) * np.abs(base) ** (a / b)
+        return np.sign(base) * np.abs(base) ** (a / b)
     # even numerator or even denominator: positive base required
     if _any(base < 0):
         raise DomainError(f"negative base with exponent {a}/{b}")
     if a < 0 and _any(base == 0):
         raise DivisionByZero("zero base with negative exponent")
-    with np.errstate(over="ignore"):
-        return base ** (a / b)
+    return base ** (a / b)
 
 
 def _general_pow(base, expo):
@@ -311,8 +309,7 @@ def _general_pow(base, expo):
         raise DomainError("negative base with non-literal exponent")
     if _any(np.logical_and(np.asarray(base) == 0, np.asarray(expo) < 0)):
         raise DivisionByZero("zero base with negative exponent")
-    with np.errstate(over="ignore"):
-        return base ** expo
+    return base ** expo
 
 
 def _eval(ast: Ast, z):
@@ -367,16 +364,18 @@ def _ratio_pow_signed(base, m: int, n: int):
         raise DomainError(f"spow exponent {m}/{n}: both integers must be odd")
     if m < 0 and _any(base == 0):
         raise DivisionByZero("zero base with negative exponent")
-    with np.errstate(over="ignore", divide="ignore"):
-        return np.sign(base) * np.abs(base) ** (m / n)
+    return np.sign(base) * np.abs(base) ** (m / n)
 
 
+# an overflow anywhere in an evaluation gives inf, not a numpy warning; callers judge inf
 def eval_at(ast: Ast, zeta) -> float:
     """Evaluate with z bound to the integer index zeta."""
-    return float(_eval(ast, float(zeta)))
+    with np.errstate(over="ignore"):
+        return float(_eval(ast, float(zeta)))
 
 
 def eval_values(ast: Ast, z: np.ndarray) -> np.ndarray:
     """Vectorized evaluation over an array of index values."""
-    out = _eval(ast, np.asarray(z, dtype=float))
+    with np.errstate(over="ignore"):
+        out = _eval(ast, np.asarray(z, dtype=float))
     return np.broadcast_to(np.asarray(out, dtype=float), np.shape(z)).copy() if np.ndim(out) == 0 else np.asarray(out, dtype=float)

@@ -14,13 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .criteria import (
-    CANONICAL_SUM_Q,
-    CriterionVerdict,
-    EvidenceRow,
-    ProbePolicy,
-    _series_verdict,
-)
+import numpy as np
+
+from .criteria import CANONICAL_SUM_Q, CriterionVerdict, ProbePolicy, _series_verdict
 from .equation import DelayForm, HalfLinearEquation, TailConfig, theta, theta_extended
 from .errors import DomainError, StageError
 from .sequences import Sequence
@@ -98,17 +94,16 @@ def crit_canonical_sumq(
 ) -> CriterionVerdict:
     """Divergence test on sum(qt): when it diverges, the comparison equation
     oscillates and so does the original delay equation."""
-    rows = []
-    partial = 0.0
-    for z in range(ceq.zeta0, ceq.zeta0 + horizon):
+
+    def q_tilde(z):
         try:
-            term = ceq.q_tilde(z)
+            return ceq.q_tilde(z)
         except DomainError as exc:
             raise StageError(f"q_tilde not evaluable at {z}: {exc}") from exc
-        partial = partial + term
-        rows.append(EvidenceRow(z, term, partial, partial))
+
+    term = np.array([q_tilde(z) for z in range(ceq.zeta0, ceq.zeta0 + horizon)])
     return _series_verdict(
         CANONICAL_SUM_Q,
         "the canonical comparison equation oscillates, hence so does the original",
-        rows, (), ceq.zeta0, policy,
+        ceq.zeta0, term, policy,
     )

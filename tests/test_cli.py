@@ -1,11 +1,16 @@
 """Tests for run configuration parsing, report serialization and the CLI."""
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+import oscdelay
 from oscdelay.cli import main, run_stages
-from oscdelay.config import parse_config
+from oscdelay.config import parse_config, parse_criteria
+from oscdelay.criteria import CRITERION_IDS
 from oscdelay.errors import ConfigError
 from oscdelay.report import fmt_float, to_csv, to_json
 
@@ -111,6 +116,22 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config(write_config(tmp_path, bad))
 
+    def test_unknown_criterion_message_lists_known_ids(self, tmp_path):
+        bad = EXAMPLE2_INI.replace("criteria = all", "criteria = Lem21, Thm99")
+        with pytest.raises(ConfigError, match=r"unknown criteria \['Thm99'\]; known: Thm21"):
+            parse_config(write_config(tmp_path, bad))
+
+    @pytest.mark.parametrize("listed", [",", " , ", ""])
+    def test_empty_criteria_list_rejected(self, tmp_path, listed):
+        bad = EXAMPLE2_INI.replace("criteria = all", f"criteria = {listed}")
+        with pytest.raises(ConfigError, match="empty criteria list; known: Thm21"):
+            parse_config(write_config(tmp_path, bad))
+
+    def test_criteria_parser(self):
+        assert parse_criteria(" all ") == CRITERION_IDS
+        assert parse_criteria("ALL") == CRITERION_IDS
+        assert parse_criteria(" Thm23 , Lem21,") == ("Thm23", "Lem21")
+
     def test_missing_file(self):
         with pytest.raises(ConfigError):
             parse_config("/nonexistent/run.ini")
@@ -185,6 +206,15 @@ class TestCli:
         verdicts = json.loads(out.read_text())["stages"]["check"]["verdicts"]
         assert [v["criterion"] for v in verdicts] == ["Thm22B"]
 
+    @pytest.mark.parametrize("listed, message", [
+        (" , ", "empty criteria list; known: Thm21, Thm22A, Thm22B, Lem21, Thm23"),
+        ("", "empty criteria list; known: Thm21"),
+        ("Thm21,Thm99", "unknown criteria ['Thm99']; known: Thm21"),
+    ])
+    def test_criterion_override_rejected(self, ex2_config, capsys, listed, message):
+        assert main(["check", "--config", ex2_config, "--criterion", listed, "--quiet"]) == 1
+        assert message in capsys.readouterr().err
+
     def test_bad_config_exit_one(self, tmp_path, capsys):
         path = tmp_path / "bad.ini"
         path.write_text(EXAMPLE2_INI.replace("alpha = 1/3", "alpha = 2/3"))
@@ -221,6 +251,19 @@ class TestCli:
         assert main(["classify", "--config", ex2_config, "--out", str(out), "--quiet"]) == 0
         cl = json.loads(out.read_text())["stages"]["classify"]
         assert cl["form"] == "non_canonical"
+
+    def test_coefficient_overflow_leaves_stderr_empty(self, tmp_path):
+        # the tail pass runs past the index where 3*1.5^z overflows to inf
+        path = write_config(tmp_path, EXAMPLE2_INI
+                            .replace('r = "(z*(z-1))^(1/3)"', 'r = "3*pow(1.5, z)"')
+                            .replace('theta_closed_form = "1/(z-1)"\n', ""))
+        src = os.path.dirname(os.path.dirname(oscdelay.__file__))
+        paths = [src, os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        command = [sys.executable, "-m", "oscdelay.cli", "classify", "--config", path, "--quiet"]
+        done = subprocess.run(command, capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0
+        assert done.stderr == ""
 
     def test_example_subcommand(self, tmp_path, capsys):
         out = tmp_path / "ex3.json"

@@ -18,9 +18,20 @@ from oscdelay import (
     evaluate_criterion,
     example_equation,
 )
-from oscdelay.criteria import CRITERION_IDS, ProbePolicy, ProbeStatus, VerdictStatus
+from oscdelay.criteria import (
+    CANONICAL_SUM_Q,
+    CRITERION_IDS,
+    LEM21,
+    THM21,
+    THM22B,
+    THM23,
+    ProbePolicy,
+    ProbeStatus,
+    VerdictStatus,
+)
 from oscdelay.equation import theta, theta_extended
-from oscdelay.errors import StageError
+from oscdelay.errors import DomainError, StageError
+from oscdelay.transform import crit_canonical_sumq, to_canonical
 
 
 def eq_with_q(q_text, r_text="2^(z/3)", alpha=(1, 3), zeta0=1, sigma=1):
@@ -195,3 +206,73 @@ class TestFramework:
         eq = eq_with_q("1", r_text="z-10", alpha=(1, 1))
         with pytest.raises(StageError):
             crit_lem21(eq, 50)
+
+
+def scalar_series(cid, eq, horizon):
+    """(term, running value or None) per index, recomputed one index at a time
+    from the scalar eq.r, eq.q and theta, with inner sums added left to right."""
+    zs = range(eq.zeta0, eq.zeta0 + horizon)
+    a, inv_alpha = eq.alpha.value, eq.alpha.den / eq.alpha.num
+    th = lambda z: theta(eq, z).value  # noqa: E731
+    if cid == LEM21:
+        return [(eq.q(z), None) for z in zs]
+    if cid == THM22B:
+        return [(eq.q(z) * th(z + 1) ** (a + 1.0), None) for z in zs]
+    if cid == CANONICAL_SUM_Q:  # a zero q needs no theta at the shifted index
+        return [(inv_alpha * th(z + 1) * th(z) ** (a - 1.0)
+                 * theta_extended(eq, z - eq.sigma + 1).value * eq.q(z) if eq.q(z) else 0.0, None)
+                for z in zs]
+    out, inner, q_prev = [], 0.0, 0.0
+    for z in zs:
+        if cid == THM23:
+            inner = inner + q_prev
+            out.append((q_prev, th(z) ** a * inner))
+            q_prev = eq.q(z)
+        elif cid == THM21:
+            out.append(((inner / eq.r(z)) ** inv_alpha, None))
+            inner = inner + eq.q(z)
+        else:  # Thm22A: a shift theta cannot reach adds nothing
+            out.append(((inner / eq.r(z)) ** inv_alpha, None))
+            try:
+                inner = inner + eq.q(z) * theta_extended(eq, z - eq.sigma).value ** a
+            except DomainError:
+                pass
+    return out
+
+
+class TestOneCodePath:
+    """Every series goes from its term column to evidence the same way."""
+
+    # non-canonical with a power-law tail; r(0) = 0, so Thm22A skips its first shifts
+    EQ = HalfLinearEquation(
+        r=Sequence.from_expression("(z*(z+1.7))^(5/3)"),
+        q=Sequence.from_expression("4*(z^2-1)*z^(2/3)/3"),
+        alpha=RationalExponent(5, 3),
+        sigma=2,
+        delay_form=DelayForm.MINUS_SIGMA_PLUS_ONE,
+        zeta0=1,
+    )
+
+    @pytest.mark.parametrize("cid", CRITERION_IDS + (CANONICAL_SUM_Q,))
+    def test_evidence_from_one_term_column(self, cid):
+        eq, horizon = self.EQ, 150
+        if cid == CANONICAL_SUM_Q:
+            v = crit_canonical_sumq(to_canonical(eq), horizon)
+        else:
+            v = evaluate_criterion(cid, eq, horizon)
+        assert [row.zeta for row in v.evidence] == list(range(eq.zeta0, eq.zeta0 + horizon))
+        partial = 0.0
+        for row in v.evidence:
+            partial = partial + row.term
+            assert row.partial_sum == partial
+            if cid != THM23:
+                assert row.running_value == row.partial_sum
+        for row, (term, running) in zip(v.evidence, scalar_series(cid, eq, horizon)):
+            assert row.term == pytest.approx(term, rel=1e-15, abs=0.0)
+            if running is not None:
+                assert row.running_value == pytest.approx(running, rel=1e-15, abs=0.0)
+        if cid == THM23:
+            # the partial sum is sum_{s=zeta1}^{z-1} q(s)
+            for row in v.evidence:
+                want = math.fsum(eq.q(s) for s in range(eq.zeta0, row.zeta))
+                assert row.partial_sum == pytest.approx(want, rel=1e-14, abs=0.0)

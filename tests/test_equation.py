@@ -276,6 +276,7 @@ class TestThetaProperties:
 
     @settings(max_examples=30, deadline=None)
     @given(tail_cases())
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_decreasing_and_recurrence(self, case):
         eq, cfg, zs = case
         th = {z: theta(eq, z, cfg).value for z in zs}
@@ -286,6 +287,7 @@ class TestThetaProperties:
 
     @settings(max_examples=30, deadline=None)
     @given(tail_cases())
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_partial_plus_tail_constant(self, case):
         eq, cfg, zs = case
         total = theta(eq, eq.zeta0, cfg).value
@@ -294,6 +296,7 @@ class TestThetaProperties:
 
     @settings(max_examples=20, deadline=None)
     @given(tail_cases())
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_call_order_purity(self, case):
         eq, cfg, zs = case
         _tail_table.cache_clear()
