@@ -42,7 +42,10 @@ class TailConfig:
 
     Terms are summed until term < tol_abs; the result is certified only when
     a geometric-ratio certificate holds over the trailing ratio_window terms
-    (ratio <= ratio_max < 1), with tail_bound = term * rho / (1 - rho).
+    (ratio <= ratio_max < 1, and no ratio more than 1e-12 relative above the
+    one before it), with tail_bound = term * rho / (1 - rho).  Rising ratios,
+    the signature of polynomial decay, refuse the certificate.  The check sees
+    only that window: it does not prove that the ratios keep falling past it.
     When the certificate fails but the terms decay like a power s^(-p) with
     p > poly_min_exponent, an uncertified power-law tail estimate is added.
     Otherwise summation stops at max_terms, uncertified.
@@ -134,10 +137,17 @@ def _fit_power_exponent(s: np.ndarray, t: np.ndarray) -> Optional[float]:
 
 
 def _poly_tail_estimate(s_last: float, t_last: float, p: float) -> float:
-    """Euler-Maclaurin tail of c*s^(-p) past s_last, anchored at the last term."""
+    """Euler-Maclaurin tail of c*s^(-p) past s_last, anchored at the last term.
+
+    The corrections run to the B6 term.  The first term left out is 1.5/m^8 of
+    the tail for p = 4, so blocks past the scanned range, each anchored at its
+    own end, join within 1e-12 relative from m = 64 on.
+    """
     m = s_last + 1.0
     scale = t_last * (m / s_last) ** (-p)
-    return scale * (m / (p - 1.0) + 0.5 + p / (12.0 * m))
+    p3 = p * (p + 1.0) * (p + 2.0)
+    return scale * (m / (p - 1.0) + 0.5 + p / (12.0 * m) - p3 / (720.0 * m ** 3)
+                    + p3 * (p + 3.0) * (p + 4.0) / (30240.0 * m ** 5))
 
 
 def _suffix_sums(t: np.ndarray) -> np.ndarray:
@@ -196,8 +206,11 @@ class _TailTable:
                 win = hist[hist > 0][-(cfg.ratio_window + 1):]
                 underflow = hist[-1] == 0.0 and win.size >= 2
                 if underflow or win.size == cfg.ratio_window + 1:
-                    rho = float((win[1:] / win[:-1]).max())
-                    if rho <= cfg.ratio_max:
+                    ratios = win[1:] / win[:-1]
+                    rho = float(ratios.max())
+                    # rising ratios are the signature of polynomial decay: no geometric bound
+                    rising = bool((ratios[1:] > ratios[:-1] * (1.0 + 1e-12)).any())
+                    if rho <= cfg.ratio_max and not rising:
                         # underflowed to zero after a decaying run: tail is below tol
                         bound = cfg.tol_abs if underflow else float(win[-1]) * rho / (1.0 - rho)
                         return (s + n - 1, bound, True, "geometric",
@@ -322,6 +335,44 @@ class ValidationReport:
         return not self.violations
 
 
+def _offence(hyp: str, name: str, rel: str, seq: Sequence, z: int) -> tuple:
+    """(the violation seq(z) makes or None, the scalar value seq(z))."""
+    try:
+        v = seq(z)
+    except DomainError as exc:
+        return Violation(hyp, z, f"{name} not evaluable: {exc}"), math.nan
+    if v < 0 or (v == 0 and hyp == "H1"):
+        return Violation(hyp, z, f"{name}({z}) = {v} {rel} 0"), v
+    return None, v
+
+
+def _first_violation(hyp: str, name: str, rel: str, seq: Sequence, lo: int, hi: int) -> tuple:
+    """(first offender on [lo, hi], or None and whether some value is positive).
+
+    The column finds the offender and the scalar seq(z) words it.  Where the
+    column cannot be evaluated, or the scalar value there is no offence, the
+    per-index loop decides, so the report is the one the loop gives.
+    """
+    try:
+        v = seq.eval_array(np.arange(lo, hi + 1))
+    except Exception:  # the loop meets the same failure at its first index and words it
+        v = None
+    if v is not None:
+        bad = ~np.isfinite(v) | ((v <= 0) if hyp == "H1" else (v < 0))
+        if not bad.any():
+            return None, bool((v > 0).any())
+        found, _ = _offence(hyp, name, rel, seq, lo + int(np.argmax(bad)))
+        if found is not None:
+            return found, False
+    positive = False
+    for z in range(lo, hi + 1):
+        found, v = _offence(hyp, name, rel, seq, z)
+        if found is not None:
+            return found, False
+        positive = positive or v > 0
+    return None, positive
+
+
 def validate(eq: HalfLinearEquation, horizon: int) -> ValidationReport:
     """Sample r and q on [zeta0, horizon] and report violated hypotheses.
 
@@ -332,22 +383,13 @@ def validate(eq: HalfLinearEquation, horizon: int) -> ValidationReport:
         raise ValueError(f"horizon must exceed zeta0 = {eq.zeta0}")
     violations: list[Violation] = []
     for hyp, name, seq, rel in (("H1", "r", eq.r, "<="), ("H2", "q", eq.q, "<")):
-        positive = False
-        for z in range(eq.zeta0, horizon + 1):
-            try:
-                v = seq(z)
-            except DomainError as exc:
-                violations.append(Violation(hyp, z, f"{name} not evaluable: {exc}"))
-                break
-            if v < 0 or (v == 0 and hyp == "H1"):
-                violations.append(Violation(hyp, z, f"{name}({z}) = {v} {rel} 0"))
-                break
-            positive = positive or v > 0
-        else:
-            if hyp == "H2" and not positive:
-                violations.append(
-                    Violation("H2", None, f"q is identically zero on [{eq.zeta0}, {horizon}]")
-                )
+        found, positive = _first_violation(hyp, name, rel, seq, eq.zeta0, horizon)
+        if found is not None:
+            violations.append(found)
+        elif hyp == "H2" and not positive:
+            violations.append(
+                Violation("H2", None, f"q is identically zero on [{eq.zeta0}, {horizon}]")
+            )
     # first offenders in index order; H1 before H2 at the same index (stable sort)
     violations.sort(key=lambda v: math.inf if v.index is None else v.index)
     return ValidationReport(horizon=horizon, violations=tuple(violations))

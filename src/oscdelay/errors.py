@@ -27,8 +27,8 @@ class DomainError(OscDelayError):
     """Evaluation outside the mathematical domain (negative base, r <= 0, ...)."""
 
 
-class DivisionByZero(OscDelayError):
-    """Division by zero during expression evaluation."""
+class DivisionByZero(DomainError):
+    """Division by zero during expression evaluation: the index is outside the domain."""
 
 
 class NonConvergentError(OscDelayError):

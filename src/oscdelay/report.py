@@ -125,47 +125,35 @@ def to_json(report: dict) -> str:
     return out.getvalue()
 
 
-def _csv_cell(value) -> str:
-    if isinstance(value, float):
-        cell = fmt_float(value).strip('"')
-    else:
-        cell = str(value)
-    if any(c in cell for c in ',"\n'):
-        cell = '"' + cell.replace('"', '""') + '"'
-    return cell
+def _csv_cell(text: str) -> str:
+    if any(c in text for c in ',"\n'):
+        text = '"' + text.replace('"', '""') + '"'
+    return text
 
 
-def evidence_rows(report: dict):
-    """Yield (criterion_id, EvidenceRow-like dict) over every verdict in the report."""
-    plain = _to_plain(report)
-    stages = plain.get("stages", {})
-    sources = []
-    check = stages.get("check") or {}
-    sources.extend(check.get("verdicts", []))
-    transform = stages.get("transform") or {}
-    if transform.get("sumq_verdict"):
-        sources.append(transform["sumq_verdict"])
-    for v in plain.get("verdicts", []):  # example reproduction reports
-        sources.append(v)
-    for verdict in sources:
-        for row in verdict.get("evidence", []):
-            yield verdict["criterion"], row
+def _csv_number(x: float) -> str:
+    return fmt_float(x).strip('"')
+
+
+def _verdicts(report: dict) -> list:
+    """Every verdict in the report: check stage, transform stage, example reproduction."""
+    stages = report.get("stages", {})
+    verdicts = list((stages.get("check") or {}).get("verdicts", []))
+    sumq = (stages.get("transform") or {}).get("sumq_verdict")
+    if sumq:
+        verdicts.append(sumq)
+    return verdicts + list(report.get("verdicts", []))
 
 
 def to_csv(report: dict) -> str:
     """Plot-ready CSV of criterion evidence, one row per sampled index."""
     lines = ["criterion_id,zeta,term,partial_sum,running_value"]
-    for criterion, row in evidence_rows(report):
-        lines.append(
-            ",".join(
-                [
-                    _csv_cell(criterion),
-                    _csv_cell(row["zeta"]),
-                    _csv_cell(float(row["term"])),
-                    _csv_cell(float(row["partial_sum"])),
-                    _csv_cell(float(row["running_value"])),
-                ]
-            )
+    for verdict in _verdicts(report):
+        cid = _csv_cell(verdict.criterion)
+        lines.extend(
+            f"{cid},{row.zeta},{_csv_number(row.term)},{_csv_number(row.partial_sum)},"
+            f"{_csv_number(row.running_value)}"
+            for row in verdict.evidence
         )
     return "\n".join(lines) + "\n"
 

@@ -17,9 +17,11 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .equation import DelayForm, HalfLinearEquation, TailConfig, theta
 from .errors import DomainError
-from .power import RationalExponent, signed_pow
+from .power import RationalExponent, signed_pow, signed_pow_array
 from .sequences import Sequence
 
 
@@ -211,10 +213,8 @@ def classify_trajectory(
     return TrajectoryClass(TrajectoryKind.INCONCLUSIVE)
 
 
-def residual_pointwise(
-    eq: HalfLinearEquation, candidate: Sequence, frm: int, to: int
-) -> list[tuple[int, float]]:
-    """Pointwise left-hand side r(z+1)(Dx(z+1))^a - r(z)(Dx(z))^a + q(z) x^a(d(z))."""
+def _residual_loop(eq: HalfLinearEquation, candidate: Sequence, frm: int, to: int) -> list:
+    """The left-hand side one index at a time; raises at the first index that fails."""
     out = []
     a = eq.alpha
     for z in range(frm, to + 1):
@@ -227,6 +227,34 @@ def residual_pointwise(
         )
         out.append((z, lhs))
     return out
+
+
+def residual_pointwise(
+    eq: HalfLinearEquation, candidate: Sequence, frm: int, to: int
+) -> list[tuple[int, float]]:
+    """Pointwise left-hand side r(z+1)(Dx(z+1))^a - r(z)(Dx(z))^a + q(z) x^a(d(z)).
+
+    Evaluated on the columns x, x(d(z)), r and q.  Where a column cannot be
+    evaluated or a value is not finite, the per-index loop runs instead, so the
+    error raised is that of the first index that fails.
+    """
+    z = np.arange(frm, to + 1)
+    a = eq.alpha
+    try:
+        x = candidate.eval_array(np.arange(frm, to + 3))
+        xd = candidate.eval_array(eq.delayed_index(z))
+        r = eq.r.eval_array(np.arange(frm, to + 2))
+        with np.errstate(invalid="ignore", over="ignore"):
+            lhs = (
+                r[1:] * signed_pow_array(x[2:] - x[1:-1], a)
+                - r[:-1] * signed_pow_array(x[1:-1] - x[:-2], a)
+                + eq.q.eval_array(z) * signed_pow_array(xd, a)
+            )
+    except Exception:  # the loop meets the same failure at its first index
+        lhs = None
+    if lhs is None or not np.isfinite(lhs).all():
+        return _residual_loop(eq, candidate, frm, to)
+    return list(zip(z.tolist(), lhs.tolist()))
 
 
 def residual(eq: HalfLinearEquation, candidate: Sequence, frm: int, to: int) -> float:

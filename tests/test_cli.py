@@ -1,5 +1,6 @@
 """Tests for run configuration parsing, report serialization and the CLI."""
 import json
+import math
 import os
 import re
 import subprocess
@@ -10,9 +11,9 @@ import pytest
 import oscdelay
 from oscdelay.cli import main, run_stages
 from oscdelay.config import parse_config, parse_criteria
-from oscdelay.criteria import CRITERION_IDS
+from oscdelay.criteria import CRITERION_IDS, CriterionVerdict, EvidenceRow, VerdictStatus
 from oscdelay.errors import ConfigError
-from oscdelay.report import fmt_float, to_csv, to_json
+from oscdelay.report import _to_plain, fmt_float, new_report, to_csv, to_json
 
 EXAMPLE2_INI = """\
 [equation]
@@ -176,6 +177,52 @@ class TestReportFormats:
             # every numeric string in the CSV appears verbatim in the JSON
             for cell in cells[2:]:
                 assert cell in json_text, cell
+
+
+def csv_via_plain_dicts(report):
+    """The CSV writer that formatted every row through _to_plain dicts, kept as the oracle."""
+    def cell(value):
+        text = fmt_float(value).strip('"') if isinstance(value, float) else str(value)
+        if any(c in text for c in ',"\n'):
+            text = '"' + text.replace('"', '""') + '"'
+        return text
+
+    plain = _to_plain(report)
+    stages = plain.get("stages", {})
+    sources = list((stages.get("check") or {}).get("verdicts", []))
+    if (stages.get("transform") or {}).get("sumq_verdict"):
+        sources.append(stages["transform"]["sumq_verdict"])
+    sources.extend(plain.get("verdicts", []))
+    lines = ["criterion_id,zeta,term,partial_sum,running_value"]
+    for verdict in sources:
+        for row in verdict.get("evidence", []):
+            lines.append(",".join([cell(verdict["criterion"]), cell(row["zeta"]),
+                                   cell(float(row["term"])), cell(float(row["partial_sum"])),
+                                   cell(float(row["running_value"]))]))
+    return "\n".join(lines) + "\n"
+
+
+class TestCsvWriter:
+    SPECIAL = (EvidenceRow(1, math.nan, math.inf, -math.inf), EvidenceRow(2, -0.0, 5e-324, 1.0 / 3.0))
+
+    def _verdict(self, criterion):
+        return CriterionVerdict(criterion, VerdictStatus.INCONCLUSIVE, "c", self.SPECIAL)
+
+    def test_check_verdicts_match_oracle(self, ex2_config):
+        report = run_stages(parse_config(ex2_config), ("validate", "check"))
+        report["stages"]["check"]["verdicts"].append(self._verdict("Thm21"))
+        report["stages"]["transform"] = {"sumq_verdict": self._verdict("CanonicalSumQ")}
+        text = to_csv(report)
+        assert "NaN,Infinity,-Infinity" in text
+        assert text == csv_via_plain_dicts(report)
+
+    def test_example_verdicts_match_oracle(self):
+        report = new_report({"example": 1})
+        example = oscdelay.reproduce_example(1, horizon=60)
+        report["verdicts"] = example["verdicts"] + [self._verdict("a,\"quoted\" id")]
+        text = to_csv(report)
+        assert '"a,""quoted"" id",1,NaN,Infinity,-Infinity' in text
+        assert text == csv_via_plain_dicts(report)
 
 
 class TestCli:

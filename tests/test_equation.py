@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oscdelay import (
@@ -20,8 +20,8 @@ from oscdelay import (
     theta_extended,
     validate,
 )
-from oscdelay.equation import _suffix_sums, _tail_table
-from oscdelay.errors import DomainError, NonConvergentError
+from oscdelay.equation import ValidationReport, Violation, _suffix_sums, _tail_table
+from oscdelay.errors import DivisionByZero, DomainError, NonConvergentError
 
 
 def make_eq(r_text, alpha, zeta0=1, q_text="1", sigma=0, theta_cf=None,
@@ -222,6 +222,116 @@ class TestValidate:
         assert h2 and h2[0].index == 2
 
 
+def validate_loop(eq, horizon):
+    """The per-index validate the columnar one must reproduce, kept as its oracle."""
+    violations = []
+    for hyp, name, seq, rel in (("H1", "r", eq.r, "<="), ("H2", "q", eq.q, "<")):
+        positive = False
+        for z in range(eq.zeta0, horizon + 1):
+            try:
+                v = seq(z)
+            except DomainError as exc:
+                violations.append(Violation(hyp, z, f"{name} not evaluable: {exc}"))
+                break
+            if v < 0 or (v == 0 and hyp == "H1"):
+                violations.append(Violation(hyp, z, f"{name}({z}) = {v} {rel} 0"))
+                break
+            positive = positive or v > 0
+        else:
+            if hyp == "H2" and not positive:
+                violations.append(
+                    Violation("H2", None, f"q is identically zero on [{eq.zeta0}, {horizon}]")
+                )
+    violations.sort(key=lambda v: math.inf if v.index is None else v.index)
+    return ValidationReport(horizon=horizon, violations=tuple(violations))
+
+
+def seq_eq(r, q, zeta0=1):
+    as_seq = lambda s: Sequence.from_expression(s) if isinstance(s, str) else s
+    return HalfLinearEquation(r=as_seq(r), q=as_seq(q), alpha=RationalExponent(1, 1),
+                              sigma=0, delay_form=DelayForm.MINUS_SIGMA, zeta0=zeta0)
+
+
+def pole_at_5(z):
+    """1/(z-5)+10 as a closed form: inf at 5 on a column, DivisionByZero at the scalar 5."""
+    if np.ndim(z) == 0 and z == 5:
+        raise DivisionByZero("division by zero")
+    with np.errstate(divide="ignore"):
+        return 1.0 / (np.asarray(z, dtype=float) - 5.0) + 10.0
+
+
+def column_scalar_split(z):
+    """A column that offends at 7 while the scalar values offend only at 9: where
+    the two disagree (the last bit near 0), the per-index loop decides."""
+    if np.ndim(z) == 0:
+        return -1.0 if z == 9 else 1.0
+    return np.where(np.asarray(z) == 7, -1.0, 1.0)
+
+
+class TestValidateParity:
+    """The columnar validate gives the report of the per-index loop."""
+
+    @pytest.mark.parametrize("eq, horizon", [
+        (seq_eq("z-10", "1"), 20),                                 # sign-changing r
+        (seq_eq("z-10", "1", zeta0=10), 20),                       # vanishing r
+        (seq_eq("1", "1-z", zeta0=0), 10),                         # negative q
+        (seq_eq("1", "0"), 100),                                   # q identically zero
+        (seq_eq("1", Sequence.from_table(1, [0.0] * 5 + [-1.0] * 20)), 20),  # zero, then negative
+        (seq_eq("1", "(5 - z - ((z-5)^2)^(1/2))/2"), 20),        # the same as an expression
+        (seq_eq("2^z", "1"), 1100),                                # r overflows at 1024
+        (seq_eq("1", "2^z"), 1100),                                # q overflows at 1024
+        (seq_eq("pow(z-5, 2)", "1"), 20),                          # negative base
+        (seq_eq("1", "pow(z-5, 2)"), 20),
+        (seq_eq("1/(z-5)+10", "1"), 20),                           # division by zero
+        (seq_eq(Sequence.closed_form("pole", pole_at_5), "1"), 20),
+        (seq_eq(Sequence.from_table(3, [1.0] * 30), "1"), 20),     # table below its domain start
+        (seq_eq("z-10", "1-z", zeta0=0), 20),                      # H1 and H2 offenders
+        (seq_eq(Sequence.closed_form("split", column_scalar_split), "1"), 20),
+        (example_equation(1), 200),
+        (example_equation(3), 20000),
+    ])
+    def test_same_report_as_loop(self, eq, horizon):
+        assert validate(eq, horizon) == validate_loop(eq, horizon)
+
+
+class TestDivisionByZero:
+    """A zero denominator is a domain error: an H1 violation, not a crash."""
+
+    @pytest.mark.parametrize("r", ["1/(z-5)+10", Sequence.closed_form("pole", pole_at_5)],
+                             ids=["fallback", "columnar"])
+    def test_validate_reports_h1_at_pole(self, r):
+        report = validate(seq_eq(r, "1"), 20)
+        assert report.violations == (Violation("H1", 5, "r not evaluable: division by zero"),)
+
+    def test_division_by_zero_is_a_domain_error(self):
+        assert issubclass(DivisionByZero, DomainError)
+
+
+class TestTailCertificate:
+    """A certified tail_bound is at least the true tail past the truncation index."""
+
+    @pytest.mark.parametrize("r_text, term, last, certified", [
+        ("z^6", lambda s: s ** -6.0, 10 ** 5, False),
+        ("z^10", lambda s: s ** -10.0, 10 ** 4, False),
+        ("2^z", lambda s: 2.0 ** -s, 2000, True),
+        ("2^z/z^3", lambda s: s ** 3 * 2.0 ** -s, 2000, True),   # terms z^3 * 2^(-z)
+    ])
+    def test_bound_covers_true_tail(self, r_text, term, last, certified):
+        res = theta(make_eq(r_text, RationalExponent(1, 1)), 1)
+        assert res.certified is certified
+        if res.certified:
+            true_tail = math.fsum(term(s) for s in range(res.truncation_index + 1, last))
+            assert res.tail_bound >= true_tail
+
+
+class TestTableSharing:
+    def test_equal_equations_hash_equal_and_share_one_table(self):
+        a, b = make_eq("2^z", RationalExponent(1, 1)), make_eq("2^z", RationalExponent(1, 1))
+        assert a is not b and a.r is not b.r
+        assert a == b and hash(a) == hash(b) and hash(a.r) == hash(b.r)
+        assert _tail_table(a, TailConfig()) is _tail_table(b, TailConfig())
+
+
 class TestClosedFormCertification:
     """A closed form is certified only when a numeric check actually ran."""
 
@@ -276,6 +386,9 @@ class TestThetaProperties:
 
     @settings(max_examples=30, deadline=None)
     @given(tail_cases())
+    # a power law whose ratios passed the geometric test at T = 189: theta rose at 257
+    @example((make_eq("2.0*pow(z, 1.3333333333333333)", RationalExponent(1, 3)),
+              TailConfig(tol_abs=1e-10, block=64), list(range(230, 271))))
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_decreasing_and_recurrence(self, case):
         eq, cfg, zs = case

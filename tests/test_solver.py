@@ -22,6 +22,7 @@ from oscdelay import (
     residual,
     residual_pointwise,
 )
+from oscdelay.errors import DivisionByZero, DomainError
 from oscdelay.power import signed_pow
 from oscdelay.solver import StatusKind, TrajectoryStatus
 
@@ -132,6 +133,26 @@ class TestIterate:
             assert abs(b - c * a) <= 1e-9 * max(1.0, abs(c * a))
 
 
+def pole_at_5(z):
+    """1/(z-5)+10 as a closed form: inf at 5 on a column, DivisionByZero at the scalar 5."""
+    if np.ndim(z) == 0 and z == 5:
+        raise DivisionByZero("division by zero")
+    with np.errstate(divide="ignore"):
+        return 1.0 / (np.asarray(z, dtype=float) - 5.0) + 10.0
+
+
+class TestDivisionByZero:
+    @pytest.mark.parametrize("r", [Sequence.from_expression("1/(z-5)+10"),
+                                   Sequence.closed_form("pole", pole_at_5)],
+                             ids=["expression", "closed_form"])
+    def test_iterate_stops_with_domain_error_at_pole(self, r):
+        eq = HalfLinearEquation(r=r, q=Sequence.from_expression("1"), alpha=RationalExponent(1, 1),
+                                sigma=0, delay_form=DelayForm.MINUS_SIGMA, zeta0=1)
+        traj = iterate(eq, InitialData.for_equation(eq, [1.0, 0.5]), 20)
+        assert traj.status == TrajectoryStatus(StatusKind.DOMAIN_ERROR, 5)
+        assert traj.end_index == 5
+
+
 class TestClassify:
     def test_alternating_is_oscillatory(self):
         traj = Trajectory(
@@ -231,6 +252,74 @@ class TestResidual:
         factor = signed_pow(c, eq.alpha)
         for (_, lhs), (_, lhs_c) in zip(base, got):
             assert abs(lhs_c - factor * lhs) <= 1e-9 * max(1.0, abs(factor * lhs))
+
+
+def residual_loop(eq, candidate, frm, to):
+    """The per-index residual the columnar one must reproduce, kept as its oracle;
+    each value comes with the sum of the magnitudes of its three terms."""
+    out = []
+    a = eq.alpha
+    for z in range(frm, to + 1):
+        x0, x1, x2 = candidate(z), candidate(z + 1), candidate(z + 2)
+        xd = candidate(eq.delayed_index(z))
+        terms = (eq.r(z + 1) * signed_pow(x2 - x1, a), eq.r(z) * signed_pow(x1 - x0, a),
+                 eq.q(z) * signed_pow(xd, a))
+        out.append((z, terms[0] - terms[1] + terms[2], sum(abs(t) for t in terms)))
+    return out
+
+
+def _trajectory_case(eq, steps):
+    init = [0.3, -0.7, 0.1, 0.9][:eq.sigma + 2]
+    traj = iterate(eq, InitialData.for_equation(eq, init), eq.zeta0 + steps)
+    return eq, traj.as_sequence(), eq.zeta0, traj.end_index - 2
+
+
+POLY_EQ = HalfLinearEquation(
+    r=Sequence.from_expression("(z*(z+1.7))^(5/3)"),
+    q=Sequence.from_expression("1.3*(z^2-1)*z^(2/3)"),
+    alpha=RationalExponent(5, 3), sigma=2, delay_form=DelayForm.MINUS_SIGMA_PLUS_ONE, zeta0=1,
+)
+SMOOTH = Sequence.closed_form("sin(z)+1.5", lambda z: math.sin(z) + 1.5)  # scalar-only closed form
+
+
+class TestResidualParity:
+    """The columnar residual matches the per-index loop: values within 1e-15 of the
+    scale of their terms (numpy's array pow and r, q may differ from the scalar
+    ones in the last bit), errors with the same type and message."""
+
+    @pytest.mark.parametrize("case", [
+        lambda: (linear_eq(), ALTERNATING, 2, 100),
+        lambda: (example_equation(3), SMOOTH, 1, 25),
+        lambda: _trajectory_case(example_equation(1), 300),
+        lambda: _trajectory_case(example_equation(2), 300),
+        lambda: _trajectory_case(example_equation(3), 300),
+        lambda: _trajectory_case(POLY_EQ, 5000),
+    ], ids=["alternating", "scalar_closed_form", "example1", "example2", "example3", "poly"])
+    def test_values_match_loop(self, case):
+        eq, cand, frm, to = case()
+        got = residual_pointwise(eq, cand, frm, to)
+        want = residual_loop(eq, cand, frm, to)
+        assert [z for z, _ in got] == [z for z, _, _ in want]
+        for (_, value), (_, ref, scale) in zip(got, want):
+            assert abs(value - ref) <= 1e-15 * scale
+
+    @pytest.mark.parametrize("eq, frm, to, message", [
+        (example_equation(3), 1, 20, "index 1 below domain start 3 of table[3..32]"),
+        (example_equation(3), 3, 20, "index 2 below domain start 3 of table[3..32]"),  # d(3) = 2
+        (example_equation(3), 4, 31, "index 33 outside table table[3..32]"),
+        (linear_eq(q_text="1/(z-5)+10", zeta0=1), 4, 20, "division by zero"),
+        (linear_eq(q_text="pow(z-8, 2)", zeta0=1), 4, 20, "negative base with non-literal exponent"),
+        (linear_eq(q_text="2^z", zeta0=1), 4, 1030, "2^z is not finite at index 1024"),  # overflow
+    ], ids=["below_frm", "below_delayed", "past_end", "pole", "negative_base", "overflow"])
+    def test_same_error_as_loop(self, eq, frm, to, message):
+        cand = (Sequence.from_table(3, [math.cos(z) for z in range(3, 33)]) if to < 32
+                else Sequence.closed_form("cos", lambda z: np.cos(z)))
+        with pytest.raises(DomainError) as want:
+            residual_loop(eq, cand, frm, to)
+        with pytest.raises(DomainError) as got:
+            residual_pointwise(eq, cand, frm, to)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value) == message
 
 
 class TestLemma22Check:
