@@ -48,7 +48,10 @@ class TailConfig:
     only that window: it does not prove that the ratios keep falling past it.
     When the certificate fails but the terms decay like a power s^(-p) with
     p > poly_min_exponent, an uncertified power-law tail estimate is added.
-    Otherwise summation stops at max_terms, uncertified.
+    Otherwise summation stops at max_terms, uncertified.  The terms are judged
+    divergent when the minimum over a span of 65 536 indices (anchored at zeta0)
+    is not trend_tol below the one before it.  block, the number of terms
+    evaluated at once, sets memory and work only, never a verdict.
     """
 
     tol_abs: float = 1e-12
@@ -160,6 +163,11 @@ def _suffix_sums(t: np.ndarray) -> np.ndarray:
     return (acc + np.cumsum((prev - (acc - back)) + (rev - back)))[::-1]
 
 
+# span of the trend screen: the minima of consecutive spans must fall by trend_tol.
+# Spans do not follow cfg.block, which would scale the screen's tolerance with it.
+_TREND_SPAN = 65536
+
+
 class _TailTable:
     """The truncation loop run once from zeta0 in blocks anchored there (past the
     scanned range, at its end), so a block evaluated again holds the same terms.
@@ -189,10 +197,11 @@ class _TailTable:
         """Sum blocks to a tail certificate: (T, tail bound, certified, method, remainder)."""
         cfg, z0 = self.cfg, self.eq.zeta0
         hist = np.empty(0)  # the last terms summed, up to the current stop
-        prev_min: Optional[float] = None
+        prev_min: Optional[float] = None  # the trend screen's last full span
+        span_min, span_start, last = math.inf, z0, z0 + cfg.max_terms
         keep = max(cfg.fit_window, cfg.ratio_window + 1)
-        for s in range(z0, z0 + cfg.max_terms, cfg.block):
-            m = min(cfg.block, z0 + cfg.max_terms - s)
+        for s in range(z0, last, cfg.block):
+            m = min(cfg.block, last - s)
             t = self._terms(s, m)
             if s == z0:
                 self._first = t
@@ -221,10 +230,17 @@ class _TailTable:
                             lambda s_last, t_last: _poly_tail_estimate(s_last, t_last, p))
                 # tiny terms that decay too slowly to bound: keep summing
                 hist = np.concatenate([hist, t[n:]])[-keep:]
-            cur_min = float(t.min())
-            if prev_min is not None and 0 < cur_min >= (1.0 - cfg.trend_tol) * prev_min:
-                raise NonConvergentError(f"tail terms not decreasing near index {s}: series looks divergent")
-            prev_min = cur_min
+            i = 0
+            while i < m:  # the spans this block reaches into
+                close = min(span_start + _TREND_SPAN, last)
+                j = min(m, close - s)
+                span_min, i = min(span_min, float(t[i:j].min())), j
+                if s + j < close:
+                    continue
+                if prev_min is not None and 0 < span_min >= (1.0 - cfg.trend_tol) * prev_min:
+                    raise NonConvergentError(
+                        f"tail terms not decreasing near index {span_start}: series looks divergent")
+                prev_min, span_min, span_start = span_min, math.inf, close
         return self.end, None, False, "max_terms", lambda s_last, t_last: 0.0
 
     def lookup(self, zeta: int) -> tuple:

@@ -14,6 +14,7 @@ pow(x, y) is the general positive-base power.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +57,11 @@ class Token:
 
 
 class Ast:
-    """Base class for expression nodes; instances are immutable."""
+    """Base class for expression nodes; instances are immutable.  A root node caches
+    its compiled forms (_compile) at first use, outside equality, hashing and pickles."""
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "_forms"}
 
 
 @dataclass(frozen=True)
@@ -278,104 +283,140 @@ def _literal_ratio(node: Ast):
     return None
 
 
-def _any(x) -> bool:
-    return bool(np.any(x))
+def _fpow(x, e):
+    """x ** e; an overflow gives inf (-inf for an odd integer power of a negative base)."""
+    try:
+        return x ** e
+    except OverflowError:  # only a Python float raises: numpy gives inf under errstate
+        return -math.inf if x < 0 and e % 2 == 1 else math.inf
 
 
-def _ratio_pow(base, a: int, b: int):
-    """base**(a/b) for a literal integer ratio exponent, with sign handling."""
+def _ratio_form(a: int, b: int, test):
+    """base -> base**(a/b) for a literal integer ratio exponent, with sign handling."""
     if b < 0:
         a, b = -a, -b
-    if b == 1:
-        if a < 0 and _any(base == 0):
-            raise DivisionByZero("zero base with negative integer exponent")
-        return base ** a
-    if a % 2 != 0 and b % 2 != 0:
-        # odd/odd ratio: sign-preserving power
-        if a < 0 and _any(base == 0):
+    if b != 1 and a % 2 != 0 and b % 2 != 0:
+        return _odd_form(a, b, test)
+    # an integer power takes any base; an even ratio needs a non-negative one
+    e, even = (a, False) if b == 1 else (a / b, True)
+    negative = f"negative base with exponent {a}/{b}"
+    zero = "zero base with negative " + ("integer exponent" if b == 1 else "exponent")
+
+    def power(x):
+        if even and test(x < 0):
+            raise DomainError(negative)
+        if a < 0 and test(x == 0):
+            raise DivisionByZero(zero)
+        return _fpow(x, e)
+    return power
+
+
+def _odd_form(a: int, b: int, test):
+    """t -> sign(t) |t|^(a/b) for odd a and b > 0; the odd/odd powers of +-0 are +0.0."""
+    e, scalar = a / b, test is bool
+
+    def odd(x):
+        if a < 0 and test(x == 0):
             raise DivisionByZero("zero base with negative exponent")
-        return np.sign(base) * np.abs(base) ** (a / b)
-    # even numerator or even denominator: positive base required
-    if _any(base < 0):
-        raise DomainError(f"negative base with exponent {a}/{b}")
-    if a < 0 and _any(base == 0):
-        raise DivisionByZero("zero base with negative exponent")
-    return base ** (a / b)
+        if scalar:
+            return math.copysign(_fpow(abs(x), e), x) if x != 0 else 0.0
+        return np.sign(x) * _fpow(np.abs(x), e)
+    return odd
 
 
-def _general_pow(base, expo):
+def _nonliteral_pow(base, expo, test):
     """base**expo for a non-literal exponent: positive base required."""
-    if _any(base < 0):
+    if test(base < 0):
         raise DomainError("negative base with non-literal exponent")
-    if _any(np.logical_and(np.asarray(base) == 0, np.asarray(expo) < 0)):
+    if test((base == 0) & (expo < 0)):
         raise DivisionByZero("zero base with negative exponent")
-    return base ** expo
+    return _fpow(base, expo)
 
 
-def _eval(ast: Ast, z):
-    if isinstance(ast, Literal):
-        return ast.value
-    if isinstance(ast, Var):
-        return z
-    if isinstance(ast, Unary):
-        return -_eval(ast.child, z)
-    if isinstance(ast, Binary):
-        if ast.op == "^":
-            base = _eval(ast.left, z)
-            ratio = _literal_ratio(ast.right)
-            if ratio is not None:
-                return _ratio_pow(base, *ratio)
-            return _general_pow(base, _eval(ast.right, z))
-        left = _eval(ast.left, z)
-        right = _eval(ast.right, z)
-        if ast.op == "+":
-            return left + right
-        if ast.op == "-":
-            return left - right
-        if ast.op == "*":
-            return left * right
-        if ast.op == "/":
-            if _any(right == 0):
-                raise DivisionByZero("division by zero")
-            return left / right
-        raise TypeError(f"unknown operator {ast.op!r}")
-    if isinstance(ast, Call):
-        if ast.name == "spow":
-            x = _eval(ast.args[0], z)
-            m = _literal_ratio(ast.args[1])
-            n = _literal_ratio(ast.args[2])
-            if m is None or m[1] != 1 or n is None or n[1] != 1:
-                raise DomainError("spow(x, m, n) requires integer literals m and n")
-            return _ratio_pow_signed(x, m[0], n[0])
-        if ast.name == "pow":
-            base = _eval(ast.args[0], z)
-            return _general_pow(base, _eval(ast.args[1], z))
-        raise DomainError(f"unknown function {ast.name!r}")
-    raise TypeError(f"not an Ast node: {ast!r}")
+def _spow_form(x, m, n, test):
+    """The form of spow(x, m, n), the sign-preserving power: x is the form of its
+    argument, m and n the literal ratios of the other two."""
+    if m is None or m[1] != 1 or n is None or n[1] != 1:
+        error = DomainError("spow(x, m, n) requires integer literals m and n")
+    elif n[0] == 0:
+        error = DivisionByZero("spow with zero denominator")
+    else:
+        m, n = (m[0], n[0]) if n[0] > 0 else (-m[0], -n[0])
+        if abs(m) % 2 != 0 and n % 2 != 0:
+            odd = _odd_form(m, n, test)
+            return lambda z: odd(x(z))
+        error = DomainError(f"spow exponent {m}/{n}: both integers must be odd")
+
+    def fail(z):
+        x(z)  # the argument is evaluated, and may raise, first
+        raise type(error)(*error.args)
+    return fail
 
 
-def _ratio_pow_signed(base, m: int, n: int):
-    """Unconditional sign-preserving power for spow(x, m, n)."""
-    if n == 0:
-        raise DivisionByZero("spow with zero denominator")
-    if n < 0:
-        m, n = -m, -n
-    if abs(m) % 2 == 0 or n % 2 == 0:
-        raise DomainError(f"spow exponent {m}/{n}: both integers must be odd")
-    if m < 0 and _any(base == 0):
-        raise DivisionByZero("zero base with negative exponent")
-    return np.sign(base) * np.abs(base) ** (m / n)
+def _build(node: Ast, test):
+    """One compiled form of node: test is bool for Python floats, np.any for arrays."""
+    if isinstance(node, Literal):
+        v = node.value
+        return lambda z: v
+    if isinstance(node, Var):
+        return lambda z: z
+    if isinstance(node, Unary):
+        f = _build(node.child, test)
+        return lambda z: -f(z)
+    if isinstance(node, Binary):
+        f = _build(node.left, test)
+        ratio = _literal_ratio(node.right) if node.op == "^" else None
+        if ratio is not None:
+            power = _ratio_form(*ratio, test)
+            return lambda z: power(f(z))
+        g = _build(node.right, test)
+        if node.op == "^":
+            return lambda z: _nonliteral_pow(f(z), g(z), test)
+        if node.op == "+":
+            return lambda z: f(z) + g(z)
+        if node.op == "-":
+            return lambda z: f(z) - g(z)
+        if node.op == "*":
+            return lambda z: f(z) * g(z)
+        if node.op == "/":
+            def divisor(y):
+                if test(y == 0):
+                    raise DivisionByZero("division by zero")
+                return y
+            return lambda z: f(z) / divisor(g(z))
+        raise TypeError(f"unknown operator {node.op!r}")
+    if isinstance(node, Call):
+        if node.name == "spow":
+            x, (m, n) = _build(node.args[0], test), map(_literal_ratio, node.args[1:])
+            return _spow_form(x, m, n, test)
+        if node.name == "pow":
+            f, g = _build(node.args[0], test), _build(node.args[1], test)
+            return lambda z: _nonliteral_pow(f(z), g(z), test)
+        raise DomainError(f"unknown function {node.name!r}")
+    raise TypeError(f"not an Ast node: {node!r}")
 
 
-# an overflow anywhere in an evaluation gives inf, not a numpy warning; callers judge inf
+def _compile(ast: Ast) -> tuple:
+    """(scalar form, array form) of ast: closures of z that resolve every literal
+    exponent, sign rule and check once per node, cached on the root at first use.
+    The scalar form runs on Python floats, the array form on numpy arrays.  Each
+    check raises at evaluation, in the order the tree gives; a malformed tree
+    raises here."""
+    try:
+        return ast._forms
+    except AttributeError:
+        object.__setattr__(ast, "_forms", (_build(ast, bool), _build(ast, np.any)))
+        return ast._forms
+
+
+# an overflowing power is +-inf and propagates in both forms; callers judge inf
 def eval_at(ast: Ast, zeta) -> float:
     """Evaluate with z bound to the integer index zeta."""
-    with np.errstate(over="ignore"):
-        return float(_eval(ast, float(zeta)))
+    return float(_compile(ast)[0](float(zeta)))
 
 
 def eval_values(ast: Ast, z: np.ndarray) -> np.ndarray:
     """Vectorized evaluation over an array of index values."""
     with np.errstate(over="ignore"):
-        out = _eval(ast, np.asarray(z, dtype=float))
+        out = _compile(ast)[1](np.asarray(z, dtype=float))
     return np.broadcast_to(np.asarray(out, dtype=float), np.shape(z)).copy() if np.ndim(out) == 0 else np.asarray(out, dtype=float)

@@ -123,6 +123,7 @@ def iterate(eq: HalfLinearEquation, init: InitialData, horizon: int) -> Trajecto
     z0 = eq.zeta0
     alpha = eq.alpha
     inv_alpha = alpha.reciprocal()
+    lag = eq.delayed_index(0) - start  # x(d(z)) is x[z + lag]
     status = TrajectoryStatus(StatusKind.COMPLETED)
     y: list[float] = []
 
@@ -143,7 +144,7 @@ def iterate(eq: HalfLinearEquation, init: InitialData, horizon: int) -> Trajecto
     for z in range(z0, horizon - 1):
         try:
             qz = eq.q(z)
-            xd = x[eq.delayed_index(z) - start]
+            xd = x[z + lag]
             y_next = y[-1] - qz * signed_pow(xd, alpha)
             if not math.isfinite(y_next):
                 return fail(StatusKind.OVERFLOWED, z + 1)
@@ -280,6 +281,7 @@ def lemma22_check(
         raise ValueError("the inequality requires alpha >= 1")
     # exponent a - 1 = (m - n)/n has even numerator, so the power is |t|^(a-1)
     exp_num, exp_den = a.num - a.den, a.den
+    inv_a = a.reciprocal()
     violations = []
     checked = 0
     for z in range(eq.zeta0, traj.end_index):
@@ -295,7 +297,7 @@ def lemma22_check(
             lhs = 1.0
             rhs = 1.0
         else:
-            base = signed_pow(eq.r(z), a.reciprocal()) * (xn - xz) / xz1
+            base = signed_pow(eq.r(z), inv_a) * (xn - xz) / xz1
             lhs = abs(base) ** (exp_num / exp_den)
             th = theta(eq, z, cfg).value
             rhs = th ** (1.0 - a.value)

@@ -389,6 +389,9 @@ class TestThetaProperties:
     # a power law whose ratios passed the geometric test at T = 189: theta rose at 257
     @example((make_eq("2.0*pow(z, 1.3333333333333333)", RationalExponent(1, 3)),
               TailConfig(tol_abs=1e-10, block=64), list(range(230, 271))))
+    # terms 8/z^2: the minima of 64-term blocks fell by less than trend_tol past 128 000
+    @example((make_eq("0.5*pow(z, 0.6666666666666666)", RationalExponent(1, 3)),
+              TailConfig(tol_abs=1e-10, block=64), list(range(200, 241))))
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_decreasing_and_recurrence(self, case):
         eq, cfg, zs = case
@@ -419,3 +422,25 @@ class TestThetaProperties:
         _tail_table.cache_clear()
         again = [theta(eq, z, cfg) for z in zs]
         assert forward == reverse == again
+
+
+class TestBlockSize:
+    """The block size sets memory and work only: the trend screen runs over fixed
+    spans anchored at zeta0, so every block gives the same verdict."""
+
+    @pytest.mark.parametrize("r_text, alpha", [
+        ("0.5*pow(z, 0.6666666666666666)", RationalExponent(1, 3)),  # terms 8/z^2: poly_tail
+        ("z", RationalExponent(1, 1)),                               # terms 1/z: max_terms
+    ])
+    def test_same_verdict_for_every_block(self, r_text, alpha):
+        eq = make_eq(r_text, alpha)
+        results = {block: [theta(eq, z, TailConfig(tol_abs=1e-10, block=block))
+                           for z in (1, 10, 1000, 300_000)]
+                   for block in (64, 1000, 65536)}
+        want = results[65536]
+        for got in results.values():
+            for g, w in zip(got, want):
+                assert (g.method, g.truncation_index, g.certified) == \
+                       (w.method, w.truncation_index, w.certified)
+                assert abs(g.value - w.value) <= 1e-12 * w.value
+        assert want[0].method == ("poly_tail" if r_text != "z" else "max_terms")

@@ -224,3 +224,280 @@ class TestProperties:
             for z in range(2, 101):
                 want = fn(float(z))
                 assert abs(eval_at(ast, z) - want) <= 1e-12 * max(1.0, abs(want)), (text, z)
+
+
+# --- The tree walker the compiled forms replaced, kept as their oracle ---------
+
+def _old_literal_ratio(node):
+    neg = False
+    if isinstance(node, Unary) and node.op == "-":
+        neg = True
+        node = node.child
+    if isinstance(node, Literal) and node.value.is_integer():
+        a = int(node.value)
+        return (-a if neg else a, 1)
+    if (
+        isinstance(node, Binary)
+        and node.op == "/"
+        and isinstance(node.left, Literal)
+        and isinstance(node.right, Literal)
+        and node.left.value.is_integer()
+        and node.right.value.is_integer()
+        and node.right.value != 0
+    ):
+        a, b = int(node.left.value), int(node.right.value)
+        return (-a if neg else a, b)
+    return None
+
+
+def _old_any(x):
+    return bool(np.any(x))
+
+
+def _old_ratio_pow(base, a, b):
+    if b < 0:
+        a, b = -a, -b
+    if b == 1:
+        if a < 0 and _old_any(base == 0):
+            raise DivisionByZero("zero base with negative integer exponent")
+        return base ** a
+    if a % 2 != 0 and b % 2 != 0:
+        if a < 0 and _old_any(base == 0):
+            raise DivisionByZero("zero base with negative exponent")
+        return np.sign(base) * np.abs(base) ** (a / b)
+    if _old_any(base < 0):
+        raise DomainError(f"negative base with exponent {a}/{b}")
+    if a < 0 and _old_any(base == 0):
+        raise DivisionByZero("zero base with negative exponent")
+    return base ** (a / b)
+
+
+def _old_general_pow(base, expo):
+    if _old_any(base < 0):
+        raise DomainError("negative base with non-literal exponent")
+    if _old_any(np.logical_and(np.asarray(base) == 0, np.asarray(expo) < 0)):
+        raise DivisionByZero("zero base with negative exponent")
+    return base ** expo
+
+
+def _old_ratio_pow_signed(base, m, n):
+    if n == 0:
+        raise DivisionByZero("spow with zero denominator")
+    if n < 0:
+        m, n = -m, -n
+    if abs(m) % 2 == 0 or n % 2 == 0:
+        raise DomainError(f"spow exponent {m}/{n}: both integers must be odd")
+    if m < 0 and _old_any(base == 0):
+        raise DivisionByZero("zero base with negative exponent")
+    return np.sign(base) * np.abs(base) ** (m / n)
+
+
+def _old_eval(ast, z):
+    if isinstance(ast, Literal):
+        return ast.value
+    if isinstance(ast, Var):
+        return z
+    if isinstance(ast, Unary):
+        return -_old_eval(ast.child, z)
+    if isinstance(ast, Binary):
+        if ast.op == "^":
+            base = _old_eval(ast.left, z)
+            ratio = _old_literal_ratio(ast.right)
+            if ratio is not None:
+                return _old_ratio_pow(base, *ratio)
+            return _old_general_pow(base, _old_eval(ast.right, z))
+        left = _old_eval(ast.left, z)
+        right = _old_eval(ast.right, z)
+        if ast.op == "+":
+            return left + right
+        if ast.op == "-":
+            return left - right
+        if ast.op == "*":
+            return left * right
+        if ast.op == "/":
+            if _old_any(right == 0):
+                raise DivisionByZero("division by zero")
+            return left / right
+        raise TypeError(f"unknown operator {ast.op!r}")
+    if isinstance(ast, Call):
+        if ast.name == "spow":
+            x = _old_eval(ast.args[0], z)
+            m = _old_literal_ratio(ast.args[1])
+            n = _old_literal_ratio(ast.args[2])
+            if m is None or m[1] != 1 or n is None or n[1] != 1:
+                raise DomainError("spow(x, m, n) requires integer literals m and n")
+            return _old_ratio_pow_signed(x, m[0], n[0])
+        if ast.name == "pow":
+            base = _old_eval(ast.args[0], z)
+            return _old_general_pow(base, _old_eval(ast.args[1], z))
+        raise DomainError(f"unknown function {ast.name!r}")
+    raise TypeError(f"not an Ast node: {ast!r}")
+
+
+def old_eval_at(ast, zeta):
+    with np.errstate(over="ignore"):
+        return float(_old_eval(ast, float(zeta)))
+
+
+def old_eval_values(ast, z):
+    with np.errstate(over="ignore"):
+        out = _old_eval(ast, np.asarray(z, dtype=float))
+    return np.broadcast_to(np.asarray(out, dtype=float), np.shape(z)).copy() if np.ndim(out) == 0 else np.asarray(out, dtype=float)
+
+
+def _numpy_literals(ast):
+    """ast with every literal a numpy float64: the old walker then computes in numpy
+    scalars, which give +-inf on overflow where Python floats raise OverflowError."""
+    if isinstance(ast, Literal):
+        return Literal(np.float64(ast.value))
+    if isinstance(ast, Unary):
+        return Unary(ast.op, _numpy_literals(ast.child))
+    if isinstance(ast, Binary):
+        return Binary(ast.op, _numpy_literals(ast.left), _numpy_literals(ast.right))
+    if isinstance(ast, Call):
+        return Call(ast.name, tuple(_numpy_literals(a) for a in ast.args))
+    return ast
+
+
+def _outcome(fn, *args):
+    """('value', v) or ('error', type, message): what an evaluation gives."""
+    try:
+        return ("value", fn(*args))
+    except Exception as exc:  # noqa: BLE001 - the error itself is compared
+        return ("error", type(exc), str(exc))
+
+
+def _same(a, b) -> bool:
+    """Equal outcomes: errors by type and message; values bit for bit, the sign of
+    zero included (a NaN equals any NaN)."""
+    if a[0] != b[0]:
+        return False
+    if a[0] == "error":
+        return a[1:] == b[1:]
+    if isinstance(a[1], float) and isinstance(b[1], float):
+        x, y = a[1], b[1]
+        return (x != x and y != y) or (x == y and math.copysign(1.0, x) == math.copysign(1.0, y))
+    x, y = np.asarray(a[1], dtype=float), np.asarray(b[1], dtype=float)
+    if x.shape != y.shape:
+        return False
+    nan = np.isnan(x)
+    return bool(np.array_equal(nan, np.isnan(y)) and np.array_equal(x[~nan], y[~nan])
+                and np.array_equal(np.signbit(x[~nan]), np.signbit(y[~nan])))
+
+
+def _numpy_eval_at(ast, zeta):
+    with np.errstate(all="ignore"):
+        return float(_old_eval(_numpy_literals(ast), np.float64(zeta)))
+
+
+def _numpy_eval_values(ast, z):
+    with np.errstate(all="ignore"):
+        return old_eval_values(_numpy_literals(ast), z)
+
+
+def _expected(old_fn, ast, z):
+    """The old walker's outcome, or, where it raised OverflowError (the one allowed
+    difference), its outcome computed in numpy scalars: the overflow is +-inf."""
+    want = _outcome(old_fn, ast, z)
+    if want[0] == "error" and want[1] is OverflowError:
+        numpy_fn = _numpy_eval_at if old_fn is old_eval_at else _numpy_eval_values
+        want = _outcome(numpy_fn, ast, z)
+        assert want[0] == "value" or want[1] is not OverflowError, want
+        return want, True
+    return want, False
+
+
+PARITY_CORPUS = [
+    # workloads and worked examples
+    "(z*(z+2.2718913350574245))^(5/3)", "1.3701127264034286*(z^2-1)*z^(2/3)",
+    "2^(z/3)", "1.7*2^z", "(z*(z-1))^(1/3)", "z^(4/3)", "(z*(z+1))^(5/3)",
+    "4*(z^2-1)*z^(2/3)/3",
+    # the validate parity corpus
+    "z-10", "1-z", "1", "0", "(5 - z - ((z-5)^2)^(1/2))/2", "2^z", "pow(z-5, 2)", "1/(z-5)+10",
+    # spow and pow
+    "spow(z, 5, 3)", "spow(z-7, 1, 3)", "spow(z-7, -1, 3)", "spow(z-3, 3, -5)", "spow(z, 2, 3)",
+    "spow(z, 1, 0)", "spow(z, z, 1)", "spow(1/(z-4), 1, 3)", "pow(z, 0.5)", "pow(z-5, -1.5)",
+    "pow(2, z)", "pow(0.5, 0-z)", "pow(z, z/100)",
+    # negative bases and poles
+    "z^(1/3)", "(z-9)^(-1/3)", "(z-9)^(2/3)", "(z-9)^(-2/3)", "(z-4)^(-2)", "(z-4)^3", "-z^2",
+    "(0-2)^z", "z^(0/3)", "z^-1", "(z-2)^(-3/5)", "z^(6/4)", "z^(3/-5)", "(z-5)^0",
+    "(0-z)^(5/3)", "(z*1e300)^(5/3)", "1/(z*1e-300)^(1/3)",
+    # overflows
+    "1/2^z", "2^z/z^3", "z^200", "(z-3000)^201", "1/(z+1e-3)^(-150)", "z/10^400", "2^z - 2^z",
+]
+# Where the old walker raised OverflowError (a Python float power overflowing) and
+# the compiled scalar form gives +-inf: the only allowed differences.
+SCALAR_OVERFLOW_MOVES = {"2^z", "1.7*2^z", "pow(2, z)", "pow(0.5, 0-z)", "1/2^z", "2^z/z^3",
+                         "z^200", "(z-3000)^201", "1/(z+1e-3)^(-150)", "z/10^400", "2^z - 2^z"}
+# The array form moved only where a z-free power overflowed a Python float.
+ARRAY_OVERFLOW_MOVES = {"z/10^400"}
+PARITY_Z = np.arange(-20, 3001)
+
+
+class TestCompiledParity:
+    """The compiled forms give the old walker's values and errors."""
+
+    @pytest.mark.parametrize("text", PARITY_CORPUS)
+    def test_scalar_form_matches_walker(self, text):
+        ast = parse_expression(text)
+        moved = False
+        for z in PARITY_Z.tolist():
+            want, overflow = _expected(old_eval_at, ast, z)
+            got = _outcome(eval_at, ast, z)
+            assert _same(got, want), (text, z, got, want)
+            moved = moved or overflow
+        assert moved == (text in SCALAR_OVERFLOW_MOVES), text
+
+    @pytest.mark.parametrize("text", PARITY_CORPUS)
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_array_form_matches_walker(self, text):
+        ast = parse_expression(text)
+        moved = False
+        for zs in (PARITY_Z, PARITY_Z[PARITY_Z > 10], PARITY_Z[:1], PARITY_Z[:0]):
+            want, overflow = _expected(old_eval_values, ast, zs)
+            got = _outcome(eval_values, ast, zs)
+            assert _same(got, want), (text, zs[:1], got, want)
+            moved = moved or overflow
+        assert moved == (text in ARRAY_OVERFLOW_MOVES), text
+
+    @given(expression_trees(), st.integers(-20, 3000))
+    @settings(max_examples=300, deadline=None)
+    def test_trees_scalar(self, ast, z):
+        want, _ = _expected(old_eval_at, ast, z)
+        assert _same(_outcome(eval_at, ast, z), want)
+
+    @given(expression_trees(), st.integers(-20, 2990))
+    @settings(max_examples=300, deadline=None)
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_trees_array(self, ast, z):
+        zs = np.arange(z, z + 10, dtype=float)
+        want, _ = _expected(old_eval_values, ast, zs)
+        assert _same(_outcome(eval_values, ast, zs), want)
+
+    @pytest.mark.parametrize("text", ["2^z", "1/2^z", "2^z/z^3"])
+    def test_overflow_scalar_equals_column(self, text):
+        # an overflowing power is inf in both forms, never a bare OverflowError
+        ast, zs = parse_expression(text), np.arange(1020, 1031)
+        column = eval_values(ast, zs)
+        for z, want in zip(zs.tolist(), column.tolist()):
+            assert _same(("value", eval_at(ast, z)), ("value", want)), (text, z)
+        assert np.isinf(column[-1]) or column[-1] == 0.0
+
+    def test_overflow_sign_follows_odd_power(self):
+        assert eval_at(parse_expression("(z-3000)^201"), 0) == -math.inf
+        assert eval_at(parse_expression("(z-3000)^200"), 0) == math.inf
+        assert eval_at(parse_expression("(0-z)^(5/3)"), 1e200) == -math.inf
+
+    def test_cache_stays_out_of_equality_hash_and_pickle(self):
+        import pickle
+
+        from oscdelay import Sequence
+
+        seq = Sequence.from_expression("(z*(z+1))^(5/3) + 1/(z-2)")
+        fresh = parse_expression("(z*(z+1))^(5/3) + 1/(z-2)")
+        value, column = seq(7), seq.eval_array(np.arange(3, 9))
+        assert hasattr(seq.ast, "_forms") and not hasattr(fresh, "_forms")
+        assert seq.ast == fresh and hash(seq.ast) == hash(fresh) and repr(seq.ast) == repr(fresh)
+        copy = pickle.loads(pickle.dumps(seq))
+        assert copy == seq and hash(copy) == hash(seq) and not hasattr(copy.ast, "_forms")
+        assert copy(7) == value and np.array_equal(copy.eval_array(np.arange(3, 9)), column)

@@ -103,6 +103,13 @@ class TestIterate:
         assert traj.status.at is not None
         assert len(traj.x) < 3001 - traj.start_index + 1
 
+    def test_underflowing_q_completes(self):
+        # q(z) = 1/2^z is 0.0 from z = 1024 on: 2^z overflows to inf, and 1/inf is 0
+        eq = linear_eq(q_text="1/2^z", sigma=0, zeta0=1)
+        traj = iterate(eq, InitialData.for_equation(eq, [1.0, 0.5]), 1100)
+        assert traj.status == TrajectoryStatus(StatusKind.COMPLETED)
+        assert traj.end_index == 1100 and all(map(math.isfinite, traj.x))
+
     def test_wrong_initial_length(self):
         eq = linear_eq()
         with pytest.raises(ValueError):
