@@ -462,6 +462,8 @@ class TestCompiledParity:
 
     @given(expression_trees(), st.integers(-20, 3000))
     @settings(max_examples=300, deadline=None)
+    # the walker computes in numpy scalars after an odd/odd power, which warn on inf - inf
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_trees_scalar(self, ast, z):
         want, _ = _expected(old_eval_at, ast, z)
         assert _same(_outcome(eval_at, ast, z), want)
