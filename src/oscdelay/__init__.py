@@ -28,7 +28,6 @@ from .solver import (
 from .criteria import (
     CriterionVerdict,
     DivergenceAssessment,
-    ProbePolicy,
     ProbeStatus,
     VerdictStatus,
     crit_lem21,
@@ -74,7 +73,6 @@ __all__ = [
     "residual_pointwise",
     "CriterionVerdict",
     "DivergenceAssessment",
-    "ProbePolicy",
     "ProbeStatus",
     "VerdictStatus",
     "crit_lem21",

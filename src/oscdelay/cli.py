@@ -12,7 +12,7 @@ import traceback
 
 from . import criteria
 from .config import CheckConfig, OutputConfig, RunConfig, parse_config, parse_criteria
-from .equation import TailConfig, classify_form, theta, validate
+from .equation import classify_form, theta, validate
 from .errors import ConfigError, NonConvergentError, OscDelayError, StageError
 from .examples import reproduce_example
 from .report import new_report, render
@@ -25,7 +25,6 @@ STAGE_ORDER = ("validate", "classify", "simulate", "check", "transform")
 def run_stages(cfg: RunConfig, stages, seed: int = 0) -> dict:
     """Execute the requested stages in pipeline order, recording per-stage errors."""
     report = new_report(cfg.echo(), seed=seed)
-    tail_cfg = TailConfig()
     eq = cfg.build_equation()
     wanted = [s for s in STAGE_ORDER if s in stages]
 
@@ -39,11 +38,11 @@ def run_stages(cfg: RunConfig, stages, seed: int = 0) -> dict:
                 report["stages"]["validate"] = validate(eq, eq.zeta0 + horizon)
             elif stage == "classify":
                 try:
-                    form = classify_form(eq, tail_cfg)
+                    form = classify_form(eq)
                     theta_head = None
                     if form.value != "canonical":
                         try:
-                            theta_head = theta(eq, eq.zeta0, tail_cfg)
+                            theta_head = theta(eq, eq.zeta0)
                         except NonConvergentError:
                             theta_head = None
                     report["stages"]["classify"] = {
@@ -76,16 +75,14 @@ def run_stages(cfg: RunConfig, stages, seed: int = 0) -> dict:
                 verdicts = []
                 for cid in cfg.check.criteria:
                     try:
-                        verdicts.append(
-                            criteria.evaluate_criterion(cid, eq, cfg.check.horizon, cfg=tail_cfg)
-                        )
+                        verdicts.append(criteria.evaluate_criterion(cid, eq, cfg.check.horizon))
                     except OscDelayError as exc:
                         record_error(f"check:{cid}", exc)
                 report["stages"]["check"] = {"verdicts": verdicts}
             elif stage == "transform":
                 if eq.delay_form.value != "delay_plus_one" or eq.alpha.value < 1:
                     continue
-                ceq = to_canonical(eq, tail_cfg)
+                ceq = to_canonical(eq)
                 horizon = cfg.check.horizon if cfg.check else 200
                 zs = list(range(eq.zeta0, eq.zeta0 + min(horizon, 50)))
                 report["stages"]["transform"] = {
@@ -186,6 +183,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.horizon is not None and args.horizon < 1:
+            raise ConfigError(f"--horizon must be at least 1, got {args.horizon}")
         if args.command == "example":
             example = reproduce_example(args.number, lambda0=args.lambda0,
                                         horizon=args.horizon or 200)

@@ -49,11 +49,21 @@ class SimulateConfig:
     horizon: int
     tol: float = 1e-8
 
+    def __post_init__(self):
+        if self.horizon < 2:
+            raise ConfigError(f"simulate horizon must be at least 2, got {self.horizon}")
+        if not any(v != 0.0 for v in self.init):
+            raise ConfigError("init must have a nonzero value")
+
 
 @dataclass(frozen=True)
 class CheckConfig:
     criteria: tuple
     horizon: int = 200
+
+    def __post_init__(self):
+        if self.horizon < 1:
+            raise ConfigError(f"check horizon must be at least 1, got {self.horizon}")
 
 
 @dataclass(frozen=True)
@@ -127,8 +137,10 @@ def _unquote(value: str) -> str:
     return value
 
 
-def _get(section, key: str, kind, where: str):
+def _get(section, key: str, kind, where: str, default=None):
     if key not in section:
+        if default is not None:
+            return default
         raise ConfigError(f"missing key {key!r} in [{where}]")
     raw = section[key].strip()
     try:
@@ -192,14 +204,14 @@ def parse_config(path: str) -> RunConfig:
         simulate = SimulateConfig(
             init=init,
             horizon=_get(sim, "horizon", int, "simulate"),
-            tol=float(sim.get("tol", "1e-8")),
+            tol=_get(sim, "tol", float, "simulate", 1e-8),
         )
 
     check = None
     if "check" in parser:
         chk = parser["check"]
         check = CheckConfig(criteria=parse_criteria(_get(chk, "criteria", str, "check")),
-                            horizon=int(chk.get("horizon", "200")))
+                            horizon=_get(chk, "horizon", int, "check", 200))
 
     output = OutputConfig()
     if "output" in parser:

@@ -15,7 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .equation import HalfLinearEquation, TailConfig, theta, theta_extended, validate
+from .equation import (TREND_TOL, HalfLinearEquation, _fit_power_exponent, _geometric_ratio, theta,
+                       theta_extended, validate)
 from .errors import DomainError, StageError
 
 # canonical criterion identifiers
@@ -36,17 +37,13 @@ class ProbeStatus(enum.Enum):
     UNDECIDED = "undecided"
 
 
-@dataclass(frozen=True)
-class ProbePolicy:
-    trend_tol: float = 1e-3
-    ratio_window: int = 8
-    ratio_max: float = 0.99
-    tol_abs: float = 1e-12
-    growth_frac: float = 0.02     # material partial-sum growth over the last half
-    converged_frac: float = 1e-9
-    p_converge: float = 1.1       # fitted term exponent above which the sum converges
-    p_diverge: float = 0.95
-    min_terms: int = 8
+# The probe's own thresholds; the ratio certificate and the trend test are the tail sums'.
+TOL_ABS = 1e-12          # terms all at most this suggest convergence
+GROWTH_FRAC = 0.02       # material partial-sum growth over the last half
+CONVERGED_FRAC = 1e-9    # partial-sum growth over the last half that counts as none
+P_CONVERGE = 1.1         # fitted term exponent above which the sum converges
+P_DIVERGE = 0.95         # fitted term exponent below which it diverges
+MIN_TERMS = 8            # fewer terms are undecided
 
 
 @dataclass(frozen=True)
@@ -60,10 +57,13 @@ class DivergenceAssessment:
     term_exponent_estimate: Optional[float] = None
 
 
-def divergence_probe(
-    terms, policy: ProbePolicy = ProbePolicy(), start_index: int = 1
-) -> DivergenceAssessment:
-    """Assess sum(terms) for divergence from a finite sample of non-negative terms."""
+def divergence_probe(terms, start_index: int = 1) -> DivergenceAssessment:
+    """Assess sum(terms) for divergence from a finite sample of non-negative terms.
+
+    Convergence is suggested by the tail sums' tests: the geometric-ratio
+    certificate on the trailing terms, else a power-law fit over the trailing
+    half with exponent at least P_CONVERGE.
+    """
     t = np.asarray(terms, dtype=float)
     if t.size and float(np.nanmin(t)) < 0:
         raise ValueError("divergence probe requires non-negative terms")
@@ -85,17 +85,17 @@ def divergence_probe(
     n = t.size
     partials = np.cumsum(t)
     last = float(partials[-1]) if n else 0.0
-    if n < policy.min_terms:
+    if n < MIN_TERMS:
         return DivergenceAssessment(ProbeStatus.UNDECIDED, last_partial=last)
-    if float(t.max()) <= policy.tol_abs:
+    if float(t.max()) <= TOL_ABS:
         return DivergenceAssessment(ProbeStatus.CONVERGES_SUGGESTED, last_partial=last)
 
     # divergence witness: trailing-window minimum that has stopped decreasing
-    w = max(policy.min_terms // 2, n // 8)
+    w = max(MIN_TERMS // 2, n // 8)
     if n >= 2 * w:
         m_prev = float(t[-2 * w:-w].min())
         m_last = float(t[-w:].min())
-        if m_last > 0 and m_last >= (1.0 - policy.trend_tol) * m_prev:
+        if m_last > 0 and m_last >= (1.0 - TREND_TOL) * m_prev:
             return DivergenceAssessment(
                 ProbeStatus.CERTIFIED_DIVERGES,
                 last_partial=last,
@@ -103,31 +103,17 @@ def divergence_probe(
                 witness_onset=start_index + n - 2 * w,
             )
 
-    # geometric-ratio convergence certificate on the trailing window
-    nz = t[t > 0]
-    win = nz[-(policy.ratio_window + 1):]
-    if win.size == policy.ratio_window + 1:
-        ratios = win[1:] / win[:-1]
-        rho = float(ratios.max())
-        if rho <= policy.ratio_max:
-            bound = float(win[-1]) * rho / (1.0 - rho)
-            return DivergenceAssessment(
-                ProbeStatus.CONVERGES_SUGGESTED, last_partial=last, tail_bound=bound
-            )
+    rho = _geometric_ratio(t)
+    if rho is not None:
+        bound = float(t[t > 0][-1]) * rho / (1.0 - rho)
+        return DivergenceAssessment(
+            ProbeStatus.CONVERGES_SUGGESTED, last_partial=last, tail_bound=bound
+        )
 
-    # power-law fit of the terms over the trailing half
-    s = np.arange(start_index, start_index + n, dtype=float)
     half = n // 2
-    mask = t[half:] > 0
-    p_hat = None
-    if mask.sum() >= 4:
-        ls = np.log(s[half:][mask])
-        lt = np.log(t[half:][mask])
-        ls_c = ls - ls.mean()
-        denom = float(np.dot(ls_c, ls_c))
-        if denom > 0:
-            p_hat = float(-np.dot(ls_c, lt - lt.mean()) / denom)
-    if p_hat is not None and p_hat >= policy.p_converge:
+    s = np.arange(start_index + half, start_index + n, dtype=float)
+    p_hat = _fit_power_exponent(s, t[half:])
+    if p_hat is not None and p_hat >= P_CONVERGE:
         return DivergenceAssessment(
             ProbeStatus.CONVERGES_SUGGESTED, last_partial=last, term_exponent_estimate=p_hat
         )
@@ -138,19 +124,19 @@ def divergence_probe(
     if last > 0 and s_half > 0:
         growth = math.log(last / s_half) / math.log(2) if last > s_half else 0.0
         rel_growth = (last - s_half) / last
-        if rel_growth >= policy.growth_frac:
+        if rel_growth >= GROWTH_FRAC:
             return DivergenceAssessment(
                 ProbeStatus.DIVERGES_SUGGESTED,
                 last_partial=last,
                 growth_exponent_estimate=growth,
                 term_exponent_estimate=p_hat,
             )
-        if rel_growth <= policy.converged_frac:
+        if rel_growth <= CONVERGED_FRAC:
             return DivergenceAssessment(
                 ProbeStatus.CONVERGES_SUGGESTED, last_partial=last,
                 term_exponent_estimate=p_hat,
             )
-    if p_hat is not None and p_hat <= policy.p_diverge:
+    if p_hat is not None and p_hat <= P_DIVERGE:
         return DivergenceAssessment(
             ProbeStatus.DIVERGES_SUGGESTED, last_partial=last,
             growth_exponent_estimate=growth, term_exponent_estimate=p_hat,
@@ -220,9 +206,9 @@ def _evidence(start: int, term: np.ndarray, running: Optional[np.ndarray] = None
     return tuple(map(EvidenceRow, z, term.tolist(), partial.tolist(), running.tolist()))
 
 
-def _series_verdict(criterion, conclusion, start, term, policy, flags=()) -> CriterionVerdict:
+def _series_verdict(criterion, conclusion, start, term, flags=()) -> CriterionVerdict:
     """The one path from a term column to a verdict: evidence rows and the probe."""
-    probe = divergence_probe(term, policy, start_index=start)
+    probe = divergence_probe(term, start_index=start)
     return CriterionVerdict(criterion, _VERDICT_OF_PROBE[probe.status], conclusion,
                             _evidence(start, term), probe, tuple(flags))
 
@@ -234,8 +220,8 @@ def _exclusive_sum(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _theta_column(eq: HalfLinearEquation, start: int, n: int, cfg: TailConfig) -> np.ndarray:
-    return np.array([theta(eq, s, cfg).value for s in range(start, start + n)])
+def _theta_column(eq: HalfLinearEquation, start: int, n: int) -> np.ndarray:
+    return np.array([theta(eq, s).value for s in range(start, start + n)])
 
 
 def _root_series(eq: HalfLinearEquation, z: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -244,59 +230,46 @@ def _root_series(eq: HalfLinearEquation, z: np.ndarray, weights: np.ndarray) -> 
         return (_exclusive_sum(weights) / eq.r.eval_array(z)) ** (eq.alpha.den / eq.alpha.num)
 
 
-def crit_thm21(
-    eq: HalfLinearEquation, horizon: int, policy: ProbePolicy = ProbePolicy(),
-    cfg: TailConfig = TailConfig(),
-) -> CriterionVerdict:
+def crit_thm21(eq: HalfLinearEquation, horizon: int) -> CriterionVerdict:
     """Series of ((1/r(z)) * sum_{s=zeta0}^{z-1} q(s))^(1/alpha)."""
     z = _valid_indices(eq, eq.zeta0, horizon)
     return _series_verdict(THM21, "every solution oscillates or tends to zero", eq.zeta0,
-                           _root_series(eq, z, eq.q.eval_array(z)), policy)
+                           _root_series(eq, z, eq.q.eval_array(z)))
 
 
-def crit_thm22a(
-    eq: HalfLinearEquation, horizon: int, policy: ProbePolicy = ProbePolicy(),
-    cfg: TailConfig = TailConfig(),
-) -> CriterionVerdict:
+def crit_thm22a(eq: HalfLinearEquation, horizon: int) -> CriterionVerdict:
     """Series of ((1/r(z)) * sum_{s=zeta0}^{z-1} q(s) theta^alpha(s - sigma))^(1/alpha)."""
     z = _valid_indices(eq, eq.zeta0, horizon)
     th = np.zeros(horizon)  # a zero weight leaves the inner sum as skipping the term would
     flags: list[str] = []
     for i, s in enumerate((z - eq.sigma).tolist()):
         try:
-            th[i] = theta_extended(eq, s, cfg).value
+            th[i] = theta_extended(eq, s).value
         except DomainError:
             flags.append(f"theta({s}) not evaluable; term at s={s + eq.sigma} skipped")
     weights = eq.q.eval_array(z) * th ** eq.alpha.value
     return _series_verdict(THM22A, "every solution oscillates", eq.zeta0,
-                           _root_series(eq, z, weights), policy, flags)
+                           _root_series(eq, z, weights), flags)
 
 
-def crit_thm22b(
-    eq: HalfLinearEquation, horizon: int, policy: ProbePolicy = ProbePolicy(),
-    cfg: TailConfig = TailConfig(),
-) -> CriterionVerdict:
+def crit_thm22b(eq: HalfLinearEquation, horizon: int) -> CriterionVerdict:
     """Series of q(s) * theta^(alpha+1)(s + 1)."""
     z = _valid_indices(eq, eq.zeta0, horizon)
-    th = _theta_column(eq, eq.zeta0 + 1, horizon, cfg)
+    th = _theta_column(eq, eq.zeta0 + 1, horizon)
     with np.errstate(over="ignore"):
         term = eq.q.eval_array(z) * th ** (eq.alpha.value + 1.0)
-    return _series_verdict(THM22B, "every solution oscillates", eq.zeta0, term, policy)
+    return _series_verdict(THM22B, "every solution oscillates", eq.zeta0, term)
 
 
-def crit_lem21(
-    eq: HalfLinearEquation, horizon: int, policy: ProbePolicy = ProbePolicy(),
-    cfg: TailConfig = TailConfig(),
-) -> CriterionVerdict:
+def crit_lem21(eq: HalfLinearEquation, horizon: int) -> CriterionVerdict:
     """Series of q(z) itself."""
     q = eq.q.eval_array(_valid_indices(eq, eq.zeta0, horizon))
     return _series_verdict(LEM21, "every eventually positive solution is eventually decreasing",
-                           eq.zeta0, q, policy)
+                           eq.zeta0, q)
 
 
 def crit_thm23(
-    eq: HalfLinearEquation, horizon: int, policy: ProbePolicy = ProbePolicy(),
-    cfg: TailConfig = TailConfig(), zeta1: Optional[int] = None, margin: float = 1e-6,
+    eq: HalfLinearEquation, horizon: int, zeta1: Optional[int] = None, margin: float = 1e-6,
 ) -> CriterionVerdict:
     """limsup of v(z) = theta^alpha(z) * sum_{s=zeta1}^{z-1} q(s), compared against 1.
 
@@ -310,7 +283,7 @@ def crit_thm23(
     q = eq.q.eval_array(_valid_indices(eq, z1, horizon))
     q_prev = np.concatenate(([0.0], q))[:horizon]  # evidence term: q(z - 1), 0 at zeta1
     with np.errstate(over="ignore", invalid="ignore"):
-        v = _theta_column(eq, z1, horizon, cfg) ** eq.alpha.value * _exclusive_sum(q)
+        v = _theta_column(eq, z1, horizon) ** eq.alpha.value * _exclusive_sum(q)
     v[~np.isfinite(v)] = np.inf
 
     tail = v[horizon // 2:]
@@ -339,12 +312,9 @@ _EVALUATORS = {
 }
 
 
-def evaluate_criterion(
-    criterion: str, eq: HalfLinearEquation, horizon: int,
-    policy: ProbePolicy = ProbePolicy(), cfg: TailConfig = TailConfig(),
-) -> CriterionVerdict:
+def evaluate_criterion(criterion: str, eq: HalfLinearEquation, horizon: int) -> CriterionVerdict:
     try:
         fn = _EVALUATORS[criterion]
     except KeyError:
         raise ValueError(f"unknown criterion {criterion!r}; known: {', '.join(CRITERION_IDS)}")
-    return fn(eq, horizon, policy, cfg)
+    return fn(eq, horizon)

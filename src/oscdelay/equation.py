@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, NonConvergentError
+from .errors import DomainError, NonConvergentError, StageError
 from .power import RationalExponent
 from .sequences import Sequence
 
@@ -36,32 +36,37 @@ class FormClass(enum.Enum):
     INCONCLUSIVE = "inconclusive"
 
 
+# The decay tests shared by the tail sums and the criteria's divergence probe.
+RATIO_WINDOW = 8        # ratios in the geometric certificate's trailing window
+RATIO_MAX = 0.99        # largest ratio the certificate accepts
+RATIO_RISE = 1e-12      # relative rise between consecutive ratios that refuses it
+TREND_TOL = 1e-3        # a running minimum must fall by this fraction, or the terms look divergent
+# tail sums only
+POLY_MIN_EXPONENT = 1.05  # fitted exponent above which a power-law remainder is estimated
+FIT_WINDOW = 64           # trailing terms the power-law fit reads
+# span of the trend screen: the minima of consecutive spans must fall by TREND_TOL.
+# Spans do not follow TailConfig.block, which would scale the screen's tolerance with it.
+_TREND_SPAN = 65536
+
+
 @dataclass(frozen=True)
 class TailConfig:
-    """Truncation policy for numeric tail sums.
+    """Truncation policy for numeric tail sums: tol_abs, max_terms and block.
 
     Terms are summed until term < tol_abs; the result is certified only when
-    a geometric-ratio certificate holds over the trailing ratio_window terms
-    (ratio <= ratio_max < 1, and no ratio more than 1e-12 relative above the
-    one before it), with tail_bound = term * rho / (1 - rho).  Rising ratios,
-    the signature of polynomial decay, refuse the certificate.  The check sees
-    only that window: it does not prove that the ratios keep falling past it.
-    When the certificate fails but the terms decay like a power s^(-p) with
-    p > poly_min_exponent, an uncertified power-law tail estimate is added.
-    Otherwise summation stops at max_terms, uncertified.  The terms are judged
-    divergent when the minimum over a span of 65 536 indices (anchored at zeta0)
-    is not trend_tol below the one before it.  block, the number of terms
-    evaluated at once, sets memory and work only, never a verdict.
+    the geometric-ratio certificate (_geometric_ratio) holds on the terms
+    summed, with tail_bound = term * rho / (1 - rho).  When it fails but the
+    terms decay like a power s^(-p) with p > POLY_MIN_EXPONENT, an uncertified
+    power-law tail estimate is added.  Otherwise summation stops at max_terms,
+    uncertified.  The terms are judged divergent when the minimum over a span
+    of 65 536 indices (anchored at zeta0) is not TREND_TOL below the one before
+    it.  block, the number of terms evaluated at once, sets memory and work
+    only, never a verdict.
     """
 
     tol_abs: float = 1e-12
     max_terms: int = 1_000_000
-    ratio_window: int = 8
-    ratio_max: float = 0.99
-    trend_tol: float = 1e-3
     block: int = 65536
-    poly_min_exponent: float = 1.05
-    fit_window: int = 64
 
 
 @dataclass(frozen=True)
@@ -114,15 +119,21 @@ class HalfLinearEquation:
             return rv ** (-self.alpha.den / self.alpha.num)
 
 
+def _sum_inv_r_alpha(eq: HalfLinearEquation, lo: int, hi: int) -> float:
+    """Sum of r^(-1/alpha) over [lo, hi); DomainError where r is not positive or a
+    term is not finite."""
+    terms = eq.inv_r_alpha_array(np.arange(lo, hi, dtype=float))
+    if not np.all(np.isfinite(terms)):
+        bad = lo + int(np.argmax(~np.isfinite(terms)))
+        raise DomainError(f"r^(-1/alpha) not finite at index {bad}")
+    return float(np.sum(terms))
+
+
 def R_partial(eq: HalfLinearEquation, zeta: int) -> float:
     """Partial sum of r^(-1/alpha) from zeta0 to zeta - 1 (empty sum = 0)."""
     if zeta < eq.zeta0:
         raise DomainError(f"R is defined for zeta >= zeta0 = {eq.zeta0}, got {zeta}")
-    terms = eq.inv_r_alpha_array(np.arange(eq.zeta0, zeta, dtype=float))
-    if not np.all(np.isfinite(terms)):
-        bad = eq.zeta0 + int(np.argmax(~np.isfinite(terms)))
-        raise DomainError(f"r^(-1/alpha) not finite at index {bad}")
-    return float(np.sum(terms))
+    return _sum_inv_r_alpha(eq, eq.zeta0, zeta)
 
 
 def _fit_power_exponent(s: np.ndarray, t: np.ndarray) -> Optional[float]:
@@ -137,6 +148,25 @@ def _fit_power_exponent(s: np.ndarray, t: np.ndarray) -> Optional[float]:
     if denom == 0.0:
         return None
     return float(-np.dot(ls, lt - lt.mean()) / denom)
+
+
+def _geometric_ratio(t: np.ndarray) -> Optional[float]:
+    """The geometric-ratio certificate on the trailing terms of t: rho, the largest
+    ratio of consecutive positive terms among the last RATIO_WINDOW + 1, when no
+    ratio exceeds RATIO_MAX and none rises more than RATIO_RISE relative above the
+    one before it; None otherwise.  Rising ratios are the signature of polynomial
+    decay, where t * rho / (1 - rho) is not a bound.  A run that underflowed to
+    zero needs two positive terms.  The test sees only the window: it does not
+    prove that the ratios keep falling past it.
+    """
+    win = t[t > 0][-(RATIO_WINDOW + 1):]
+    if win.size < (2 if t[-1] == 0.0 else RATIO_WINDOW + 1):
+        return None
+    ratios = win[1:] / win[:-1]
+    rho = float(ratios.max())
+    if rho > RATIO_MAX or bool((ratios[1:] > ratios[:-1] * (1.0 + RATIO_RISE)).any()):
+        return None
+    return rho
 
 
 def _poly_tail_estimate(s_last: float, t_last: float, p: float) -> float:
@@ -161,11 +191,6 @@ def _suffix_sums(t: np.ndarray) -> np.ndarray:
     prev = np.concatenate(([0.0], acc[:-1]))
     back = acc - prev
     return (acc + np.cumsum((prev - (acc - back)) + (rev - back)))[::-1]
-
-
-# span of the trend screen: the minima of consecutive spans must fall by trend_tol.
-# Spans do not follow cfg.block, which would scale the screen's tolerance with it.
-_TREND_SPAN = 65536
 
 
 class _TailTable:
@@ -199,7 +224,7 @@ class _TailTable:
         hist = np.empty(0)  # the last terms summed, up to the current stop
         prev_min: Optional[float] = None  # the trend screen's last full span
         span_min, span_start, last = math.inf, z0, z0 + cfg.max_terms
-        keep = max(cfg.fit_window, cfg.ratio_window + 1)
+        keep = max(FIT_WINDOW, RATIO_WINDOW + 1)
         for s in range(z0, last, cfg.block):
             m = min(cfg.block, last - s)
             t = self._terms(s, m)
@@ -212,20 +237,14 @@ class _TailTable:
             n = int(np.argmax(below)) + 1 if stopped else m
             hist = np.concatenate([hist, t[:n]])[-keep:]
             if stopped:
-                win = hist[hist > 0][-(cfg.ratio_window + 1):]
-                underflow = hist[-1] == 0.0 and win.size >= 2
-                if underflow or win.size == cfg.ratio_window + 1:
-                    ratios = win[1:] / win[:-1]
-                    rho = float(ratios.max())
-                    # rising ratios are the signature of polynomial decay: no geometric bound
-                    rising = bool((ratios[1:] > ratios[:-1] * (1.0 + 1e-12)).any())
-                    if rho <= cfg.ratio_max and not rising:
-                        # underflowed to zero after a decaying run: tail is below tol
-                        bound = cfg.tol_abs if underflow else float(win[-1]) * rho / (1.0 - rho)
-                        return (s + n - 1, bound, True, "geometric",
-                                lambda s_last, t_last: t_last * rho / (1.0 - rho))
+                rho = _geometric_ratio(hist)
+                if rho is not None:
+                    # underflowed to zero after a decaying run: tail is below tol
+                    bound = cfg.tol_abs if hist[-1] == 0.0 else float(hist[-1]) * rho / (1.0 - rho)
+                    return (s + n - 1, bound, True, "geometric",
+                            lambda s_last, t_last: t_last * rho / (1.0 - rho))
                 p = _fit_power_exponent(np.arange(s + n - hist.size, s + n, dtype=float), hist)
-                if p is not None and p > cfg.poly_min_exponent and hist[-1] > 0:
+                if p is not None and p > POLY_MIN_EXPONENT and hist[-1] > 0:
                     return (s + n - 1, None, False, "poly_tail",
                             lambda s_last, t_last: _poly_tail_estimate(s_last, t_last, p))
                 # tiny terms that decay too slowly to bound: keep summing
@@ -237,7 +256,7 @@ class _TailTable:
                 span_min, i = min(span_min, float(t[i:j].min())), j
                 if s + j < close:
                     continue
-                if prev_min is not None and 0 < span_min >= (1.0 - cfg.trend_tol) * prev_min:
+                if prev_min is not None and 0 < span_min >= (1.0 - TREND_TOL) * prev_min:
                     raise NonConvergentError(
                         f"tail terms not decreasing near index {span_start}: series looks divergent")
                 prev_min, span_min, span_start = span_min, math.inf, close
@@ -260,10 +279,6 @@ class _TailTable:
         lower = float(suffix[i]) + after
         return TailSumResult(lower + rest, *self.meta), lower
 
-    def gap(self, zeta: int) -> float:
-        """Sum of r^(-1/alpha) over [zeta, zeta0); DomainError where r is not positive."""
-        return math.fsum(self.eq.inv_r_alpha(s) for s in range(zeta, self.eq.zeta0))
-
 
 # tables kept at once; each holds 0.5 MB per default-size block looked up
 _MAX_TABLES = 4
@@ -281,7 +296,7 @@ def theta(eq: HalfLinearEquation, zeta: int, cfg: TailConfig = TailConfig()) -> 
     index it must lie in [partial sum, tail_bound]; before it, match a certified
     or power-law value; otherwise only the partial sum, a lower bound, can check
     it and it is reported uncertified.  Raises NonConvergentError when the terms
-    fail the convergence screen.
+    fail the convergence screen, and StageError when the closed form disagrees.
     """
     zeta = int(zeta)
     if zeta < eq.zeta0:
@@ -298,7 +313,7 @@ def theta(eq: HalfLinearEquation, zeta: int, cfg: TailConfig = TailConfig()) -> 
         upper = math.inf
     tol = 1e-3 * max(1.0, abs(value))
     if not lower - tol <= value <= upper + tol:
-        raise ValueError(f"registered closed form for theta({zeta}) = {value} lies outside "
+        raise StageError(f"registered closed form for theta({zeta}) = {value} lies outside "
                          f"[{lower}, {upper}] from the numeric tail sum")
     if upper == math.inf:
         return TailSumResult(value, zeta, None, False, "closed_form_unverified")
@@ -308,12 +323,13 @@ def theta(eq: HalfLinearEquation, zeta: int, cfg: TailConfig = TailConfig()) -> 
 def theta_extended(eq: HalfLinearEquation, zeta: int, cfg: TailConfig = TailConfig()) -> TailSumResult:
     """theta at possibly under-domain indices via theta(z) = theta(zeta0) + sum_{s=z}^{zeta0-1} r^(-1/alpha)(s).
 
-    Raises DomainError when r is not evaluable (or not positive) on the gap.
+    Raises DomainError when r is not evaluable, not positive, or too small for a
+    finite term on the gap.
     """
     if zeta >= eq.zeta0:
         return theta(eq, zeta, cfg)
     base = theta(eq, eq.zeta0, cfg)
-    gap = _tail_table(eq, cfg).gap(zeta)
+    gap = _sum_inv_r_alpha(eq, zeta, eq.zeta0)
     return replace(base, value=base.value + gap, method=base.method + "+extension")
 
 

@@ -19,11 +19,10 @@ from __future__ import annotations
 from typing import Optional
 
 from . import criteria
-from .criteria import ProbePolicy, evaluate_criterion
+from .criteria import evaluate_criterion
 from .equation import (
     DelayForm,
     HalfLinearEquation,
-    TailConfig,
     classify_form,
     theta,
     validate,
@@ -84,10 +83,7 @@ def _row(quantity: str, claimed, computed, flag: Optional[str] = None) -> dict:
     return row
 
 
-def reproduce_example(
-    n: int, lambda0: float = 2.0, horizon: int = 200,
-    cfg: TailConfig = TailConfig(), policy: ProbePolicy = ProbePolicy(),
-) -> dict:
+def reproduce_example(n: int, lambda0: float = 2.0, horizon: int = 200) -> dict:
     """Run the stages the worked example exercises and tabulate claimed vs computed."""
     eq = example_equation(n, lambda0)
     report: dict = {
@@ -101,7 +97,7 @@ def reproduce_example(
             "zeta0": eq.zeta0,
         },
         "validation": validate(eq, eq.zeta0 + 50),
-        "form_class": classify_form(eq, cfg),
+        "form_class": classify_form(eq),
         "comparison": [],
         "verdicts": [],
         "discrepancy_flags": [],
@@ -111,12 +107,12 @@ def reproduce_example(
 
     if n == 1:
         report["lambda0"] = lambda0
-        v21 = evaluate_criterion(criteria.THM21, eq, horizon, policy, cfg)
-        v23 = evaluate_criterion(criteria.THM23, eq, horizon, policy, cfg)
+        v21 = evaluate_criterion(criteria.THM21, eq, horizon)
+        v23 = evaluate_criterion(criteria.THM23, eq, horizon)
         report["verdicts"] = [v21, v23]
         rows.append(_row("Thm21 holds (oscillates or tends to zero)", True, v21.holds))
         rows.append(_row("Thm23 holds (limsup > 1)", True, v23.holds))
-        v3 = next(r.running_value for r in v23.evidence if r.zeta == 3)
+        v3 = next((r.running_value for r in v23.evidence if r.zeta == 3), None)
         rows.append(_row("Thm23 running value at index 3", 12.0 * 2.0 ** (-2.0 / 3.0), v3))
         flags.append(
             "published threshold: oscillation for lambda0 > 1; the computed limsup "
@@ -124,18 +120,18 @@ def reproduce_example(
             "threshold appears conservative"
         )
     elif n == 2:
-        v22b = evaluate_criterion(criteria.THM22B, eq, horizon, policy, cfg)
+        v22b = evaluate_criterion(criteria.THM22B, eq, horizon)
         report["verdicts"] = [v22b]
         theta_err = max(
-            abs(theta(eq, z, cfg).value - 1.0 / (z - 1.0)) for z in range(2, 51)
+            abs(theta(eq, z).value - 1.0 / (z - 1.0)) for z in range(2, 51)
         )
         rows.append(_row("max |theta(z) - 1/(z-1)| on [2, 50]", 0.0, theta_err))
         term_err = max(abs(r.term - 1.0) for r in v22b.evidence)
         rows.append(_row("max |q(s) * theta^(alpha+1)(s+1) - 1|", 0.0, term_err))
         rows.append(_row("Thm22B holds (series diverges)", True, v22b.holds))
     elif n == 3:
-        ceq = to_canonical(eq, cfg)
-        theta_err = max(abs(theta(eq, z, cfg).value - 1.0 / z) for z in range(1, 51))
+        ceq = to_canonical(eq)
+        theta_err = max(abs(theta(eq, z).value - 1.0 / z) for z in range(1, 51))
         rows.append(_row("max |theta(z) - 1/z| on [1, 50]", 0.0, theta_err))
         rt_err = max(abs(ceq.r_tilde(z) - 1.0) for z in range(1, 101))
         rows.append(_row("max |r_tilde(z) - 1| on [1, 100]", 0.0, rt_err))
@@ -164,7 +160,7 @@ def reproduce_example(
         alternating = Sequence.closed_form("(-1)^z", lambda z: (-1.0) ** z)
         res = canonical_residual(literal, alternating, 3, 100)
         rows.append(_row("residual of (-1)^z with q_tilde = 4 on [3, 100]", 0.0, res))
-        sumq = crit_canonical_sumq(ceq, horizon, policy)
+        sumq = crit_canonical_sumq(ceq, horizon)
         report["verdicts"] = [sumq]
         rows.append(_row("sum of q_tilde diverges (comparison oscillates)", True, sumq.holds))
     return report

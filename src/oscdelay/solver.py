@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .equation import DelayForm, HalfLinearEquation, TailConfig, theta
+from .equation import DelayForm, HalfLinearEquation, theta
 from .errors import DomainError
 from .power import RationalExponent, signed_pow, signed_pow_array
 from .sequences import Sequence
@@ -151,7 +151,10 @@ def iterate(eq: HalfLinearEquation, init: InitialData, horizon: int) -> Trajecto
             rz1 = eq.r(z + 1)
             if rz1 <= 0:
                 return fail(StatusKind.DOMAIN_ERROR, z + 1)
-            x_next = x[-1] + signed_pow(y_next / rz1, inv_alpha)
+            step = y_next / rz1
+            if not math.isfinite(step):
+                return fail(StatusKind.OVERFLOWED, z + 2)
+            x_next = x[-1] + signed_pow(step, inv_alpha)
             if not math.isfinite(x_next):
                 return fail(StatusKind.OVERFLOWED, z + 2)
         except OverflowError:
@@ -264,10 +267,7 @@ def residual(eq: HalfLinearEquation, candidate: Sequence, frm: int, to: int) -> 
 
 
 def lemma22_check(
-    eq: HalfLinearEquation,
-    traj: Trajectory,
-    cfg: TailConfig = TailConfig(),
-    tol: float = 1e-9,
+    eq: HalfLinearEquation, traj: Trajectory, tol: float = 1e-9
 ) -> list[tuple[int, float, float]]:
     """Check (r^(1/a)(z) Dx(z) / x(z-sigma+1))^(a-1) <= theta(z)^(1-a) on the positive window.
 
@@ -299,7 +299,7 @@ def lemma22_check(
         else:
             base = signed_pow(eq.r(z), inv_a) * (xn - xz) / xz1
             lhs = abs(base) ** (exp_num / exp_den)
-            th = theta(eq, z, cfg).value
+            th = theta(eq, z).value
             rhs = th ** (1.0 - a.value)
         if lhs > rhs * (1.0 + tol):
             violations.append((z, lhs, rhs))

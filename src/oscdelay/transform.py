@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import CANONICAL_SUM_Q, CriterionVerdict, ProbePolicy, _series_verdict
-from .equation import DelayForm, HalfLinearEquation, TailConfig, theta, theta_extended
+from .criteria import CANONICAL_SUM_Q, CriterionVerdict, _series_verdict
+from .equation import DelayForm, HalfLinearEquation, theta, theta_extended
 from .errors import DomainError, StageError
 from .sequences import Sequence
 
@@ -30,13 +30,13 @@ class CanonicalEquation:
     zeta0: int
 
 
-def to_canonical(eq: HalfLinearEquation, cfg: TailConfig = TailConfig()) -> CanonicalEquation:
+def to_canonical(eq: HalfLinearEquation) -> CanonicalEquation:
     """Build the canonical comparison equation; theta must certify finite."""
     if eq.delay_form is not DelayForm.MINUS_SIGMA_PLUS_ONE:
         raise StageError("the transform applies to the z - sigma + 1 delay form")
     if eq.alpha.value < 1:
         raise StageError(f"the transform requires alpha >= 1, got {eq.alpha}")
-    head = theta(eq, eq.zeta0, cfg)
+    head = theta(eq, eq.zeta0)
     # a power-law tail estimate is accepted alongside certified sums: it is
     # uncertified but accurate enough for the derived coefficients
     if not head.certified and head.method != "poly_tail":
@@ -47,7 +47,7 @@ def to_canonical(eq: HalfLinearEquation, cfg: TailConfig = TailConfig()) -> Cano
 
     def r_tilde(z):
         z = int(z)
-        return theta(eq, z, cfg).value * theta(eq, z + 1, cfg).value * eq.r(z) ** inv_alpha
+        return theta(eq, z).value * theta(eq, z + 1).value * eq.r(z) ** inv_alpha
 
     def q_tilde(z):
         z = int(z)
@@ -55,9 +55,9 @@ def to_canonical(eq: HalfLinearEquation, cfg: TailConfig = TailConfig()) -> Cano
         if qv == 0.0:
             # avoids demanding theta at shifted indices the coefficients never weight
             return 0.0
-        th_next = theta(eq, z + 1, cfg).value
-        th_here = theta(eq, z, cfg).value
-        th_shift = theta_extended(eq, z - eq.sigma + 1, cfg).value
+        th_next = theta(eq, z + 1).value
+        th_here = theta(eq, z).value
+        th_shift = theta_extended(eq, z - eq.sigma + 1).value
         return (a.den / a.num) * th_next * th_here ** (a.value - 1.0) * th_shift * qv
 
     return CanonicalEquation(
@@ -89,9 +89,7 @@ def canonical_residual(ceq: CanonicalEquation, candidate: Sequence, frm: int, to
     return max(abs(v) for _, v in canonical_residual_pointwise(ceq, candidate, frm, to))
 
 
-def crit_canonical_sumq(
-    ceq: CanonicalEquation, horizon: int, policy: ProbePolicy = ProbePolicy()
-) -> CriterionVerdict:
+def crit_canonical_sumq(ceq: CanonicalEquation, horizon: int) -> CriterionVerdict:
     """Divergence test on sum(qt): when it diverges, the comparison equation
     oscillates and so does the original delay equation."""
 
@@ -105,5 +103,5 @@ def crit_canonical_sumq(
     return _series_verdict(
         CANONICAL_SUM_Q,
         "the canonical comparison equation oscillates, hence so does the original",
-        ceq.zeta0, term, policy,
+        ceq.zeta0, term,
     )

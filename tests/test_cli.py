@@ -312,6 +312,57 @@ class TestCli:
         assert done.returncode == 0
         assert done.stderr == ""
 
+    @pytest.mark.parametrize("argv, ini", [
+        (["check", "--horizon", "0"], EXAMPLE3_INI),
+        (["validate", "--horizon", "-3"], EXAMPLE3_INI),
+        (["transform", "--horizon", "-3"], EXAMPLE3_INI),
+        (["simulate", "--horizon", "1"], EXAMPLE3_INI),
+        (["check"], EXAMPLE3_INI.replace("horizon = 120", "horizon = 0")),
+        (["simulate"], EXAMPLE3_INI.replace("horizon = 40", "horizon = 1")),
+        (["simulate"], EXAMPLE3_INI.replace("init = 1.0, 0.9, 0.8, 0.7", "init = 0, 0, 0, 0")),
+        (["check"], EXAMPLE3_INI.replace("horizon = 120", "horizon = abc")),
+        (["simulate"], EXAMPLE3_INI.replace("horizon = 40", "horizon = 40\ntol = abc")),
+        (["example", "1", "--horizon", "-1"], None),
+        (["example", "2", "--horizon", "0"], None),
+    ], ids=["check-horizon-0", "validate-horizon-neg", "transform-horizon-neg",
+            "simulate-horizon-1", "check-section-horizon-0", "simulate-section-horizon-1",
+            "zero-init", "check-section-horizon-text", "simulate-section-tol-text",
+            "example1-horizon-neg", "example2-horizon-0"])
+    def test_out_of_range_input_exit_one(self, tmp_path, capsys, argv, ini):
+        if ini is not None:
+            argv = argv + ["--config", write_config(tmp_path, ini)]
+        assert main(argv + ["--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+
+    def test_example_horizon_short_of_sampled_index(self, tmp_path):
+        # the Thm23 row at index 3 has no evidence at horizon 2: no computed value
+        out = tmp_path / "ex1.json"
+        assert main(["example", "1", "--horizon", "2", "--out", str(out), "--quiet"]) == 0
+        rows = json.loads(out.read_text())["stages"]["example"]["comparison"]
+        row = next(r for r in rows if r["quantity"] == "Thm23 running value at index 3")
+        assert row["computed"] is None
+
+    @pytest.mark.parametrize("command", ["check", "classify", "transform"])
+    def test_disagreeing_closed_form_exit_two(self, tmp_path, command):
+        path = write_config(tmp_path, EXAMPLE3_INI.replace('"1/z"', '"2/z"')
+                            .replace("criteria = Lem21", "criteria = all"))
+        out = tmp_path / "r.json"
+        assert main([command, "--config", path, "--out", str(out), "--quiet"]) == 2
+        errors = json.loads(out.read_text())["errors"]
+        assert errors and all("lies outside" in e["error"] for e in errors)
+
+    def test_simulate_quotient_overflow_exit_zero(self, tmp_path):
+        # y / r(z+1) overflows long before r = 2^(-z) reaches zero
+        path = write_config(tmp_path, EXAMPLE2_INI.replace('"(z*(z-1))^(1/3)"', '"1/2^z"')
+                            .replace('"z^(4/3)"', '"1"').replace("alpha = 1/3", "alpha = 1")
+                            .replace("zeta0 = 2", "zeta0 = 1")
+                            .replace('theta_closed_form = "1/(z-1)"\n', "")
+                            .replace("[check]", "[simulate]\ninit = 1, 0.5, 0.25\nhorizon = 1100\n\n[check]"))
+        out = tmp_path / "sim.json"
+        assert main(["simulate", "--config", path, "--out", str(out), "--quiet"]) == 0
+        assert json.loads(out.read_text())["stages"]["simulate"]["status"]["kind"] == "overflowed"
+
     def test_example_subcommand(self, tmp_path, capsys):
         out = tmp_path / "ex3.json"
         assert main(["example", "3", "--out", str(out), "--quiet"]) == 0

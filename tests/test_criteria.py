@@ -25,7 +25,6 @@ from oscdelay.criteria import (
     THM21,
     THM22B,
     THM23,
-    ProbePolicy,
     ProbeStatus,
     VerdictStatus,
 )
@@ -76,6 +75,19 @@ class TestDivergenceProbe:
     def test_overflowed_term_certifies(self):
         probe = divergence_probe([1.0, 2.0, math.inf, 1.0])
         assert probe.status is ProbeStatus.CERTIFIED_DIVERGES
+
+    @pytest.mark.parametrize("p, n", [(4, 30), (6, 60), (10, 20)])
+    def test_polynomial_terms_get_no_geometric_bound(self, p, n):
+        # their ratios rise toward 1: t * rho / (1 - rho) falls short of the true tail
+        probe = divergence_probe([s ** -float(p) for s in range(1, n + 1)])
+        assert probe.status is ProbeStatus.CONVERGES_SUGGESTED
+        true_tail = math.fsum(s ** -float(p) for s in range(n + 1, 10 ** 6))
+        assert probe.tail_bound is None or probe.tail_bound >= true_tail
+        assert probe.term_exponent_estimate == pytest.approx(p, rel=1e-3)
+
+    def test_geometric_terms_keep_their_bound(self):
+        probe = divergence_probe([2.0 ** -s for s in range(1, 120)])
+        assert probe.tail_bound >= math.fsum(2.0 ** -s for s in range(120, 1200))
 
     def test_nan_term_undecided(self):
         # only +inf is an overflow; a NaN term, when it comes first, says nothing
@@ -150,6 +162,12 @@ class TestLem21:
     def test_constant_q_certified(self):
         v = crit_lem21(eq_with_q("1"), 100)
         assert v.status is VerdictStatus.CERTIFIED_HOLDS
+
+    def test_harmonic_q_not_failing(self):
+        # q = 1/z is not summable: the ratio window (0.99 at z = 100) proves nothing
+        v = crit_lem21(eq_with_q("1/z", r_text="z", alpha=(1, 1)), 100)
+        assert v.status is not VerdictStatus.NUMERICALLY_FAILS
+        assert v.probe.tail_bound is None
 
 
 class TestThm23:

@@ -20,8 +20,9 @@ from oscdelay import (
     theta_extended,
     validate,
 )
-from oscdelay.equation import ValidationReport, Violation, _suffix_sums, _tail_table
-from oscdelay.errors import DivisionByZero, DomainError, NonConvergentError
+from oscdelay.equation import (ValidationReport, Violation, _geometric_ratio, _suffix_sums,
+                               _tail_table)
+from oscdelay.errors import DivisionByZero, DomainError, NonConvergentError, StageError
 
 
 def make_eq(r_text, alpha, zeta0=1, q_text="1", sigma=0, theta_cf=None,
@@ -116,7 +117,7 @@ class TestTheta:
             RationalExponent(1, 3),
             theta_cf=Sequence.closed_form("bogus", lambda z: 42.0),
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(StageError):
             theta(eq, 1)
 
     def test_theta_recurrence(self):
@@ -168,6 +169,12 @@ class TestTheta:
         eq = example_equation(2)  # r(1) = 0
         with pytest.raises(DomainError):
             theta_extended(eq, 1)
+
+    def test_extension_overflowing_term_is_domain_error(self):
+        # r(-2)^(-3) = 10^600 overflows: a DomainError naming the index, not OverflowError
+        eq = make_eq("pow(10, z*100)", RationalExponent(1, 3), zeta0=5)
+        with pytest.raises(DomainError, match="index -2"):
+            theta_extended(eq, -2)
 
 
 class TestClassifyForm:
@@ -324,6 +331,23 @@ class TestTailCertificate:
             assert res.tail_bound >= true_tail
 
 
+class TestGeometricRatio:
+    """The one ratio certificate the tail sums and the divergence probe share."""
+
+    @pytest.mark.parametrize("terms, rho", [
+        ([2.0 ** -s for s in range(1, 10)], 0.5),           # nine terms: a full window
+        ([2.0 ** -s for s in range(1, 9)], None),           # eight: too few
+        ([0.0] * 5 + [2.0 ** -s for s in range(1, 9)], None),  # zeros are not terms
+        ([1.0, 0.5, 0.0], 0.5),                             # underflowed after a decaying run
+        ([1.0, 0.0], None),
+        ([s ** -4.0 for s in range(1, 30)], None),          # rising ratios: polynomial
+        ([0.995 ** s for s in range(1, 10)], None),         # ratio above RATIO_MAX
+    ])
+    def test_certificate(self, terms, rho):
+        got = _geometric_ratio(np.array(terms))
+        assert got == (None if rho is None else pytest.approx(rho, rel=1e-12))
+
+
 class TestTableSharing:
     def test_equal_equations_hash_equal_and_share_one_table(self):
         a, b = make_eq("2^z", RationalExponent(1, 1)), make_eq("2^z", RationalExponent(1, 1))
@@ -349,14 +373,14 @@ class TestClosedFormCertification:
         # the partial sum of positive terms is a certified lower bound
         eq = make_eq("z^(101/100)", RationalExponent(1, 1),
                      theta_cf=Sequence.from_expression("1"))
-        with pytest.raises(ValueError, match="outside"):
+        with pytest.raises(StageError, match="outside"):
             theta(eq, 1)
 
     def test_past_truncation_checked_against_tail_bound(self):
         # 2^(-z) is truncated near 30; theta(100) must lie in [0, tail_bound]
         eq = make_eq("2^(z/3)", RationalExponent(1, 3),
                      theta_cf=Sequence.closed_form("bogus", lambda z: 0.5))
-        with pytest.raises(ValueError):
+        with pytest.raises(StageError):
             theta(eq, 100)
         good = theta(example_equation(1), 100)
         assert good.certified and good.method == "closed_form"
