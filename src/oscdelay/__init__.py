@@ -6,7 +6,6 @@ from .equation import (
     DelayForm,
     FormClass,
     HalfLinearEquation,
-    TailConfig,
     TailSumResult,
     R_partial,
     classify_form,
@@ -55,7 +54,6 @@ __all__ = [
     "DelayForm",
     "FormClass",
     "HalfLinearEquation",
-    "TailConfig",
     "TailSumResult",
     "R_partial",
     "classify_form",

@@ -13,7 +13,7 @@ import traceback
 from . import criteria
 from .config import CheckConfig, OutputConfig, RunConfig, parse_config, parse_criteria
 from .equation import classify_form, theta, validate
-from .errors import ConfigError, NonConvergentError, OscDelayError, StageError
+from .errors import ConfigError, OscDelayError, StageError
 from .examples import reproduce_example
 from .report import new_report, render
 from .solver import InitialData, classify_trajectory, iterate
@@ -22,9 +22,9 @@ from .transform import crit_canonical_sumq, to_canonical
 STAGE_ORDER = ("validate", "classify", "simulate", "check", "transform")
 
 
-def run_stages(cfg: RunConfig, stages, seed: int = 0) -> dict:
+def run_stages(cfg: RunConfig, stages) -> dict:
     """Execute the requested stages in pipeline order, recording per-stage errors."""
-    report = new_report(cfg.echo(), seed=seed)
+    report = new_report(cfg.echo())
     eq = cfg.build_equation()
     wanted = [s for s in STAGE_ORDER if s in stages]
 
@@ -37,20 +37,13 @@ def run_stages(cfg: RunConfig, stages, seed: int = 0) -> dict:
                 horizon = cfg.check.horizon if cfg.check else 100
                 report["stages"]["validate"] = validate(eq, eq.zeta0 + horizon)
             elif stage == "classify":
-                try:
-                    form = classify_form(eq)
-                    theta_head = None
-                    if form.value != "canonical":
-                        try:
-                            theta_head = theta(eq, eq.zeta0)
-                        except NonConvergentError:
-                            theta_head = None
-                    report["stages"]["classify"] = {
-                        "form": form,
-                        "theta_at_start": theta_head,
-                    }
-                except NonConvergentError as exc:
-                    record_error("classify", exc)
+                # classify_form reads the table theta(eq, zeta0) uses, and a tail
+                # that fails the convergence screen is canonical
+                form = classify_form(eq)
+                report["stages"]["classify"] = {
+                    "form": form,
+                    "theta_at_start": None if form.value == "canonical" else theta(eq, eq.zeta0),
+                }
             elif stage == "simulate":
                 if cfg.simulate is None:
                     continue

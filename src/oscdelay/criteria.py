@@ -44,6 +44,7 @@ CONVERGED_FRAC = 1e-9    # partial-sum growth over the last half that counts as 
 P_CONVERGE = 1.1         # fitted term exponent above which the sum converges
 P_DIVERGE = 0.95         # fitted term exponent below which it diverges
 MIN_TERMS = 8            # fewer terms are undecided
+THM23_MARGIN = 1e-6      # Thm23: a limsup estimate above 1 + this suggests the criterion holds
 
 
 @dataclass(frozen=True)
@@ -268,9 +269,7 @@ def crit_lem21(eq: HalfLinearEquation, horizon: int) -> CriterionVerdict:
                            eq.zeta0, q)
 
 
-def crit_thm23(
-    eq: HalfLinearEquation, horizon: int, zeta1: Optional[int] = None, margin: float = 1e-6,
-) -> CriterionVerdict:
+def crit_thm23(eq: HalfLinearEquation, horizon: int, zeta1: Optional[int] = None) -> CriterionVerdict:
     """limsup of v(z) = theta^alpha(z) * sum_{s=zeta1}^{z-1} q(s), compared against 1.
 
     The limsup is estimated as the supremum of v over the trailing half of the
@@ -288,7 +287,7 @@ def crit_thm23(
 
     tail = v[horizon // 2:]
     estimate = float(tail.max()) if tail.size else 0.0
-    if estimate > 1.0 + margin:
+    if estimate > 1.0 + THM23_MARGIN:
         status = VerdictStatus.NUMERICALLY_SUGGESTED
     elif estimate <= 1.0:
         status = VerdictStatus.NUMERICALLY_FAILS

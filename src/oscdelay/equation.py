@@ -36,6 +36,19 @@ class FormClass(enum.Enum):
     INCONCLUSIVE = "inconclusive"
 
 
+# Tail-sum truncation: terms are summed in blocks of BLOCK until one is at most
+# TAIL_TOL, or to MAX_TERMS.  The result is certified only when the geometric-ratio
+# certificate (_geometric_ratio) holds on the terms summed, with
+# tail_bound = term * rho / (1 - rho).  When it fails but the terms decay like a
+# power s^(-p) with p > POLY_MIN_EXPONENT, an uncertified power-law tail estimate
+# is added.  Otherwise summation stops at MAX_TERMS, uncertified.  The terms are
+# judged divergent when a block's minimum is not TREND_TOL below the one before.
+TAIL_TOL = 1e-12
+MAX_TERMS = 1_000_000
+BLOCK = 65536
+# the looser and shorter pass that cross-checks a registered closed form
+CHECK_TOL = 1e-9
+CHECK_MAX_TERMS = 100_000
 # The decay tests shared by the tail sums and the criteria's divergence probe.
 RATIO_WINDOW = 8        # ratios in the geometric certificate's trailing window
 RATIO_MAX = 0.99        # largest ratio the certificate accepts
@@ -44,29 +57,6 @@ TREND_TOL = 1e-3        # a running minimum must fall by this fraction, or the t
 # tail sums only
 POLY_MIN_EXPONENT = 1.05  # fitted exponent above which a power-law remainder is estimated
 FIT_WINDOW = 64           # trailing terms the power-law fit reads
-# span of the trend screen: the minima of consecutive spans must fall by TREND_TOL.
-# Spans do not follow TailConfig.block, which would scale the screen's tolerance with it.
-_TREND_SPAN = 65536
-
-
-@dataclass(frozen=True)
-class TailConfig:
-    """Truncation policy for numeric tail sums: tol_abs, max_terms and block.
-
-    Terms are summed until term < tol_abs; the result is certified only when
-    the geometric-ratio certificate (_geometric_ratio) holds on the terms
-    summed, with tail_bound = term * rho / (1 - rho).  When it fails but the
-    terms decay like a power s^(-p) with p > POLY_MIN_EXPONENT, an uncertified
-    power-law tail estimate is added.  Otherwise summation stops at max_terms,
-    uncertified.  The terms are judged divergent when the minimum over a span
-    of 65 536 indices (anchored at zeta0) is not TREND_TOL below the one before
-    it.  block, the number of terms evaluated at once, sets memory and work
-    only, never a verdict.
-    """
-
-    tol_abs: float = 1e-12
-    max_terms: int = 1_000_000
-    block: int = 65536
 
 
 @dataclass(frozen=True)
@@ -199,11 +189,11 @@ class _TailTable:
     theta(z) = suffix sum of z's block + sums of later scanned blocks + remainder.
     """
 
-    def __init__(self, eq: HalfLinearEquation, cfg: TailConfig):
-        self.eq, self.cfg = eq, cfg
-        if eq.theta_closed_form is not None:
-            # a closed form is only cross-checked, by a looser and shorter pass
-            self.cfg = replace(cfg, tol_abs=max(cfg.tol_abs, 1e-9), max_terms=min(cfg.max_terms, 100_000))
+    def __init__(self, eq: HalfLinearEquation):
+        self.eq = eq
+        # a closed form is only cross-checked, by a looser and shorter pass
+        closed = eq.theta_closed_form is not None
+        self.tol, self.max_terms = (CHECK_TOL, CHECK_MAX_TERMS) if closed else (TAIL_TOL, MAX_TERMS)
         sums: list = []
         *self.meta, self.remainder = self._scan(sums)
         self.after = [math.fsum(sums[k + 1:]) for k in range(len(sums))]
@@ -220,19 +210,18 @@ class _TailTable:
 
     def _scan(self, sums: list) -> tuple:
         """Sum blocks to a tail certificate: (T, tail bound, certified, method, remainder)."""
-        cfg, z0 = self.cfg, self.eq.zeta0
+        z0, last = self.eq.zeta0, self.eq.zeta0 + self.max_terms
         hist = np.empty(0)  # the last terms summed, up to the current stop
-        prev_min: Optional[float] = None  # the trend screen's last full span
-        span_min, span_start, last = math.inf, z0, z0 + cfg.max_terms
+        prev_min: Optional[float] = None  # the trend screen's last block
         keep = max(FIT_WINDOW, RATIO_WINDOW + 1)
-        for s in range(z0, last, cfg.block):
-            m = min(cfg.block, last - s)
+        for s in range(z0, last, BLOCK):
+            m = min(BLOCK, last - s)
             t = self._terms(s, m)
             if s == z0:
                 self._first = t
             sums.append(float(np.sum(t)))
             self.end, self._t_end = s + m - 1, float(t[-1])
-            below = t <= cfg.tol_abs
+            below = t <= self.tol
             stopped = bool(below.any())
             n = int(np.argmax(below)) + 1 if stopped else m
             hist = np.concatenate([hist, t[:n]])[-keep:]
@@ -240,7 +229,7 @@ class _TailTable:
                 rho = _geometric_ratio(hist)
                 if rho is not None:
                     # underflowed to zero after a decaying run: tail is below tol
-                    bound = cfg.tol_abs if hist[-1] == 0.0 else float(hist[-1]) * rho / (1.0 - rho)
+                    bound = self.tol if hist[-1] == 0.0 else float(hist[-1]) * rho / (1.0 - rho)
                     return (s + n - 1, bound, True, "geometric",
                             lambda s_last, t_last: t_last * rho / (1.0 - rho))
                 p = _fit_power_exponent(np.arange(s + n - hist.size, s + n, dtype=float), hist)
@@ -249,28 +238,22 @@ class _TailTable:
                             lambda s_last, t_last: _poly_tail_estimate(s_last, t_last, p))
                 # tiny terms that decay too slowly to bound: keep summing
                 hist = np.concatenate([hist, t[n:]])[-keep:]
-            i = 0
-            while i < m:  # the spans this block reaches into
-                close = min(span_start + _TREND_SPAN, last)
-                j = min(m, close - s)
-                span_min, i = min(span_min, float(t[i:j].min())), j
-                if s + j < close:
-                    continue
-                if prev_min is not None and 0 < span_min >= (1.0 - TREND_TOL) * prev_min:
-                    raise NonConvergentError(
-                        f"tail terms not decreasing near index {span_start}: series looks divergent")
-                prev_min, span_min, span_start = span_min, math.inf, close
+            block_min = float(t.min())
+            if prev_min is not None and 0 < block_min >= (1.0 - TREND_TOL) * prev_min:
+                raise NonConvergentError(
+                    f"tail terms not decreasing near index {s}: series looks divergent")
+            prev_min = block_min
         return self.end, None, False, "max_terms", lambda s_last, t_last: 0.0
 
     def lookup(self, zeta: int) -> tuple:
         """(theta(zeta) for zeta >= zeta0, the partial sum in it: a certified lower bound)."""
-        z0, size, scanned = self.eq.zeta0, self.cfg.block, len(self.after)
+        z0, scanned = self.eq.zeta0, len(self.after)
         if zeta <= self.end:
-            k, i = divmod(zeta - z0, size)
-            start, m = z0 + k * size, min(size, self.end + 1 - z0 - k * size)
+            k, i = divmod(zeta - z0, BLOCK)
+            start, m = z0 + k * BLOCK, min(BLOCK, self.end + 1 - z0 - k * BLOCK)
         else:
-            j, i = divmod(zeta - self.end - 1, size)
-            k, start, m = scanned + j, self.end + 1 + j * size, size
+            j, i = divmod(zeta - self.end - 1, BLOCK)
+            k, start, m = scanned + j, self.end + 1 + j * BLOCK, BLOCK
         if k not in self.blocks:
             t = self._terms(start, m)
             rest = self.rest if k < scanned else self.remainder(start + m - 1.0, float(t[-1]))
@@ -280,17 +263,17 @@ class _TailTable:
         return TailSumResult(lower + rest, *self.meta), lower
 
 
-# tables kept at once; each holds 0.5 MB per default-size block looked up
+# tables kept at once; each holds 0.5 MB per block looked up
 _MAX_TABLES = 4
 
 
 @functools.lru_cache(maxsize=_MAX_TABLES)
-def _tail_table(eq: HalfLinearEquation, cfg: TailConfig) -> _TailTable:
-    return _TailTable(eq, cfg)
+def _tail_table(eq: HalfLinearEquation) -> _TailTable:
+    return _TailTable(eq)
 
 
-def theta(eq: HalfLinearEquation, zeta: int, cfg: TailConfig = TailConfig()) -> TailSumResult:
-    """Tail sum theta(zeta) = sum_{s=zeta}^{inf} r(s)^(-1/alpha), from one table per (eq, cfg).
+def theta(eq: HalfLinearEquation, zeta: int) -> TailSumResult:
+    """Tail sum theta(zeta) = sum_{s=zeta}^{inf} r(s)^(-1/alpha), from one table per equation.
 
     A registered closed form is checked against the table: past the truncation
     index it must lie in [partial sum, tail_bound]; before it, match a certified
@@ -300,8 +283,8 @@ def theta(eq: HalfLinearEquation, zeta: int, cfg: TailConfig = TailConfig()) -> 
     """
     zeta = int(zeta)
     if zeta < eq.zeta0:
-        return theta_extended(eq, zeta, cfg)
-    numeric, lower = _tail_table(eq, cfg).lookup(zeta)
+        return theta_extended(eq, zeta)
+    numeric, lower = _tail_table(eq).lookup(zeta)
     if eq.theta_closed_form is None:
         return numeric
     value = eq.theta_closed_form(zeta)
@@ -320,20 +303,20 @@ def theta(eq: HalfLinearEquation, zeta: int, cfg: TailConfig = TailConfig()) -> 
     return TailSumResult(value, zeta, 0.0, True, "closed_form")
 
 
-def theta_extended(eq: HalfLinearEquation, zeta: int, cfg: TailConfig = TailConfig()) -> TailSumResult:
+def theta_extended(eq: HalfLinearEquation, zeta: int) -> TailSumResult:
     """theta at possibly under-domain indices via theta(z) = theta(zeta0) + sum_{s=z}^{zeta0-1} r^(-1/alpha)(s).
 
     Raises DomainError when r is not evaluable, not positive, or too small for a
     finite term on the gap.
     """
     if zeta >= eq.zeta0:
-        return theta(eq, zeta, cfg)
-    base = theta(eq, eq.zeta0, cfg)
+        return theta(eq, zeta)
+    base = theta(eq, eq.zeta0)
     gap = _sum_inv_r_alpha(eq, zeta, eq.zeta0)
     return replace(base, value=base.value + gap, method=base.method + "+extension")
 
 
-def classify_form(eq: HalfLinearEquation, cfg: TailConfig = TailConfig()) -> FormClass:
+def classify_form(eq: HalfLinearEquation) -> FormClass:
     """Canonical / non-canonical / inconclusive, certifying rather than guessing.
 
     Canonical is declared only on a divergence witness (terms bounded away
@@ -342,7 +325,7 @@ def classify_form(eq: HalfLinearEquation, cfg: TailConfig = TailConfig()) -> For
     closed form stay inconclusive.
     """
     try:
-        res = theta(eq, eq.zeta0, cfg)
+        res = theta(eq, eq.zeta0)
     except NonConvergentError:
         return FormClass.CANONICAL
     if res.certified:

@@ -61,11 +61,11 @@ def verdict_to_dict(v: CriterionVerdict) -> dict:
     }
 
 
-def new_report(config_echo: dict, seed: int = 0) -> dict:
+def new_report(config_echo: dict) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "generated_at": datetime.now(timezone.utc).isoformat(),
-        "seed": seed,
+        "seed": 0,  # no stage draws random numbers
         "config": config_echo,
         "stages": {},
         "discrepancy_flags": [],

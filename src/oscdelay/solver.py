@@ -167,17 +167,14 @@ def iterate(eq: HalfLinearEquation, init: InitialData, horizon: int) -> Trajecto
     return Trajectory(start, tuple(x), z0, tuple(y), status)
 
 
-def classify_trajectory(
-    traj: Trajectory, tol: float = 1e-8, burn_in: Optional[int] = None
-) -> TrajectoryClass:
-    """Classify the post-burn-in behavior of a computed trajectory.
+def classify_trajectory(traj: Trajectory, tol: float = 1e-8) -> TrajectoryClass:
+    """Classify the behavior of a computed trajectory past its first fifth.
 
     Entries with |x| <= tol count as zero; oscillation registers only on a
     genuine sign flip of entries exceeding tol (robust to chatter around 0).
     """
     n = len(traj.x)
-    if burn_in is None:
-        burn_in = n // 5  # criteria are "eventual" statements: skip transients
+    burn_in = n // 5  # criteria are "eventual" statements: skip transients
     if n < burn_in + 8:
         raise ValueError(f"trajectory too short: {n} points with burn_in {burn_in}")
 
@@ -266,9 +263,11 @@ def residual(eq: HalfLinearEquation, candidate: Sequence, frm: int, to: int) -> 
     return max(abs(v) for _, v in residual_pointwise(eq, candidate, frm, to))
 
 
-def lemma22_check(
-    eq: HalfLinearEquation, traj: Trajectory, tol: float = 1e-9
-) -> list[tuple[int, float, float]]:
+# relative slack lemma22_check allows lhs over rhs before it reports a violation
+LEMMA22_TOL = 1e-9
+
+
+def lemma22_check(eq: HalfLinearEquation, traj: Trajectory) -> list[tuple[int, float, float]]:
     """Check (r^(1/a)(z) Dx(z) / x(z-sigma+1))^(a-1) <= theta(z)^(1-a) on the positive window.
 
     Requires alpha >= 1 and the z - sigma + 1 delay form.  Returns
@@ -301,7 +300,7 @@ def lemma22_check(
             lhs = abs(base) ** (exp_num / exp_den)
             th = theta(eq, z).value
             rhs = th ** (1.0 - a.value)
-        if lhs > rhs * (1.0 + tol):
+        if lhs > rhs * (1.0 + LEMMA22_TOL):
             violations.append((z, lhs, rhs))
     if checked == 0:
         raise ValueError("no positive window to check")

@@ -91,7 +91,8 @@ def canonical_residual(ceq: CanonicalEquation, candidate: Sequence, frm: int, to
 
 def crit_canonical_sumq(ceq: CanonicalEquation, horizon: int) -> CriterionVerdict:
     """Divergence test on sum(qt): when it diverges, the comparison equation
-    oscillates and so does the original delay equation."""
+    oscillates and so does the original delay equation.  A negative qt term is
+    a StageError, as a negative q is for the criteria."""
 
     def q_tilde(z):
         try:
@@ -100,6 +101,11 @@ def crit_canonical_sumq(ceq: CanonicalEquation, horizon: int) -> CriterionVerdic
             raise StageError(f"q_tilde not evaluable at {z}: {exc}") from exc
 
     term = np.array([q_tilde(z) for z in range(ceq.zeta0, ceq.zeta0 + horizon)])
+    negative = term < 0
+    if negative.any():
+        i = int(np.argmax(negative))
+        raise StageError(
+            f"q_tilde({ceq.zeta0 + i}) = {term[i]} < 0: the sum test needs non-negative terms")
     return _series_verdict(
         CANONICAL_SUM_Q,
         "the canonical comparison equation oscillates, hence so does the original",

@@ -5,8 +5,11 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oscdelay
 from oscdelay.cli import main, run_stages
@@ -377,6 +380,28 @@ class TestCli:
         holds = {v["criterion"]: v["holds"] for v in data["verdicts"]}
         assert holds["Thm21"] and holds["Thm23"]
 
+    def test_negative_q_transform_exit_two(self, tmp_path):
+        # q = 1 - z < 0 from z = 2 on gives q_tilde(2) < 0, which the sum test refuses
+        path = write_config(tmp_path, EXAMPLE3_INI.replace('"(z*(z+1))^(5/3)"', '"2^z"')
+                            .replace('"4*(z^2-1)*z^(2/3)/3"', '"1-z"')
+                            .replace("alpha = 5/3", "alpha = 1")
+                            .replace('theta_closed_form = "1/z"\n', ""))
+        out = tmp_path / "t.json"
+        assert main(["transform", "--config", path, "--out", str(out), "--quiet"]) == 2
+        errors = json.loads(out.read_text())["errors"]
+        assert errors == [{"stage": "transform",
+                           "error": "q_tilde(2) = -0.25 < 0: the sum test needs non-negative terms"}]
+
+    def test_classify_divergent_tail_canonical(self, tmp_path):
+        # r = 1: the tail terms never fall, so theta does not exist
+        path = write_config(tmp_path, EXAMPLE2_INI.replace('"(z*(z-1))^(1/3)"', '"1"')
+                            .replace('theta_closed_form = "1/(z-1)"\n', ""))
+        out = tmp_path / "c.json"
+        assert main(["classify", "--config", path, "--out", str(out), "--quiet"]) == 0
+        data = json.loads(out.read_text())
+        assert data["stages"]["classify"] == {"form": "canonical", "theta_at_start": None}
+        assert data["errors"] == []
+
 
 def test_tail_terms_summed_once_per_equation(tmp_path, monkeypatch):
     """check then transform evaluate each tail term about once: the one tail
@@ -397,3 +422,28 @@ def test_tail_terms_summed_once_per_equation(tmp_path, monkeypatch):
         out = tmp_path / f"{command}.json"
         assert main([command, "--config", path, "--out", str(out), "--quiet"]) == 0
     assert sum(points) <= 1_100_000
+
+
+# coefficients that are negative, zero, overflowing or have a pole somewhere
+FUZZ_R = ("1", "z", "2^z", "(z*(z+1))^(5/3)", "2^(-z)", "-1", "0", "1/(z-2)", "pow(10, z*100)")
+FUZZ_Q = ("1", "1/z", "1-z", "0", "1/(z-3)", "pow(10, z*100)")
+
+
+@settings(max_examples=40, deadline=None)
+@given(r=st.sampled_from(FUZZ_R), q=st.sampled_from(FUZZ_Q),
+       alpha=st.sampled_from(("1", "1/3", "5/3")),
+       form=st.sampled_from((("delay", 0), ("delay", 2), ("delay_plus_one", 1), ("delay_plus_one", 2))),
+       zeta0=st.sampled_from((0, 1, 2)))
+@example(r="2^z", q="1-z", alpha="1", form=("delay_plus_one", 2), zeta0=1)
+def test_cli_never_exits_three(r, q, alpha, form, zeta0):
+    """Every failure stays inside the OscDelayError hierarchy: exit 0, 1 or 2."""
+    kind, sigma = form
+    text = (f'[equation]\nr = "{r}"\nq = "{q}"\nalpha = {alpha}\nsigma = {sigma}\n'
+            f"form = {kind}\nzeta0 = {zeta0}\n\n[simulate]\ninit = {', '.join(['1'] * (sigma + 2))}\n"
+            "horizon = 30\n\n[check]\ncriteria = all\nhorizon = 30\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.ini")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        for command in ("validate", "classify", "simulate", "check", "transform"):
+            assert main([command, "--config", path, "--horizon", "30", "--quiet"]) in (0, 1, 2), command

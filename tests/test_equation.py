@@ -13,15 +13,14 @@ from oscdelay import (
     R_partial,
     RationalExponent,
     Sequence,
-    TailConfig,
     classify_form,
     example_equation,
     theta,
     theta_extended,
     validate,
 )
-from oscdelay.equation import (ValidationReport, Violation, _geometric_ratio, _suffix_sums,
-                               _tail_table)
+from oscdelay.equation import (BLOCK, MAX_TERMS, ValidationReport, Violation, _geometric_ratio,
+                               _suffix_sums, _tail_table)
 from oscdelay.errors import DivisionByZero, DomainError, NonConvergentError, StageError
 
 
@@ -193,7 +192,7 @@ class TestClassifyForm:
         # r^(-1/alpha) ~ z^(-1.5): converges but too slowly for the geometric
         # certificate, and no closed form is registered
         eq = make_eq("pow(z, 1.5)", RationalExponent(1, 1))
-        assert classify_form(eq, TailConfig(max_terms=20_000)) in (
+        assert classify_form(eq) in (
             FormClass.INCONCLUSIVE,
             FormClass.NON_CANONICAL,
         )
@@ -353,7 +352,7 @@ class TestTableSharing:
         a, b = make_eq("2^z", RationalExponent(1, 1)), make_eq("2^z", RationalExponent(1, 1))
         assert a is not b and a.r is not b.r
         assert a == b and hash(a) == hash(b) and hash(a.r) == hash(b.r)
-        assert _tail_table(a, TailConfig()) is _tail_table(b, TailConfig())
+        assert _tail_table(a) is _tail_table(b)
 
 
 class TestClosedFormCertification:
@@ -388,21 +387,26 @@ class TestClosedFormCertification:
 
 @st.composite
 def tail_cases(draw):
-    """(equation, tail policy, 40 consecutive indices) with terms r^(-1/alpha)
-    decaying like z^(-p) or b^(-z), every r in the window a finite float."""
+    """(equation, 41 consecutive indices) with terms r^(-1/alpha) decaying like
+    z^(-p) or b^(-z), every r in the window a finite float.  A power-law window
+    may straddle the join of the first and second, or second and third, blocks."""
     alpha = draw(st.sampled_from([RationalExponent(1, 3), RationalExponent(1, 1),
                                   RationalExponent(5, 3), RationalExponent(3, 1)]))
     c = draw(st.floats(0.5, 4.0))
+    zeta0 = draw(st.integers(1, 5))
     if draw(st.booleans()):
         p = draw(st.floats(2.0, 4.0))
-        r_text, last = f"{c!r}*pow(z, {p * alpha.value!r})", 300
+        r_text = f"{c!r}*pow(z, {p * alpha.value!r})"
+        join = draw(st.sampled_from([None, 1, 2]))
+        if join is not None:
+            start = zeta0 + join * BLOCK - draw(st.integers(1, 40))
+            return make_eq(r_text, alpha, zeta0=zeta0), list(range(start, start + 41))
+        last = 300
     else:
         base = draw(st.floats(1.2, 4.0)) ** alpha.value
         r_text, last = f"{c!r}*pow({base!r}, z)", min(300, int(250 / math.log10(base)))
-    zeta0 = draw(st.integers(1, 5))
     start = draw(st.integers(zeta0, last - 40))
-    cfg = TailConfig(tol_abs=1e-10, block=draw(st.sampled_from([64, 1000, 65536])))
-    return make_eq(r_text, alpha, zeta0=zeta0), cfg, list(range(start, start + 41))
+    return make_eq(r_text, alpha, zeta0=zeta0), list(range(start, start + 41))
 
 
 class TestThetaProperties:
@@ -410,16 +414,17 @@ class TestThetaProperties:
 
     @settings(max_examples=30, deadline=None)
     @given(tail_cases())
-    # a power law whose ratios passed the geometric test at T = 189: theta rose at 257
+    # a power law whose ratios passed the geometric test at T = 189 (tolerance 1e-10,
+    # blocks of 64): theta rose at 257
     @example((make_eq("2.0*pow(z, 1.3333333333333333)", RationalExponent(1, 3)),
-              TailConfig(tol_abs=1e-10, block=64), list(range(230, 271))))
-    # terms 8/z^2: the minima of 64-term blocks fell by less than trend_tol past 128 000
+              list(range(230, 271))))
+    # terms 8/z^2: the minima of 64-term blocks fell by less than TREND_TOL past 128 000
     @example((make_eq("0.5*pow(z, 0.6666666666666666)", RationalExponent(1, 3)),
-              TailConfig(tol_abs=1e-10, block=64), list(range(200, 241))))
+              list(range(200, 241))))
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_decreasing_and_recurrence(self, case):
-        eq, cfg, zs = case
-        th = {z: theta(eq, z, cfg).value for z in zs}
+        eq, zs = case
+        th = {z: theta(eq, z).value for z in zs}
         for z in zs[:-1]:
             assert th[z + 1] < th[z]
             # theta(z) - theta(z+1) = r(z)^(-1/alpha)
@@ -429,42 +434,40 @@ class TestThetaProperties:
     @given(tail_cases())
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_partial_plus_tail_constant(self, case):
-        eq, cfg, zs = case
-        total = theta(eq, eq.zeta0, cfg).value
+        eq, zs = case
+        total = theta(eq, eq.zeta0).value
         for z in zs:
-            assert abs(R_partial(eq, z) + theta(eq, z, cfg).value - total) <= 1e-12 * total
+            assert abs(R_partial(eq, z) + theta(eq, z).value - total) <= 1e-12 * total
 
     @settings(max_examples=20, deadline=None)
     @given(tail_cases())
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_call_order_purity(self, case):
-        eq, cfg, zs = case
+        eq, zs = case
         _tail_table.cache_clear()
-        forward = [theta(eq, z, cfg) for z in zs]
+        forward = [theta(eq, z) for z in zs]
         _tail_table.cache_clear()
-        reverse = [theta(eq, z, cfg) for z in reversed(zs)][::-1]
+        reverse = [theta(eq, z) for z in reversed(zs)][::-1]
         _tail_table.cache_clear()
-        again = [theta(eq, z, cfg) for z in zs]
+        again = [theta(eq, z) for z in zs]
         assert forward == reverse == again
 
 
 class TestBlockSize:
-    """The block size sets memory and work only: the trend screen runs over fixed
-    spans anchored at zeta0, so every block gives the same verdict."""
+    """Tails summed over many blocks: the trend screen compares the minima of
+    consecutive blocks, and terms that keep falling (8/z^2 converges, 1/z does
+    not) are summed to MAX_TERMS rather than judged divergent.  Windows across
+    block joins are drawn by tail_cases."""
 
     @pytest.mark.parametrize("r_text, alpha", [
-        ("0.5*pow(z, 0.6666666666666666)", RationalExponent(1, 3)),  # terms 8/z^2: poly_tail
-        ("z", RationalExponent(1, 1)),                               # terms 1/z: max_terms
+        ("0.5*pow(z, 0.6666666666666666)", RationalExponent(1, 3)),  # terms 8/z^2
+        ("z", RationalExponent(1, 1)),                               # terms 1/z
     ])
     def test_same_verdict_for_every_block(self, r_text, alpha):
         eq = make_eq(r_text, alpha)
-        results = {block: [theta(eq, z, TailConfig(tol_abs=1e-10, block=block))
-                           for z in (1, 10, 1000, 300_000)]
-                   for block in (64, 1000, 65536)}
-        want = results[65536]
-        for got in results.values():
-            for g, w in zip(got, want):
-                assert (g.method, g.truncation_index, g.certified) == \
-                       (w.method, w.truncation_index, w.certified)
-                assert abs(g.value - w.value) <= 1e-12 * w.value
-        assert want[0].method == ("poly_tail" if r_text != "z" else "max_terms")
+        for z in (1, 10, 1000, 300_000):
+            got = theta(eq, z)
+            assert (got.method, got.truncation_index, got.certified) == \
+                   ("max_terms", MAX_TERMS, False)
+            want = math.fsum(eq.inv_r_alpha_array(np.arange(z, MAX_TERMS + 1, dtype=float)))
+            assert abs(got.value - want) <= 1e-12 * want

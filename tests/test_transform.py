@@ -158,3 +158,14 @@ class TestCanonicalSumQ:
         )
         v = crit_canonical_sumq(ceq, 200)
         assert v.status is VerdictStatus.NUMERICALLY_FAILS
+
+    def test_negative_q_tilde_is_stage_error(self):
+        # the sum test needs non-negative terms; the first negative one is named
+        ceq = CanonicalEquation(
+            r_tilde=Sequence.closed_form("1", lambda z: 1.0),
+            q_tilde=Sequence.closed_form("-1", lambda z: -1.0),
+            sigma=1,
+            zeta0=3,
+        )
+        with pytest.raises(StageError, match=r"q_tilde\(3\) = -1.0 < 0"):
+            crit_canonical_sumq(ceq, 20)
