@@ -74,6 +74,9 @@ class TailSumResult:
 
 @dataclass(frozen=True)
 class HalfLinearEquation:
+    """The equation's tail table (_table) is kept on it at the first theta lookup,
+    outside equality, hashing and pickles."""
+
     r: Sequence
     q: Sequence
     alpha: RationalExponent
@@ -87,6 +90,9 @@ class HalfLinearEquation:
             raise ValueError("sigma must be a non-negative integer")
         if self.delay_form is DelayForm.MINUS_SIGMA_PLUS_ONE and self.sigma < 1:
             raise ValueError("the z - sigma + 1 delay form requires sigma >= 1")
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "_table"}
 
     def delayed_index(self, zeta: int) -> int:
         if self.delay_form is DelayForm.MINUS_SIGMA:
@@ -190,7 +196,8 @@ class _TailTable:
     """
 
     def __init__(self, eq: HalfLinearEquation):
-        self.eq = eq
+        # an equal copy: a table never refers to an equation that holds it
+        self.eq = replace(eq)
         # a closed form is only cross-checked, by a looser and shorter pass
         closed = eq.theta_closed_form is not None
         self.tol, self.max_terms = (CHECK_TOL, CHECK_MAX_TERMS) if closed else (TAIL_TOL, MAX_TERMS)
@@ -263,13 +270,24 @@ class _TailTable:
         return TailSumResult(lower + rest, *self.meta), lower
 
 
-# tables kept at once; each holds 0.5 MB per block looked up
+# tables the store keeps at once, besides those their equations hold; each
+# holds 0.5 MB per block looked up
 _MAX_TABLES = 4
 
 
 @functools.lru_cache(maxsize=_MAX_TABLES)
 def _tail_table(eq: HalfLinearEquation) -> _TailTable:
     return _TailTable(eq)
+
+
+def _table(eq: HalfLinearEquation) -> _TailTable:
+    """eq's tail table, from the store (shared by equal equations) at eq's first
+    lookup and kept on eq after it, so later lookups neither hash nor compare eq."""
+    try:
+        return eq._table
+    except AttributeError:
+        object.__setattr__(eq, "_table", _tail_table(eq))
+        return eq._table
 
 
 def theta(eq: HalfLinearEquation, zeta: int) -> TailSumResult:
@@ -284,7 +302,7 @@ def theta(eq: HalfLinearEquation, zeta: int) -> TailSumResult:
     zeta = int(zeta)
     if zeta < eq.zeta0:
         return theta_extended(eq, zeta)
-    numeric, lower = _tail_table(eq).lookup(zeta)
+    numeric, lower = _table(eq).lookup(zeta)
     if eq.theta_closed_form is None:
         return numeric
     value = eq.theta_closed_form(zeta)

@@ -20,13 +20,7 @@ from typing import Optional
 
 from . import criteria
 from .criteria import evaluate_criterion
-from .equation import (
-    DelayForm,
-    HalfLinearEquation,
-    classify_form,
-    theta,
-    validate,
-)
+from .equation import DelayForm, HalfLinearEquation, _table, classify_form, validate
 from .power import RationalExponent
 from .sequences import Sequence
 from .transform import (
@@ -36,42 +30,34 @@ from .transform import (
     to_canonical,
 )
 
-EXAMPLE_IDS = (1, 2, 3)
+# Each example's [equation] section as a config file holds it: r, q, alpha, sigma,
+# form, zeta0 and the published theta.  Example 2 starts at 2: r vanishes at 1.
+_EXAMPLES = {
+    1: ("2^(z/3)", "{lambda0!r}*2^z", "1/3", 1, "delay", 1, "2^(1-z)"),
+    2: ("(z*(z-1))^(1/3)", "z^(4/3)", "1/3", 1, "delay", 2, "1/(z-1)"),
+    3: ("(z*(z+1))^(5/3)", "4*(z^2-1)*z^(2/3)/3", "5/3", 2, "delay_plus_one", 1, "1/z"),
+}
 
 
 def example_equation(n: int, lambda0: float = 2.0) -> HalfLinearEquation:
-    if n == 1:
-        return HalfLinearEquation(
-            r=Sequence.from_expression("2^(z/3)"),
-            q=Sequence.from_expression(f"{lambda0!r}*2^z"),
-            alpha=RationalExponent(1, 3),
-            sigma=1,
-            delay_form=DelayForm.MINUS_SIGMA,
-            zeta0=1,
-            theta_closed_form=Sequence.closed_form("2^(1-z)", lambda z: 2.0 ** (1 - z)),
-        )
-    if n == 2:
-        # started at 2: r vanishes at index 1
-        return HalfLinearEquation(
-            r=Sequence.from_expression("(z*(z-1))^(1/3)"),
-            q=Sequence.from_expression("z^(4/3)"),
-            alpha=RationalExponent(1, 3),
-            sigma=1,
-            delay_form=DelayForm.MINUS_SIGMA,
-            zeta0=2,
-            theta_closed_form=Sequence.closed_form("1/(z-1)", lambda z: 1.0 / (z - 1.0)),
-        )
-    if n == 3:
-        return HalfLinearEquation(
-            r=Sequence.from_expression("(z*(z+1))^(5/3)"),
-            q=Sequence.from_expression("4*(z^2-1)*z^(2/3)/3"),
-            alpha=RationalExponent(5, 3),
-            sigma=2,
-            delay_form=DelayForm.MINUS_SIGMA_PLUS_ONE,
-            zeta0=1,
-            theta_closed_form=Sequence.closed_form("1/z", lambda z: 1.0 / z),
-        )
-    raise ValueError(f"unknown example {n}; choose 1, 2 or 3")
+    if n not in _EXAMPLES:
+        raise ValueError(f"unknown example {n}; choose 1, 2 or 3")
+    r, q, alpha, sigma, form, zeta0, theta_text = _EXAMPLES[n]
+    return HalfLinearEquation(
+        r=Sequence.from_expression(r),
+        q=Sequence.from_expression(q.format(lambda0=lambda0)),
+        alpha=RationalExponent.parse(alpha),
+        sigma=sigma,
+        delay_form=DelayForm(form),
+        zeta0=zeta0,
+        theta_closed_form=Sequence.from_expression(theta_text),
+    )
+
+
+def _theta_error(eq: HalfLinearEquation, zs) -> float:
+    """max |theta(z) - published theta(z)| over zs, theta the numeric tail sum from
+    the equation's table: theta() returns the published value once it passes its check."""
+    return max(abs(_table(eq).lookup(z)[0].value - eq.theta_closed_form(z)) for z in zs)
 
 
 def _row(quantity: str, claimed, computed, flag: Optional[str] = None) -> dict:
@@ -122,16 +108,14 @@ def reproduce_example(n: int, lambda0: float = 2.0, horizon: int = 200) -> dict:
     elif n == 2:
         v22b = evaluate_criterion(criteria.THM22B, eq, horizon)
         report["verdicts"] = [v22b]
-        theta_err = max(
-            abs(theta(eq, z).value - 1.0 / (z - 1.0)) for z in range(2, 51)
-        )
+        theta_err = _theta_error(eq, range(2, 51))
         rows.append(_row("max |theta(z) - 1/(z-1)| on [2, 50]", 0.0, theta_err))
         term_err = max(abs(r.term - 1.0) for r in v22b.evidence)
         rows.append(_row("max |q(s) * theta^(alpha+1)(s+1) - 1|", 0.0, term_err))
         rows.append(_row("Thm22B holds (series diverges)", True, v22b.holds))
     elif n == 3:
         ceq = to_canonical(eq)
-        theta_err = max(abs(theta(eq, z).value - 1.0 / z) for z in range(1, 51))
+        theta_err = _theta_error(eq, range(1, 51))
         rows.append(_row("max |theta(z) - 1/z| on [1, 50]", 0.0, theta_err))
         rt_err = max(abs(ceq.r_tilde(z) - 1.0) for z in range(1, 101))
         rows.append(_row("max |r_tilde(z) - 1| on [1, 100]", 0.0, rt_err))
@@ -152,8 +136,8 @@ def reproduce_example(n: int, lambda0: float = 2.0, horizon: int = 200) -> dict:
             "equation only with q_tilde = 4"
         )
         literal = CanonicalEquation(
-            r_tilde=Sequence.closed_form("1", lambda z: 1.0),
-            q_tilde=Sequence.closed_form("4", lambda z: 4.0),
+            r_tilde=Sequence.from_expression("1"),
+            q_tilde=Sequence.from_expression("4"),
             sigma=2,
             zeta0=1,
         )

@@ -6,9 +6,8 @@ repeated evaluation at the same index returns bit-identical values.
 """
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -26,19 +25,6 @@ class Sequence:
     fn: Optional[Callable] = None
     table_start: int = 0
     table: tuple = field(default_factory=tuple)
-
-    @functools.cached_property
-    def _hash(self) -> int:
-        return hash(tuple(getattr(self, f.name) for f in fields(self)))
-
-    def __hash__(self) -> int:
-        # the generated hash walks the whole expression tree on every call (each
-        # tail-table lookup hashes the equation), so it is computed once
-        return self._hash
-
-    def __getstate__(self) -> dict:
-        # string hashes differ between processes: an unpickled copy hashes afresh
-        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
     @classmethod
     def from_expression(cls, text_or_ast, domain_start: Optional[int] = None) -> "Sequence":

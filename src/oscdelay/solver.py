@@ -136,8 +136,11 @@ def iterate(eq: HalfLinearEquation, init: InitialData, horizon: int) -> Trajecto
         return fail(StatusKind.DOMAIN_ERROR, z0)
     if r0 <= 0:
         return fail(StatusKind.DOMAIN_ERROR, z0)
+    dx = x[z0 + 1 - start] - x[z0 - start]
+    if not math.isfinite(dx):
+        return fail(StatusKind.OVERFLOWED, z0)
     try:
-        y.append(r0 * signed_pow(x[z0 + 1 - start] - x[z0 - start], alpha))
+        y.append(r0 * signed_pow(dx, alpha))
     except OverflowError:
         return fail(StatusKind.OVERFLOWED, z0)
 
@@ -284,11 +287,8 @@ def lemma22_check(eq: HalfLinearEquation, traj: Trajectory) -> list[tuple[int, f
     violations = []
     checked = 0
     for z in range(eq.zeta0, traj.end_index):
-        try:
-            xz1 = traj.x_at(eq.delayed_index(z))
-            xz, xn = traj.x_at(z), traj.x_at(z + 1)
-        except DomainError:
-            continue
+        xz1 = traj.x_at(eq.delayed_index(z))
+        xz, xn = traj.x_at(z), traj.x_at(z + 1)
         if xz1 <= 0 or xz <= 0:
             continue
         checked += 1

@@ -327,10 +327,12 @@ class TestCli:
         (["simulate"], EXAMPLE3_INI.replace("horizon = 40", "horizon = 40\ntol = abc")),
         (["example", "1", "--horizon", "-1"], None),
         (["example", "2", "--horizon", "0"], None),
+        (["check"], EXAMPLE3_INI.replace("sigma = 2", "sigma = -1")),
+        (["check"], EXAMPLE3_INI.replace("form = delay_plus_one", "form = delay_minus_two")),
     ], ids=["check-horizon-0", "validate-horizon-neg", "transform-horizon-neg",
             "simulate-horizon-1", "check-section-horizon-0", "simulate-section-horizon-1",
             "zero-init", "check-section-horizon-text", "simulate-section-tol-text",
-            "example1-horizon-neg", "example2-horizon-0"])
+            "example1-horizon-neg", "example2-horizon-0", "negative-sigma", "unknown-form"])
     def test_out_of_range_input_exit_one(self, tmp_path, capsys, argv, ini):
         if ini is not None:
             argv = argv + ["--config", write_config(tmp_path, ini)]
@@ -365,6 +367,28 @@ class TestCli:
         out = tmp_path / "sim.json"
         assert main(["simulate", "--config", path, "--out", str(out), "--quiet"]) == 0
         assert json.loads(out.read_text())["stages"]["simulate"]["status"]["kind"] == "overflowed"
+
+    def test_simulate_first_difference_overflow_exit_zero(self, tmp_path):
+        # x(2) - x(1) = 2e308 overflows before the first step
+        path = write_config(tmp_path, '[equation]\nr = "1"\nq = "1"\nalpha = 1\nsigma = 1\n'
+                            "form = delay\nzeta0 = 1\n\n[simulate]\ninit = 0, -1e308, 1e308\n"
+                            "horizon = 30\n")
+        out = tmp_path / "sim.json"
+        assert main(["simulate", "--config", path, "--out", str(out), "--quiet"]) == 0
+        sim = json.loads(out.read_text())["stages"]["simulate"]
+        assert sim["status"] == {"kind": "overflowed", "at": 1}
+        assert sim["end_index"] == 2
+
+    def test_horizon_without_check_section_runs_every_criterion(self, tmp_path):
+        path = write_config(tmp_path, EXAMPLE3_INI.split("[check]")[0])
+        out = tmp_path / "chk.json"
+        assert main(["check", "--config", path, "--horizon", "30", "--out", str(out),
+                     "--quiet"]) == 0
+        data = json.loads(out.read_text())
+        assert data["config"]["check"] == {"criteria": list(CRITERION_IDS), "horizon": 30}
+        verdicts = data["stages"]["check"]["verdicts"]
+        assert [v["criterion"] for v in verdicts] == list(CRITERION_IDS)
+        assert all(len(v["evidence"]) == 30 for v in verdicts)
 
     def test_example_subcommand(self, tmp_path, capsys):
         out = tmp_path / "ex3.json"
@@ -433,13 +457,17 @@ FUZZ_Q = ("1", "1/z", "1-z", "0", "1/(z-3)", "pow(10, z*100)")
 @given(r=st.sampled_from(FUZZ_R), q=st.sampled_from(FUZZ_Q),
        alpha=st.sampled_from(("1", "1/3", "5/3")),
        form=st.sampled_from((("delay", 0), ("delay", 2), ("delay_plus_one", 1), ("delay_plus_one", 2))),
-       zeta0=st.sampled_from((0, 1, 2)))
-@example(r="2^z", q="1-z", alpha="1", form=("delay_plus_one", 2), zeta0=1)
-def test_cli_never_exits_three(r, q, alpha, form, zeta0):
+       zeta0=st.sampled_from((0, 1, 2)), init=st.none())
+@example(r="2^z", q="1-z", alpha="1", form=("delay_plus_one", 2), zeta0=1, init=None)
+# the first difference overflows, and its cube overflows
+@example(r="1", q="1", alpha="1", form=("delay", 1), zeta0=1, init="0, -1e308, 1e308")
+@example(r="1", q="1", alpha="3", form=("delay", 1), zeta0=1, init="0, 1, 1e308")
+def test_cli_never_exits_three(r, q, alpha, form, zeta0, init):
     """Every failure stays inside the OscDelayError hierarchy: exit 0, 1 or 2."""
     kind, sigma = form
+    init = init or ", ".join(["1"] * (sigma + 2))
     text = (f'[equation]\nr = "{r}"\nq = "{q}"\nalpha = {alpha}\nsigma = {sigma}\n'
-            f"form = {kind}\nzeta0 = {zeta0}\n\n[simulate]\ninit = {', '.join(['1'] * (sigma + 2))}\n"
+            f"form = {kind}\nzeta0 = {zeta0}\n\n[simulate]\ninit = {init}\n"
             "horizon = 30\n\n[check]\ncriteria = all\nhorizon = 30\n")
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "run.ini")

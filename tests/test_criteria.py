@@ -96,6 +96,19 @@ class TestDivergenceProbe:
         assert probe.last_partial == 1.0
         assert divergence_probe([1.0, math.inf, math.nan]).status is ProbeStatus.CERTIFIED_DIVERGES
 
+    @pytest.mark.parametrize("scale, p, status", [
+        (1e-12, 0.5, ProbeStatus.CONVERGES_SUGGESTED),  # the last half adds at most CONVERGED_FRAC
+        (1e-4, 0.5, ProbeStatus.DIVERGES_SUGGESTED),    # small growth, fitted p <= P_DIVERGE
+        (1e-4, 1.0, ProbeStatus.UNDECIDED),             # small growth, P_DIVERGE < p < P_CONVERGE
+    ])
+    def test_large_first_term_then_slow_power_law(self, scale, p, status):
+        # terms 1, scale * s^(-p): no witness, rising ratios, and the fit is p
+        s = np.arange(2, 101, dtype=float)
+        probe = divergence_probe(np.concatenate(([1.0], scale * s ** -p)), start_index=1)
+        assert probe.status is status
+        assert probe.term_exponent_estimate == pytest.approx(p, rel=1e-9)
+        assert probe.witness_floor is None and probe.tail_bound is None
+
 
 class TestThm21:
     def test_example1_holds(self):
@@ -182,6 +195,14 @@ class TestThm23:
         v = crit_thm23(eq_with_q("0"), 100)
         assert v.status is VerdictStatus.NUMERICALLY_FAILS
         assert all(row.running_value == 0.0 for row in v.evidence)
+
+    def test_limsup_just_above_one_inconclusive(self):
+        # theta = 2^(1-z) and sum_{s<z} q(s) = c * (2^(z-1) - 1), so v = c * (1 - 2^(1-z))
+        # stays in the band (1, 1 + THM23_MARGIN] for c = 1 + 5e-7
+        v = crit_thm23(eq_with_q("1.0000005*2^(z-1)", r_text="2^z", alpha=(1, 1)), 40)
+        assert v.status is VerdictStatus.INCONCLUSIVE
+        assert 1.0 < v.probe.last_partial <= 1.0 + 1e-6
+        assert v.probe.status is ProbeStatus.UNDECIDED
 
     def test_zeta1_override(self):
         eq = example_equation(1, 2.0)

@@ -1,5 +1,9 @@
 """Tests for the equation model, tail sums and form classification."""
+import gc
 import math
+import pickle
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +24,7 @@ from oscdelay import (
     validate,
 )
 from oscdelay.equation import (BLOCK, MAX_TERMS, ValidationReport, Violation, _geometric_ratio,
-                               _suffix_sums, _tail_table)
+                               _suffix_sums, _table, _tail_table)
 from oscdelay.errors import DivisionByZero, DomainError, NonConvergentError, StageError
 
 
@@ -354,6 +358,44 @@ class TestTableSharing:
         assert a == b and hash(a) == hash(b) and hash(a.r) == hash(b.r)
         assert _tail_table(a) is _tail_table(b)
 
+    def test_equal_equation_compared_with_the_store_once(self, monkeypatch):
+        a, b = make_eq("3^z", RationalExponent(1, 1)), make_eq("3^z", RationalExponent(1, 1))
+        theta(a, 1)
+        calls = []
+        original = HalfLinearEquation.__eq__
+
+        def counting(self, other):
+            calls.append(1)
+            return original(self, other)
+
+        monkeypatch.setattr(HalfLinearEquation, "__eq__", counting)
+        for z in range(1, 201):
+            theta(b, z)
+        assert len(calls) <= 1
+        assert _table(b) is _table(a)
+
+    def test_table_stays_out_of_equality_and_pickles(self):
+        eq = make_eq("2^z", RationalExponent(1, 1), zeta0=2)
+        want = theta(eq, 5)
+        assert "_table" in vars(eq)
+        copy = pickle.loads(pickle.dumps(eq))
+        assert copy == eq and hash(copy) == hash(eq)
+        assert "_table" not in vars(copy)
+        assert theta(copy, 5) == want
+
+    def test_table_holds_no_reference_to_its_equation(self):
+        # a reference cycle would keep every table until the cycle collector runs
+        eq = make_eq("5^z", RationalExponent(1, 1))
+        theta(eq, 1)
+        _tail_table.cache_clear()
+        ref = weakref.ref(eq)
+        gc.disable()
+        try:
+            del eq
+            assert ref() is None
+        finally:
+            gc.enable()
+
 
 class TestClosedFormCertification:
     """A closed form is certified only when a numeric check actually ran."""
@@ -444,12 +486,18 @@ class TestThetaProperties:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_call_order_purity(self, case):
         eq, zs = case
-        _tail_table.cache_clear()
-        forward = [theta(eq, z) for z in zs]
-        _tail_table.cache_clear()
-        reverse = [theta(eq, z) for z in reversed(zs)][::-1]
-        _tail_table.cache_clear()
-        again = [theta(eq, z) for z in zs]
+
+        def fresh():
+            # an empty store and an equal equation that holds no table: a new table
+            _tail_table.cache_clear()
+            return replace(eq)
+
+        first = fresh()
+        forward = [theta(first, z) for z in zs]
+        second = fresh()
+        reverse = [theta(second, z) for z in reversed(zs)][::-1]
+        third = fresh()
+        again = [theta(third, z) for z in zs]
         assert forward == reverse == again
 
 

@@ -2,6 +2,7 @@
 import pytest
 
 from oscdelay import FormClass, example_equation, reproduce_example, theta
+from oscdelay.equation import _table, _tail_table
 
 
 class TestExampleEquations:
@@ -13,6 +14,14 @@ class TestExampleEquations:
         for n in (1, 2, 3):
             rep = reproduce_example(n)
             assert rep["form_class"] is FormClass.NON_CANONICAL
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_equal_examples_share_one_table(self, n):
+        a, b = example_equation(n), example_equation(n)
+        assert a == b and a is not b
+        theta(a, a.zeta0)
+        theta(b, b.zeta0)
+        assert _table(a) is _table(b)
 
     def test_example2_starts_at_two(self):
         # r(1) = 0 would violate positivity, so the built-in starts at 2
@@ -43,6 +52,19 @@ class TestReproduction:
         assert rows["max |q(s) * theta^(alpha+1)(s+1) - 1|"]["computed"] <= 1e-9
         (v22b,) = rep["verdicts"]
         assert v22b.holds
+
+    @pytest.mark.parametrize("n, quantity, published, zs", [
+        (2, "max |theta(z) - 1/(z-1)| on [2, 50]", lambda z: 1.0 / (z - 1.0), range(2, 51)),
+        (3, "max |theta(z) - 1/z| on [1, 50]", lambda z: 1.0 / z, range(1, 51)),
+    ], ids=["example2", "example3"])
+    def test_theta_rows_read_the_numeric_tail_sum(self, n, quantity, published, zs):
+        # theta returns the published value once it passes its check; the row
+        # compares the published value with the tail sum itself
+        row = next(r for r in reproduce_example(n)["comparison"] if r["quantity"] == quantity)
+        eq = example_equation(n)
+        want = max(abs(_tail_table(eq).lookup(z)[0].value - published(z)) for z in zs)
+        assert row["computed"] == want
+        assert 0.0 < want <= 1e-9
 
     def test_example3_transform_columns(self):
         rep = reproduce_example(3)

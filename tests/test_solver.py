@@ -103,6 +103,32 @@ class TestIterate:
         assert traj.status.at is not None
         assert len(traj.x) < 3001 - traj.start_index + 1
 
+    @pytest.mark.parametrize("alpha, values", [
+        (RationalExponent(1, 1), (0.0, -1e308, 1e308)),  # the first difference is inf
+        (RationalExponent(3, 1), (0.0, 1.0, 1e308)),     # its cube overflows
+    ])
+    def test_first_step_overflow_marks_zeta0(self, alpha, values):
+        eq = HalfLinearEquation(r=Sequence.from_expression("1"), q=Sequence.from_expression("1"),
+                                alpha=alpha, sigma=1, delay_form=DelayForm.MINUS_SIGMA, zeta0=1)
+        traj = iterate(eq, InitialData.for_equation(eq, values), 30)
+        assert traj.status == TrajectoryStatus(StatusKind.OVERFLOWED, 1)
+        assert traj.x == values and traj.y == ()
+
+    def test_quasi_difference_overflow_marks_next_index(self):
+        # y(3) = y(2) - 1e308 * x(1) = -2e308
+        eq = linear_eq(q_text="1e308", zeta0=1)
+        traj = iterate(eq, InitialData.for_equation(eq, [1.0, 1.0, 1.0]), 30)
+        assert traj.status == TrajectoryStatus(StatusKind.OVERFLOWED, 3)
+        assert len(traj.y) == 2 and traj.end_index == 3
+
+    def test_nonpositive_r_marks_next_index(self):
+        eq = HalfLinearEquation(r=Sequence.from_expression("5-z"), q=Sequence.from_expression("1"),
+                                alpha=RationalExponent(1, 1), sigma=1,
+                                delay_form=DelayForm.MINUS_SIGMA, zeta0=1)
+        traj = iterate(eq, InitialData.for_equation(eq, [1.0, 1.0, 1.0]), 30)
+        assert traj.status == TrajectoryStatus(StatusKind.DOMAIN_ERROR, 5)  # r(5) = 0
+        assert traj.end_index == 5
+
     def test_underflowing_q_completes(self):
         # q(z) = 1/2^z is 0.0 from z = 1024 on: 2^z overflows to inf, and 1/inf is 0
         eq = linear_eq(q_text="1/2^z", sigma=0, zeta0=1)
