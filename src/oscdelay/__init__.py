@@ -38,7 +38,6 @@ from .criteria import (
     evaluate_criterion,
 )
 from .transform import (
-    CanonicalEquation,
     canonical_residual,
     crit_canonical_sumq,
     to_canonical,
@@ -80,7 +79,6 @@ __all__ = [
     "crit_thm23",
     "divergence_probe",
     "evaluate_criterion",
-    "CanonicalEquation",
     "canonical_residual",
     "crit_canonical_sumq",
     "to_canonical",

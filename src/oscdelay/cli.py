@@ -16,7 +16,7 @@ from .equation import classify_form, theta, validate
 from .errors import ConfigError, OscDelayError, StageError
 from .examples import reproduce_example
 from .report import new_report, render
-from .solver import InitialData, classify_trajectory, iterate
+from .solver import classify_trajectory, iterate
 from .transform import crit_canonical_sumq, to_canonical
 
 STAGE_ORDER = ("validate", "classify", "simulate", "check", "transform")
@@ -25,7 +25,7 @@ STAGE_ORDER = ("validate", "classify", "simulate", "check", "transform")
 def run_stages(cfg: RunConfig, stages) -> dict:
     """Execute the requested stages in pipeline order, recording per-stage errors."""
     report = new_report(cfg.echo())
-    eq = cfg.build_equation()
+    eq = cfg.equation
     wanted = [s for s in STAGE_ORDER if s in stages]
 
     def record_error(stage: str, exc: Exception):
@@ -47,8 +47,7 @@ def run_stages(cfg: RunConfig, stages) -> dict:
             elif stage == "simulate":
                 if cfg.simulate is None:
                     continue
-                init = InitialData.for_equation(eq, cfg.simulate.init)
-                traj = iterate(eq, init, eq.zeta0 + cfg.simulate.horizon)
+                traj = iterate(eq, cfg.simulate.init, eq.zeta0 + cfg.simulate.horizon)
                 classification = None
                 if len(traj.x) >= len(traj.x) // 5 + 8:
                     classification = classify_trajectory(traj, tol=cfg.simulate.tol)
@@ -81,8 +80,8 @@ def run_stages(cfg: RunConfig, stages) -> dict:
                 report["stages"]["transform"] = {
                     "sigma": ceq.sigma,
                     "zeta0": ceq.zeta0,
-                    "r_tilde_samples": [[z, ceq.r_tilde(z)] for z in zs],
-                    "q_tilde_samples": [[z, ceq.q_tilde(z)] for z in zs],
+                    "r_tilde_samples": [[z, ceq.r(z)] for z in zs],
+                    "q_tilde_samples": [[z, ceq.q(z)] for z in zs],
                     "sumq_verdict": crit_canonical_sumq(ceq, horizon),
                 }
         except OscDelayError as exc:

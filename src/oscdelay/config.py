@@ -36,24 +36,18 @@ from .equation import DelayForm, HalfLinearEquation
 from .errors import ConfigError, LexError, ParseError
 from .power import RationalExponent
 from .sequences import Sequence
-
-_FORMS = {
-    "delay": DelayForm.MINUS_SIGMA,
-    "delay_plus_one": DelayForm.MINUS_SIGMA_PLUS_ONE,
-}
+from .solver import InitialData
 
 
 @dataclass(frozen=True)
 class SimulateConfig:
-    init: tuple
+    init: InitialData
     horizon: int
     tol: float = 1e-8
 
     def __post_init__(self):
         if self.horizon < 2:
             raise ConfigError(f"simulate horizon must be at least 2, got {self.horizon}")
-        if not any(v != 0.0 for v in self.init):
-            raise ConfigError("init must have a nonzero value")
 
 
 @dataclass(frozen=True)
@@ -74,50 +68,31 @@ class OutputConfig:
 
 @dataclass(frozen=True)
 class RunConfig:
-    r_text: str
-    q_text: str
-    alpha: RationalExponent
-    sigma: int
-    form: DelayForm
-    zeta0: int
-    theta_closed_form_text: Optional[str] = None
+    equation: HalfLinearEquation
     simulate: Optional[SimulateConfig] = None
     check: Optional[CheckConfig] = None
     output: OutputConfig = field(default_factory=OutputConfig)
 
     def build_equation(self) -> HalfLinearEquation:
-        theta_cf = None
-        if self.theta_closed_form_text is not None:
-            theta_cf = Sequence.from_expression(self.theta_closed_form_text)
-        try:
-            return HalfLinearEquation(
-                r=Sequence.from_expression(self.r_text),
-                q=Sequence.from_expression(self.q_text),
-                alpha=self.alpha,
-                sigma=self.sigma,
-                delay_form=self.form,
-                zeta0=self.zeta0,
-                theta_closed_form=theta_cf,
-            )
-        except (LexError, ParseError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
+        return self.equation
 
     def echo(self) -> dict:
+        eq = self.equation
         out = {
             "equation": {
-                "r": self.r_text,
-                "q": self.q_text,
-                "alpha": str(self.alpha),
-                "sigma": self.sigma,
-                "form": self.form.value,
-                "zeta0": self.zeta0,
+                "r": eq.r.name,
+                "q": eq.q.name,
+                "alpha": str(eq.alpha),
+                "sigma": eq.sigma,
+                "form": eq.delay_form.value,
+                "zeta0": eq.zeta0,
             }
         }
-        if self.theta_closed_form_text is not None:
-            out["equation"]["theta_closed_form"] = self.theta_closed_form_text
+        if eq.theta_closed_form is not None:
+            out["equation"]["theta_closed_form"] = eq.theta_closed_form.name
         if self.simulate:
             out["simulate"] = {
-                "init": list(self.simulate.init),
+                "init": list(self.simulate.init.values),
                 "horizon": self.simulate.horizon,
                 "tol": self.simulate.tol,
             }
@@ -180,27 +155,32 @@ def parse_config(path: str) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"bad alpha: {exc}") from exc
     form_text = _get(sec, "form", str, "equation")
-    if form_text not in _FORMS:
-        raise ConfigError(f"form must be 'delay' or 'delay_plus_one', got {form_text!r}")
+    try:
+        form = DelayForm(form_text)
+    except ValueError:
+        raise ConfigError(f"form must be 'delay' or 'delay_plus_one', got {form_text!r}") from None
     sigma = _get(sec, "sigma", int, "equation")
-    form = _FORMS[form_text]
-    if sigma < 0:
-        raise ConfigError("sigma must be non-negative")
-    if form is DelayForm.MINUS_SIGMA_PLUS_ONE and sigma < 1:
-        raise ConfigError("form = delay_plus_one requires sigma >= 1")
+
+    def expression(key: str) -> Sequence:
+        return Sequence.from_expression(_unquote(_get(sec, key, str, "equation")))
+
+    try:
+        equation = HalfLinearEquation(
+            r=expression("r"), q=expression("q"), alpha=alpha, sigma=sigma, delay_form=form,
+            zeta0=_get(sec, "zeta0", int, "equation"),
+            theta_closed_form=expression("theta_closed_form") if "theta_closed_form" in sec else None,
+        )
+    except (LexError, ParseError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
 
     simulate = None
     if "simulate" in parser:
         sim = parser["simulate"]
-        init_text = _get(sim, "init", str, "simulate")
+        values = [v for v in _get(sim, "init", str, "simulate").split(",") if v.strip()]
         try:
-            init = tuple(float(v) for v in init_text.split(",") if v.strip())
+            init = InitialData.for_equation(equation, values)
         except ValueError as exc:
             raise ConfigError(f"bad init list: {exc}") from exc
-        if len(init) != sigma + 2:
-            raise ConfigError(
-                f"init must list sigma + 2 = {sigma + 2} values, got {len(init)}"
-            )
         simulate = SimulateConfig(
             init=init,
             horizon=_get(sim, "horizon", int, "simulate"),
@@ -221,15 +201,4 @@ def parse_config(path: str) -> RunConfig:
             raise ConfigError(f"output format must be json or csv, got {fmt!r}")
         output = OutputConfig(format=fmt, path=_unquote(out.get("path", "")) or None)
 
-    return RunConfig(
-        r_text=_unquote(_get(sec, "r", str, "equation")),
-        q_text=_unquote(_get(sec, "q", str, "equation")),
-        alpha=alpha,
-        sigma=sigma,
-        form=form,
-        zeta0=_get(sec, "zeta0", int, "equation"),
-        theta_closed_form_text=_unquote(sec["theta_closed_form"]) if "theta_closed_form" in sec else None,
-        simulate=simulate,
-        check=check,
-        output=output,
-    )
+    return RunConfig(equation=equation, simulate=simulate, check=check, output=output)

@@ -107,12 +107,15 @@ class HalfLinearEquation:
         return rv ** (-self.alpha.den / self.alpha.num)
 
     def inv_r_alpha_array(self, s: np.ndarray) -> np.ndarray:
+        """r(s)^(-1/alpha), NaN where r is infinite; raises DomainError unless r > 0."""
         rv = self.r.eval_array(s)
         if rv.size and not np.all(rv > 0):
             bad = int(np.asarray(s)[np.argmax(~(rv > 0))])
             raise DomainError(f"r({bad}) is not positive")
         with np.errstate(over="ignore"):
-            return rv ** (-self.alpha.den / self.alpha.num)
+            t = rv ** (-self.alpha.den / self.alpha.num)
+        t[np.isinf(rv)] = np.nan
+        return t
 
 
 def _sum_inv_r_alpha(eq: HalfLinearEquation, lo: int, hi: int) -> float:
@@ -209,11 +212,28 @@ class _TailTable:
         self.blocks = {0: (_suffix_sums(self._first), self.after[0], self.rest)}
         del self._first
 
-    def _terms(self, s: int, m: int) -> np.ndarray:
+    def _terms(self, s: int, m: int) -> tuple:
+        """(the terms on [s, s + m), 0 where r is infinite; the first such offset, or m)."""
         t = self.eq.inv_r_alpha_array(np.arange(s, s + m, dtype=float))
-        if not np.all(np.isfinite(t)):
+        if np.isinf(t).any():
             raise NonConvergentError(f"tail terms overflow near index {s}: series looks divergent")
-        return t
+        inf_r = np.isnan(t)
+        t[inf_r] = 0.0
+        return t, int(np.argmax(inf_r)) if inf_r.any() else m
+
+    def _certificate(self, hist: np.ndarray, stop: int) -> Optional[tuple]:
+        """(T, tail bound, certified, method, remainder) from hist, the terms before stop; or None."""
+        rho = _geometric_ratio(hist)
+        if rho is not None:
+            # underflowed to zero after a decaying run: tail is below tol
+            bound = self.tol if hist[-1] == 0.0 else float(hist[-1]) * rho / (1.0 - rho)
+            return (stop - 1, bound, True, "geometric",
+                    lambda s_last, t_last: t_last * rho / (1.0 - rho))
+        p = _fit_power_exponent(np.arange(stop - hist.size, stop, dtype=float), hist)
+        if p is not None and p > POLY_MIN_EXPONENT and hist[-1] > 0:
+            return (stop - 1, None, False, "poly_tail",
+                    lambda s_last, t_last: _poly_tail_estimate(s_last, t_last, p))
+        return None
 
     def _scan(self, sums: list) -> tuple:
         """Sum blocks to a tail certificate: (T, tail bound, certified, method, remainder)."""
@@ -223,7 +243,7 @@ class _TailTable:
         keep = max(FIT_WINDOW, RATIO_WINDOW + 1)
         for s in range(z0, last, BLOCK):
             m = min(BLOCK, last - s)
-            t = self._terms(s, m)
+            t, r_inf = self._terms(s, m)
             if s == z0:
                 self._first = t
             sums.append(float(np.sum(t)))
@@ -232,19 +252,14 @@ class _TailTable:
             stopped = bool(below.any())
             n = int(np.argmax(below)) + 1 if stopped else m
             hist = np.concatenate([hist, t[:n]])[-keep:]
-            if stopped:
-                rho = _geometric_ratio(hist)
-                if rho is not None:
-                    # underflowed to zero after a decaying run: tail is below tol
-                    bound = self.tol if hist[-1] == 0.0 else float(hist[-1]) * rho / (1.0 - rho)
-                    return (s + n - 1, bound, True, "geometric",
-                            lambda s_last, t_last: t_last * rho / (1.0 - rho))
-                p = _fit_power_exponent(np.arange(s + n - hist.size, s + n, dtype=float), hist)
-                if p is not None and p > POLY_MIN_EXPONENT and hist[-1] > 0:
-                    return (s + n - 1, None, False, "poly_tail",
-                            lambda s_last, t_last: _poly_tail_estimate(s_last, t_last, p))
-                # tiny terms that decay too slowly to bound: keep summing
-                hist = np.concatenate([hist, t[n:]])[-keep:]
+            found = self._certificate(hist, s + n) if stopped else None
+            # only the terms summed up to the stop need r: validate's H1 fails there
+            if r_inf < (n if found else m):
+                raise DomainError(f"r({s + r_inf}) is not finite")
+            if found:
+                return found
+            # past a stop, tiny terms that decay too slowly to bound: keep summing
+            hist = np.concatenate([hist, t[n:]])[-keep:]
             block_min = float(t.min())
             if prev_min is not None and 0 < block_min >= (1.0 - TREND_TOL) * prev_min:
                 raise NonConvergentError(
@@ -262,7 +277,7 @@ class _TailTable:
             j, i = divmod(zeta - self.end - 1, BLOCK)
             k, start, m = scanned + j, self.end + 1 + j * BLOCK, BLOCK
         if k not in self.blocks:
-            t = self._terms(start, m)
+            t, _ = self._terms(start, m)
             rest = self.rest if k < scanned else self.remainder(start + m - 1.0, float(t[-1]))
             self.blocks[k] = (_suffix_sums(t), self.after[k] if k < scanned else 0.0, rest)
         suffix, after, rest = self.blocks[k]
@@ -329,8 +344,8 @@ def theta_extended(eq: HalfLinearEquation, zeta: int) -> TailSumResult:
     """
     if zeta >= eq.zeta0:
         return theta(eq, zeta)
-    base = theta(eq, eq.zeta0)
     gap = _sum_inv_r_alpha(eq, zeta, eq.zeta0)
+    base = theta(eq, eq.zeta0)
     return replace(base, value=base.value + gap, method=base.method + "+extension")
 
 

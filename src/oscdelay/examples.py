@@ -16,6 +16,7 @@ q_tilde = 4; all three facts are surfaced in the report.
 """
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional
 
 from . import criteria
@@ -23,12 +24,7 @@ from .criteria import evaluate_criterion
 from .equation import DelayForm, HalfLinearEquation, _table, classify_form, validate
 from .power import RationalExponent
 from .sequences import Sequence
-from .transform import (
-    CanonicalEquation,
-    canonical_residual,
-    crit_canonical_sumq,
-    to_canonical,
-)
+from .transform import canonical_residual, crit_canonical_sumq, to_canonical
 
 # Each example's [equation] section as a config file holds it: r, q, alpha, sigma,
 # form, zeta0 and the published theta.  Example 2 starts at 2: r vanishes at 1.
@@ -117,10 +113,10 @@ def reproduce_example(n: int, lambda0: float = 2.0, horizon: int = 200) -> dict:
         ceq = to_canonical(eq)
         theta_err = _theta_error(eq, range(1, 51))
         rows.append(_row("max |theta(z) - 1/z| on [1, 50]", 0.0, theta_err))
-        rt_err = max(abs(ceq.r_tilde(z) - 1.0) for z in range(1, 101))
+        rt_err = max(abs(ceq.r(z) - 1.0) for z in range(1, 101))
         rows.append(_row("max |r_tilde(z) - 1| on [1, 100]", 0.0, rt_err))
-        qt2 = ceq.q_tilde(2)
-        qt_spread = max(abs(ceq.q_tilde(z) - qt2) for z in range(2, 101))
+        qt2 = ceq.q(2)
+        qt_spread = max(abs(ceq.q(z) - qt2) for z in range(2, 101))
         rows.append(_row("q_tilde spread on [2, 100]", 0.0, qt_spread))
         rows.append(
             _row(
@@ -135,12 +131,8 @@ def reproduce_example(n: int, lambda0: float = 2.0, horizon: int = 200) -> dict:
             "published value is 4; the exhibited solution (-1)^z solves the comparison "
             "equation only with q_tilde = 4"
         )
-        literal = CanonicalEquation(
-            r_tilde=Sequence.from_expression("1"),
-            q_tilde=Sequence.from_expression("4"),
-            sigma=2,
-            zeta0=1,
-        )
+        # the published comparison equation: r_tilde = 1, q_tilde = 4
+        literal = replace(ceq, r=Sequence.from_expression("1"), q=Sequence.from_expression("4"))
         alternating = Sequence.closed_form("(-1)^z", lambda z: (-1.0) ** z)
         res = canonical_residual(literal, alternating, 3, 100)
         rows.append(_row("residual of (-1)^z with q_tilde = 4 on [3, 100]", 0.0, res))

@@ -30,15 +30,15 @@ class InitialData:
     """Starting values x(zeta0 - sigma), ..., x(zeta0 + 1), i.e. sigma + 2 reals.
 
     The explicit two-step recurrence needs the full stencil, hence the
-    sigma + 2 count; at least one value must be nonzero.
+    sigma + 2 count; every value must be finite and one nonzero.
     """
 
     start_index: int
     values: tuple
 
     def __post_init__(self):
-        if not any(v != 0.0 for v in self.values):
-            raise ValueError("initial data must be non-trivial (some value nonzero)")
+        if not all(math.isfinite(v) for v in self.values) or not any(self.values):
+            raise ValueError(f"initial data must be finite and not all zero, got {list(self.values)}")
 
     @classmethod
     def for_equation(cls, eq: HalfLinearEquation, values) -> "InitialData":

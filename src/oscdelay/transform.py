@@ -7,31 +7,25 @@ mapped to the canonical comparison equation
 
 with rt(z) = theta(z) theta(z+1) r^(1/alpha)(z) and
 qt(z) = (1/alpha) theta(z+1) theta^(alpha-1)(z) theta(z-sigma+1) q(z).
+Written in y(z) = x(z-1) it is the model equation with r = rt, q = qt,
+alpha = 1 and the z - sigma + 1 delay form, and it is built as one.
 Oscillation of the comparison equation implies oscillation of the original;
 the test applied here is divergence of sum(qt).
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .criteria import CANONICAL_SUM_Q, CriterionVerdict, _series_verdict
 from .equation import DelayForm, HalfLinearEquation, theta, theta_extended
 from .errors import DomainError, StageError
+from .power import RationalExponent
 from .sequences import Sequence
+from .solver import residual_pointwise
 
 
-@dataclass(frozen=True)
-class CanonicalEquation:
-    r_tilde: Sequence
-    q_tilde: Sequence
-    sigma: int
-    zeta0: int
-
-
-def to_canonical(eq: HalfLinearEquation) -> CanonicalEquation:
-    """Build the canonical comparison equation; theta must certify finite."""
+def to_canonical(eq: HalfLinearEquation) -> HalfLinearEquation:
+    """Build the canonical comparison equation in y(z) = x(z-1); theta must certify finite."""
     if eq.delay_form is not DelayForm.MINUS_SIGMA_PLUS_ONE:
         raise StageError("the transform applies to the z - sigma + 1 delay form")
     if eq.alpha.value < 1:
@@ -60,43 +54,41 @@ def to_canonical(eq: HalfLinearEquation) -> CanonicalEquation:
         th_shift = theta_extended(eq, z - eq.sigma + 1).value
         return (a.den / a.num) * th_next * th_here ** (a.value - 1.0) * th_shift * qv
 
-    return CanonicalEquation(
-        r_tilde=Sequence.closed_form("r_tilde", r_tilde, domain_start=eq.zeta0),
-        q_tilde=Sequence.closed_form("q_tilde", q_tilde, domain_start=eq.zeta0),
+    return HalfLinearEquation(
+        r=Sequence.closed_form("r_tilde", r_tilde, domain_start=eq.zeta0),
+        q=Sequence.closed_form("q_tilde", q_tilde, domain_start=eq.zeta0),
+        alpha=RationalExponent(1, 1),
         sigma=eq.sigma,
+        delay_form=DelayForm.MINUS_SIGMA_PLUS_ONE,
         zeta0=eq.zeta0,
     )
 
 
 def canonical_residual_pointwise(
-    ceq: CanonicalEquation, candidate: Sequence, frm: int, to: int
+    ceq: HalfLinearEquation, candidate: Sequence, frm: int, to: int
 ) -> list[tuple[int, float]]:
-    """Pointwise rt(z+1)(x(z+1)-x(z)) - rt(z)(x(z)-x(z-1)) + qt(z) x(z-sigma)."""
-    out = []
-    for z in range(frm, to + 1):
-        xm, x0, xp = candidate(z - 1), candidate(z), candidate(z + 1)
-        lhs = (
-            ceq.r_tilde(z + 1) * (xp - x0)
-            - ceq.r_tilde(z) * (x0 - xm)
-            + ceq.q_tilde(z) * candidate(z - ceq.sigma)
-        )
-        out.append((z, lhs))
-    return out
+    """Pointwise rt(z+1)(x(z+1)-x(z)) - rt(z)(x(z)-x(z-1)) + qt(z) x(z-sigma): the model
+    equation's left-hand side at y(z) = x(z-1), from one table of x on [frm - sigma, to + 1]."""
+    zs = np.arange(frm - ceq.sigma, to + 2)
+    x = candidate.eval_array(zs)
+    if not np.isfinite(x).all():
+        candidate(int(zs[np.argmax(~np.isfinite(x))]))  # raises as a scalar call does
+    return residual_pointwise(ceq, Sequence.from_table(frm - ceq.sigma + 1, x), frm, to)
 
 
-def canonical_residual(ceq: CanonicalEquation, candidate: Sequence, frm: int, to: int) -> float:
+def canonical_residual(ceq: HalfLinearEquation, candidate: Sequence, frm: int, to: int) -> float:
     """Max absolute pointwise residual of the comparison equation."""
     return max(abs(v) for _, v in canonical_residual_pointwise(ceq, candidate, frm, to))
 
 
-def crit_canonical_sumq(ceq: CanonicalEquation, horizon: int) -> CriterionVerdict:
+def crit_canonical_sumq(ceq: HalfLinearEquation, horizon: int) -> CriterionVerdict:
     """Divergence test on sum(qt): when it diverges, the comparison equation
     oscillates and so does the original delay equation.  A negative qt term is
     a StageError, as a negative q is for the criteria."""
 
     def q_tilde(z):
         try:
-            return ceq.q_tilde(z)
+            return ceq.q(z)
         except DomainError as exc:
             raise StageError(f"q_tilde not evaluable at {z}: {exc}") from exc
 

@@ -34,10 +34,10 @@ def test_criterion_02_example3_transform():
     constant within 1e-9 and equal to 4/5 within 1e-9; the reproduction
     report flags the mismatch with the published value 4."""
     ceq = od.to_canonical(od.example_equation(3))
-    rt_err = max(abs(ceq.r_tilde(z) - 1.0) for z in range(1, 101))
+    rt_err = max(abs(ceq.r(z) - 1.0) for z in range(1, 101))
     assert rt_err <= 1e-12
 
-    qt = [ceq.q_tilde(z) for z in range(2, 101)]
+    qt = [ceq.q(z) for z in range(2, 101)]
     spread = max(abs(v - qt[0]) for v in qt)
     assert spread <= 1e-9
     assert abs(qt[0] - 4.0 / 5.0) <= 1e-9
@@ -50,10 +50,12 @@ def test_criterion_02_example3_transform():
 def test_criterion_03_exhibited_solution():
     """(-1)^z solves the comparison equation with r_tilde = 1, q_tilde = 4,
     sigma = 2: residual <= 1e-12 over [3, 100]."""
-    ceq = od.CanonicalEquation(
-        r_tilde=od.Sequence.closed_form("1", lambda z: 1.0),
-        q_tilde=od.Sequence.closed_form("4", lambda z: 4.0),
+    ceq = od.HalfLinearEquation(
+        r=od.Sequence.closed_form("1", lambda z: 1.0),
+        q=od.Sequence.closed_form("4", lambda z: 4.0),
+        alpha=RationalExponent(1, 1),
         sigma=2,
+        delay_form=od.DelayForm.MINUS_SIGMA_PLUS_ONE,
         zeta0=1,
     )
     alternating = od.Sequence.closed_form("(-1)^z", lambda z: (-1.0) ** z)

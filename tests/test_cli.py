@@ -94,8 +94,8 @@ def write_config(tmp_path, text):
 class TestConfig:
     def test_round_trip(self, ex2_config):
         cfg = parse_config(ex2_config)
-        assert cfg.alpha.num == 1 and cfg.alpha.den == 3
-        assert cfg.sigma == 1 and cfg.zeta0 == 2
+        assert cfg.equation.alpha.num == 1 and cfg.equation.alpha.den == 3
+        assert cfg.equation.sigma == 1 and cfg.equation.zeta0 == 2
         assert cfg.check.horizon == 150
         eq = cfg.build_equation()
         assert eq.r(3) == pytest.approx(6.0 ** (1.0 / 3.0))
@@ -302,6 +302,16 @@ class TestCli:
         cl = json.loads(out.read_text())["stages"]["classify"]
         assert cl["form"] == "non_canonical"
 
+    def test_import_loads_no_config_parser(self):
+        # the config module, and configparser with it, load only when a command reads a config
+        src = os.path.dirname(os.path.dirname(oscdelay.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = ("import oscdelay, sys; "
+                "print([m for m in ('oscdelay.config', 'configparser') if m in sys.modules])")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert done.returncode == 0 and done.stdout.strip() == "[]", done.stdout + done.stderr
+
     def test_coefficient_overflow_leaves_stderr_empty(self, tmp_path):
         # the tail pass runs past the index where 3*1.5^z overflows to inf
         path = write_config(tmp_path, EXAMPLE2_INI
@@ -329,10 +339,14 @@ class TestCli:
         (["example", "2", "--horizon", "0"], None),
         (["check"], EXAMPLE3_INI.replace("sigma = 2", "sigma = -1")),
         (["check"], EXAMPLE3_INI.replace("form = delay_plus_one", "form = delay_minus_two")),
+        (["simulate"], EXAMPLE3_INI.replace("init = 1.0, 0.9, 0.8, 0.7", "init = nan, 1, 1, 1")),
+        (["simulate"], EXAMPLE3_INI.replace("init = 1.0, 0.9, 0.8, 0.7", "init = 1, inf, 1, 1")),
+        (["classify"], EXAMPLE3_INI.replace('"1/z"', '"1/"')),
     ], ids=["check-horizon-0", "validate-horizon-neg", "transform-horizon-neg",
             "simulate-horizon-1", "check-section-horizon-0", "simulate-section-horizon-1",
             "zero-init", "check-section-horizon-text", "simulate-section-tol-text",
-            "example1-horizon-neg", "example2-horizon-0", "negative-sigma", "unknown-form"])
+            "example1-horizon-neg", "example2-horizon-0", "negative-sigma", "unknown-form",
+            "nan-init", "inf-init", "unparsable-theta-closed-form"])
     def test_out_of_range_input_exit_one(self, tmp_path, capsys, argv, ini):
         if ini is not None:
             argv = argv + ["--config", write_config(tmp_path, ini)]
@@ -416,6 +430,17 @@ class TestCli:
         assert errors == [{"stage": "transform",
                            "error": "q_tilde(2) = -0.25 < 0: the sum test needs non-negative terms"}]
 
+    def test_classify_infinite_r_exit_two(self, tmp_path):
+        # r(5) = 10^500 is inf: the tail pass fails where validate reports H1
+        path = write_config(tmp_path, EXAMPLE2_INI.replace('"(z*(z-1))^(1/3)"', '"pow(10, z*100)"')
+                            .replace("zeta0 = 2", "zeta0 = 5")
+                            .replace('theta_closed_form = "1/(z-1)"\n', ""))
+        out = tmp_path / "c.json"
+        assert main(["classify", "--config", path, "--out", str(out), "--quiet"]) == 2
+        data = json.loads(out.read_text())
+        assert data["errors"] == [{"stage": "classify", "error": "r(5) is not finite"}]
+        assert data["stages"]["validate"]["violations"][0]["index"] == 5
+
     def test_classify_divergent_tail_canonical(self, tmp_path):
         # r = 1: the tail terms never fall, so theta does not exist
         path = write_config(tmp_path, EXAMPLE2_INI.replace('"(z*(z-1))^(1/3)"', '"1"')
@@ -457,8 +482,12 @@ FUZZ_Q = ("1", "1/z", "1-z", "0", "1/(z-3)", "pow(10, z*100)")
 @given(r=st.sampled_from(FUZZ_R), q=st.sampled_from(FUZZ_Q),
        alpha=st.sampled_from(("1", "1/3", "5/3")),
        form=st.sampled_from((("delay", 0), ("delay", 2), ("delay_plus_one", 1), ("delay_plus_one", 2))),
-       zeta0=st.sampled_from((0, 1, 2)), init=st.none())
+       zeta0=st.sampled_from((0, 1, 2)),
+       init=st.none() | st.lists(st.sampled_from(("1", "nan", "inf", "-inf")),
+                                 min_size=2, max_size=4).map(", ".join))
 @example(r="2^z", q="1-z", alpha="1", form=("delay_plus_one", 2), zeta0=1, init=None)
+# a non-finite initial value is a config error
+@example(r="1", q="1", alpha="1", form=("delay", 1), zeta0=1, init="nan, 1, 1")
 # the first difference overflows, and its cube overflows
 @example(r="1", q="1", alpha="1", form=("delay", 1), zeta0=1, init="0, -1e308, 1e308")
 @example(r="1", q="1", alpha="3", form=("delay", 1), zeta0=1, init="0, 1, 1e308")

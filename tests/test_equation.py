@@ -84,6 +84,31 @@ class TestRPartial:
             R_partial(eq, eq.zeta0 - 1)
 
 
+class TestInfiniteR:
+    """A term the tail pass sums needs a finite r there, as validate's H1 does."""
+
+    def test_infinite_r_at_the_start_is_domain_error(self):
+        # r(5) = 10^500 is inf, so every term is 0; validate reports H1 at 5
+        eq = make_eq("pow(10, z*100)", RationalExponent(1, 3), zeta0=5)
+        assert validate(eq, 10).violations[0].index == 5
+        with pytest.raises(DomainError, match=r"r\(5\) is not finite"):
+            theta(eq, 5)
+        with pytest.raises(DomainError, match=r"r\(5\) is not finite"):
+            classify_form(eq)
+
+    def test_infinite_r_past_the_stop_is_not_judged(self):
+        # 2^(z/3) is inf from z = 3072 on, inside the first block, after the stop
+        eq = make_eq("2^(z/3)", RationalExponent(1, 3))
+        head = theta(eq, 1)
+        assert head.certified and head.truncation_index < 100
+        assert theta(eq, 4000).value == 0.0
+
+    def test_infinite_r_in_a_partial_sum_is_domain_error(self):
+        eq = make_eq("pow(10, z*100)", RationalExponent(1, 3), zeta0=1)
+        with pytest.raises(DomainError, match="index 4"):
+            R_partial(eq, 6)
+
+
 class TestTheta:
     def test_example2_closed_form(self):
         assert theta(example_equation(2), 3).value == pytest.approx(0.5, abs=1e-12)

@@ -2,7 +2,6 @@
 import pytest
 
 from oscdelay import (
-    CanonicalEquation,
     DelayForm,
     HalfLinearEquation,
     RationalExponent,
@@ -11,11 +10,19 @@ from oscdelay import (
     crit_canonical_sumq,
     example_equation,
     to_canonical,
+    validate,
 )
 from oscdelay.criteria import VerdictStatus
-from oscdelay.errors import StageError
+from oscdelay.errors import DomainError, StageError
+from oscdelay.transform import canonical_residual_pointwise
 
 ALTERNATING = Sequence.closed_form("(-1)^z", lambda z: (-1.0) ** z)
+
+
+def comparison_eq(r_tilde, q_tilde, sigma, zeta0):
+    """The comparison equation: the model equation with alpha = 1 in y(z) = x(z-1)."""
+    return HalfLinearEquation(r=r_tilde, q=q_tilde, alpha=RationalExponent(1, 1), sigma=sigma,
+                              delay_form=DelayForm.MINUS_SIGMA_PLUS_ONE, zeta0=zeta0)
 
 
 def plus_one_eq(q_text, r_text="z*(z+1)", alpha=(1, 1), sigma=1, zeta0=1, theta_cf=None):
@@ -33,11 +40,11 @@ def plus_one_eq(q_text, r_text="z*(z+1)", alpha=(1, 1), sigma=1, zeta0=1, theta_
 class TestToCanonical:
     def test_example3_r_tilde_is_one(self):
         ceq = to_canonical(example_equation(3))
-        assert max(abs(ceq.r_tilde(z) - 1.0) for z in range(1, 101)) <= 1e-12
+        assert max(abs(ceq.r(z) - 1.0) for z in range(1, 101)) <= 1e-12
 
     def test_example3_q_tilde_is_four_fifths(self):
         ceq = to_canonical(example_equation(3))
-        values = [ceq.q_tilde(z) for z in range(2, 101)]
+        values = [ceq.q(z) for z in range(2, 101)]
         assert max(abs(v - values[0]) for v in values) <= 1e-9
         assert abs(values[0] - 0.8) <= 1e-9
 
@@ -49,9 +56,9 @@ class TestToCanonical:
         )
         ceq = to_canonical(eq)
         for z in range(2, 60):
-            assert ceq.r_tilde(z) == pytest.approx(1.0, abs=1e-9)
+            assert ceq.r(z) == pytest.approx(1.0, abs=1e-9)
             want = (z * z + 1.0) / (z * (z + 1.0))
-            assert ceq.q_tilde(z) == pytest.approx(want, rel=1e-9)
+            assert ceq.q(z) == pytest.approx(want, rel=1e-9)
 
     def test_numeric_theta_path(self):
         eq = HalfLinearEquation(
@@ -63,7 +70,7 @@ class TestToCanonical:
             zeta0=1,
         )
         ceq = to_canonical(eq)
-        assert max(abs(ceq.r_tilde(z) - 1.0) for z in range(1, 101)) <= 1e-8
+        assert max(abs(ceq.r(z) - 1.0) for z in range(1, 101)) <= 1e-8
 
     def test_q_scaling_linearity(self):
         base = to_canonical(example_equation(3))
@@ -78,7 +85,7 @@ class TestToCanonical:
         )
         scaled = to_canonical(scaled_eq)
         for z in range(2, 60):
-            assert scaled.q_tilde(z) == pytest.approx(3.0 * base.q_tilde(z), rel=1e-12)
+            assert scaled.q(z) == pytest.approx(3.0 * base.q(z), rel=1e-12)
 
     def test_wrong_form_rejected(self):
         with pytest.raises(StageError):
@@ -100,7 +107,7 @@ class TestToCanonical:
 
 class TestCanonicalResidual:
     def test_alternating_solves_published_comparison(self):
-        literal = CanonicalEquation(
+        literal = comparison_eq(
             r_tilde=Sequence.closed_form("1", lambda z: 1.0),
             q_tilde=Sequence.closed_form("4", lambda z: 4.0),
             sigma=2,
@@ -109,7 +116,7 @@ class TestCanonicalResidual:
         assert canonical_residual(literal, ALTERNATING, 3, 100) <= 1e-12
 
     def test_constant_with_zero_q(self):
-        ceq = CanonicalEquation(
+        ceq = comparison_eq(
             r_tilde=Sequence.closed_form("1", lambda z: 1.0),
             q_tilde=Sequence.closed_form("0", lambda z: 0.0),
             sigma=2,
@@ -121,7 +128,7 @@ class TestCanonicalResidual:
     def test_four_fifths_mismatch_value(self):
         # with the computed constant 4/5 the alternating candidate misses by
         # exactly 16/5 at every index
-        ceq = CanonicalEquation(
+        ceq = comparison_eq(
             r_tilde=Sequence.closed_form("1", lambda z: 1.0),
             q_tilde=Sequence.closed_form("4/5", lambda z: 0.8),
             sigma=2,
@@ -134,9 +141,59 @@ class TestCanonicalResidual:
             assert abs(abs(v) - 3.2) <= 1e-12
 
 
+def reference_residual(ceq, candidate, frm, to):
+    """rt(z+1)(x(z+1)-x(z)) - rt(z)(x(z)-x(z-1)) + qt(z) x(z-sigma), one index at a time in x."""
+    out = []
+    for z in range(frm, to + 1):
+        xm, x0, xp = candidate(z - 1), candidate(z), candidate(z + 1)
+        lhs = ceq.r(z + 1) * (xp - x0) - ceq.r(z) * (x0 - xm) + ceq.q(z) * candidate(z - ceq.sigma)
+        out.append((z, lhs))
+    return out
+
+
+def literal(q):
+    return comparison_eq(Sequence.from_expression("1"), Sequence.from_expression(q), 2, 1)
+
+
+class TestResidualOracle:
+    """The comparison residual, evaluated as the model equation's in y(z) = x(z-1),
+    equals the per-index x-form formula exactly."""
+
+    @pytest.mark.parametrize("make_ceq, candidate, frm, to", [
+        (lambda: literal("4"), ALTERNATING, 3, 100),
+        (lambda: literal("4/5"), ALTERNATING, 3, 100),
+        (lambda: to_canonical(example_equation(3)), ALTERNATING, 1, 60),
+        (lambda: to_canonical(example_equation(3)), Sequence.from_expression("1/z^2"), 3, 60),
+        (lambda: literal("4"), Sequence.closed_form("c", lambda z: 2.5), 3, 50),
+        (lambda: to_canonical(example_equation(3)), Sequence.from_table(-1, [0.5 ** k for k in range(63)]), 1, 60),
+    ], ids=["literal-4", "literal-4/5", "example3-alternating", "example3-expression",
+            "constant", "table"])
+    def test_matches_reference(self, make_ceq, candidate, frm, to):
+        ceq = make_ceq()
+        want = reference_residual(ceq, candidate, frm, to)
+        assert canonical_residual_pointwise(ceq, candidate, frm, to) == want
+
+    # frm - sigma = -1 and to + 1 = 61: each table leaves one of them out
+    @pytest.mark.parametrize("candidate", [
+        Sequence.from_table(0, [1.0] * 62),
+        Sequence.from_table(-1, [1.0] * 62),
+        Sequence.from_expression("2^(z*20)"),  # not finite from z = 52
+    ], ids=["table-misses-frm-sigma", "table-misses-to-plus-1", "overflowing-expression"])
+    def test_failure_raises_as_reference(self, candidate):
+        ceq = to_canonical(example_equation(3))
+        with pytest.raises(DomainError) as want:
+            reference_residual(ceq, candidate, 1, 60)
+        with pytest.raises(DomainError) as got:
+            canonical_residual_pointwise(ceq, candidate, 1, 60)
+        assert type(got.value) is type(want.value)
+
+    def test_example3_comparison_satisfies_hypotheses(self):
+        assert validate(to_canonical(example_equation(3)), 50).violations == ()
+
+
 class TestCanonicalSumQ:
     def test_constant_four_certified(self):
-        ceq = CanonicalEquation(
+        ceq = comparison_eq(
             r_tilde=Sequence.closed_form("1", lambda z: 1.0),
             q_tilde=Sequence.closed_form("4", lambda z: 4.0),
             sigma=2,
@@ -150,7 +207,7 @@ class TestCanonicalSumQ:
         assert v.status is VerdictStatus.CERTIFIED_HOLDS
 
     def test_summable_q_tilde_fails(self):
-        ceq = CanonicalEquation(
+        ceq = comparison_eq(
             r_tilde=Sequence.closed_form("1", lambda z: 1.0),
             q_tilde=Sequence.closed_form("2^-z", lambda z: 2.0 ** -z),
             sigma=2,
@@ -161,7 +218,7 @@ class TestCanonicalSumQ:
 
     def test_negative_q_tilde_is_stage_error(self):
         # the sum test needs non-negative terms; the first negative one is named
-        ceq = CanonicalEquation(
+        ceq = comparison_eq(
             r_tilde=Sequence.closed_form("1", lambda z: 1.0),
             q_tilde=Sequence.closed_form("-1", lambda z: -1.0),
             sigma=1,
