@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 import traceback
 
@@ -178,6 +179,8 @@ def main(argv=None) -> int:
         if args.horizon is not None and args.horizon < 1:
             raise ConfigError(f"--horizon must be at least 1, got {args.horizon}")
         if args.command == "example":
+            if not math.isfinite(args.lambda0):
+                raise ConfigError(f"--lambda0 must be finite, got {args.lambda0}")
             example = reproduce_example(args.number, lambda0=args.lambda0,
                                         horizon=args.horizon or 200)
             report = new_report({"example": args.number, "lambda0": args.lambda0})

@@ -28,6 +28,7 @@ Expressions are quoted strings in the package's expression language, e.g.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -36,18 +37,20 @@ from .equation import DelayForm, HalfLinearEquation
 from .errors import ConfigError, LexError, ParseError
 from .power import RationalExponent
 from .sequences import Sequence
-from .solver import InitialData
+from .solver import ZERO_TOL, InitialData
 
 
 @dataclass(frozen=True)
 class SimulateConfig:
     init: InitialData
     horizon: int
-    tol: float = 1e-8
+    tol: float = ZERO_TOL
 
     def __post_init__(self):
         if self.horizon < 2:
             raise ConfigError(f"simulate horizon must be at least 2, got {self.horizon}")
+        if not 0 <= self.tol < math.inf:
+            raise ConfigError(f"simulate tol must be finite and non-negative, got {self.tol}")
 
 
 @dataclass(frozen=True)
@@ -184,7 +187,7 @@ def parse_config(path: str) -> RunConfig:
         simulate = SimulateConfig(
             init=init,
             horizon=_get(sim, "horizon", int, "simulate"),
-            tol=_get(sim, "tol", float, "simulate", 1e-8),
+            tol=_get(sim, "tol", float, "simulate", ZERO_TOL),
         )
 
     check = None

@@ -41,8 +41,8 @@ class FormClass(enum.Enum):
 # certificate (_geometric_ratio) holds on the terms summed, with
 # tail_bound = term * rho / (1 - rho).  When it fails but the terms decay like a
 # power s^(-p) with p > POLY_MIN_EXPONENT, an uncertified power-law tail estimate
-# is added.  Otherwise summation stops at MAX_TERMS, uncertified.  The terms are
-# judged divergent when a block's minimum is not TREND_TOL below the one before.
+# is added.  Otherwise summation stops, uncertified, after a block of zeros or at
+# MAX_TERMS.  Terms are judged divergent when a block's minimum is not TREND_TOL below the last.
 TAIL_TOL = 1e-12
 MAX_TERMS = 1_000_000
 BLOCK = 65536
@@ -106,22 +106,23 @@ class HalfLinearEquation:
             raise DomainError(f"r({zeta}) = {rv} is not positive")
         return rv ** (-self.alpha.den / self.alpha.num)
 
-    def inv_r_alpha_array(self, s: np.ndarray) -> np.ndarray:
-        """r(s)^(-1/alpha), NaN where r is infinite; raises DomainError unless r > 0."""
-        rv = self.r.eval_array(s)
-        if rv.size and not np.all(rv > 0):
-            bad = int(np.asarray(s)[np.argmax(~(rv > 0))])
-            raise DomainError(f"r({bad}) is not positive")
-        with np.errstate(over="ignore"):
-            t = rv ** (-self.alpha.den / self.alpha.num)
-        t[np.isinf(rv)] = np.nan
-        return t
+
+def _inv_r_alpha(r: Sequence, alpha: RationalExponent, s: np.ndarray) -> np.ndarray:
+    """r(s)^(-1/alpha), NaN where r is infinite; raises DomainError unless r > 0."""
+    rv = r.eval_array(s)
+    if rv.size and not np.all(rv > 0):
+        bad = int(np.asarray(s)[np.argmax(~(rv > 0))])
+        raise DomainError(f"r({bad}) is not positive")
+    with np.errstate(over="ignore"):
+        t = rv ** (-alpha.den / alpha.num)
+    t[np.isinf(rv)] = np.nan
+    return t
 
 
 def _sum_inv_r_alpha(eq: HalfLinearEquation, lo: int, hi: int) -> float:
     """Sum of r^(-1/alpha) over [lo, hi); DomainError where r is not positive or a
     term is not finite."""
-    terms = eq.inv_r_alpha_array(np.arange(lo, hi, dtype=float))
+    terms = _inv_r_alpha(eq.r, eq.alpha, np.arange(lo, hi, dtype=float))
     if not np.all(np.isfinite(terms)):
         bad = lo + int(np.argmax(~np.isfinite(terms)))
         raise DomainError(f"r^(-1/alpha) not finite at index {bad}")
@@ -198,11 +199,9 @@ class _TailTable:
     theta(z) = suffix sum of z's block + sums of later scanned blocks + remainder.
     """
 
-    def __init__(self, eq: HalfLinearEquation):
-        # an equal copy: a table never refers to an equation that holds it
-        self.eq = replace(eq)
+    def __init__(self, r: Sequence, alpha: RationalExponent, zeta0: int, closed: bool):
+        self.r, self.alpha, self.zeta0 = r, alpha, zeta0
         # a closed form is only cross-checked, by a looser and shorter pass
-        closed = eq.theta_closed_form is not None
         self.tol, self.max_terms = (CHECK_TOL, CHECK_MAX_TERMS) if closed else (TAIL_TOL, MAX_TERMS)
         sums: list = []
         *self.meta, self.remainder = self._scan(sums)
@@ -214,7 +213,7 @@ class _TailTable:
 
     def _terms(self, s: int, m: int) -> tuple:
         """(the terms on [s, s + m), 0 where r is infinite; the first such offset, or m)."""
-        t = self.eq.inv_r_alpha_array(np.arange(s, s + m, dtype=float))
+        t = _inv_r_alpha(self.r, self.alpha, np.arange(s, s + m, dtype=float))
         if np.isinf(t).any():
             raise NonConvergentError(f"tail terms overflow near index {s}: series looks divergent")
         inf_r = np.isnan(t)
@@ -237,7 +236,7 @@ class _TailTable:
 
     def _scan(self, sums: list) -> tuple:
         """Sum blocks to a tail certificate: (T, tail bound, certified, method, remainder)."""
-        z0, last = self.eq.zeta0, self.eq.zeta0 + self.max_terms
+        z0, last = self.zeta0, self.zeta0 + self.max_terms
         hist = np.empty(0)  # the last terms summed, up to the current stop
         prev_min: Optional[float] = None  # the trend screen's last block
         keep = max(FIT_WINDOW, RATIO_WINDOW + 1)
@@ -258,6 +257,8 @@ class _TailTable:
                 raise DomainError(f"r({s + r_inf}) is not finite")
             if found:
                 return found
+            if not t.any():  # all underflowed: no float pass can tell whether the tail converges
+                return self.end, None, False, "underflow", lambda s_last, t_last: 0.0
             # past a stop, tiny terms that decay too slowly to bound: keep summing
             hist = np.concatenate([hist, t[n:]])[-keep:]
             block_min = float(t.min())
@@ -269,7 +270,7 @@ class _TailTable:
 
     def lookup(self, zeta: int) -> tuple:
         """(theta(zeta) for zeta >= zeta0, the partial sum in it: a certified lower bound)."""
-        z0, scanned = self.eq.zeta0, len(self.after)
+        z0, scanned = self.zeta0, len(self.after)
         if zeta <= self.end:
             k, i = divmod(zeta - z0, BLOCK)
             start, m = z0 + k * BLOCK, min(BLOCK, self.end + 1 - z0 - k * BLOCK)
@@ -290,18 +291,18 @@ class _TailTable:
 _MAX_TABLES = 4
 
 
-@functools.lru_cache(maxsize=_MAX_TABLES)
-def _tail_table(eq: HalfLinearEquation) -> _TailTable:
-    return _TailTable(eq)
+# keyed on _TailTable's arguments (r, alpha, zeta0, closed), the only inputs theta has
+_tail_table = functools.lru_cache(maxsize=_MAX_TABLES)(_TailTable)
 
 
 def _table(eq: HalfLinearEquation) -> _TailTable:
-    """eq's tail table, from the store (shared by equal equations) at eq's first
-    lookup and kept on eq after it, so later lookups neither hash nor compare eq."""
+    """eq's tail table, from the store at eq's first lookup and kept on eq after it,
+    so later lookups neither hash nor compare eq."""
     try:
         return eq._table
     except AttributeError:
-        object.__setattr__(eq, "_table", _tail_table(eq))
+        key = (eq.r, eq.alpha, eq.zeta0, eq.theta_closed_form is not None)
+        object.__setattr__(eq, "_table", _tail_table(*key))
         return eq._table
 
 

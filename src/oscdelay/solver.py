@@ -25,6 +25,9 @@ from .power import RationalExponent, signed_pow, signed_pow_array
 from .sequences import Sequence
 
 
+ZERO_TOL = 1e-8  # trajectory entries at most this in magnitude count as zero
+
+
 @dataclass(frozen=True)
 class InitialData:
     """Starting values x(zeta0 - sigma), ..., x(zeta0 + 1), i.e. sigma + 2 reals.
@@ -170,12 +173,14 @@ def iterate(eq: HalfLinearEquation, init: InitialData, horizon: int) -> Trajecto
     return Trajectory(start, tuple(x), z0, tuple(y), status)
 
 
-def classify_trajectory(traj: Trajectory, tol: float = 1e-8) -> TrajectoryClass:
+def classify_trajectory(traj: Trajectory, tol: float = ZERO_TOL) -> TrajectoryClass:
     """Classify the behavior of a computed trajectory past its first fifth.
 
     Entries with |x| <= tol count as zero; oscillation registers only on a
     genuine sign flip of entries exceeding tol (robust to chatter around 0).
     """
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and non-negative, got {tol}")
     n = len(traj.x)
     burn_in = n // 5  # criteria are "eventual" statements: skip transients
     if n < burn_in + 8:

@@ -342,11 +342,18 @@ class TestCli:
         (["simulate"], EXAMPLE3_INI.replace("init = 1.0, 0.9, 0.8, 0.7", "init = nan, 1, 1, 1")),
         (["simulate"], EXAMPLE3_INI.replace("init = 1.0, 0.9, 0.8, 0.7", "init = 1, inf, 1, 1")),
         (["classify"], EXAMPLE3_INI.replace('"1/z"', '"1/"')),
+        (["simulate"], EXAMPLE3_INI.replace("horizon = 40", "horizon = 40\ntol = nan")),
+        (["simulate"], EXAMPLE3_INI.replace("horizon = 40", "horizon = 40\ntol = inf")),
+        (["simulate"], EXAMPLE3_INI.replace("horizon = 40", "horizon = 40\ntol = -1e-8")),
+        (["example", "1", "--lambda0", "nan"], None),
+        (["example", "1", "--lambda0", "inf"], None),
     ], ids=["check-horizon-0", "validate-horizon-neg", "transform-horizon-neg",
             "simulate-horizon-1", "check-section-horizon-0", "simulate-section-horizon-1",
             "zero-init", "check-section-horizon-text", "simulate-section-tol-text",
             "example1-horizon-neg", "example2-horizon-0", "negative-sigma", "unknown-form",
-            "nan-init", "inf-init", "unparsable-theta-closed-form"])
+            "nan-init", "inf-init", "unparsable-theta-closed-form", "simulate-section-tol-nan",
+            "simulate-section-tol-inf", "simulate-section-tol-neg", "example1-lambda0-nan",
+            "example1-lambda0-inf"])
     def test_out_of_range_input_exit_one(self, tmp_path, capsys, argv, ini):
         if ini is not None:
             argv = argv + ["--config", write_config(tmp_path, ini)]
@@ -455,16 +462,17 @@ class TestCli:
 def test_tail_terms_summed_once_per_equation(tmp_path, monkeypatch):
     """check then transform evaluate each tail term about once: the one tail
     pass (1 M terms) is shared, not repeated for each of the 201 indices."""
-    from oscdelay.equation import HalfLinearEquation, _tail_table
+    from oscdelay import equation
+    from oscdelay.equation import _tail_table
 
     points = []
-    original = HalfLinearEquation.inv_r_alpha_array
+    original = equation._inv_r_alpha
 
-    def counting(self, s):
+    def counting(r, alpha, s):
         points.append(len(s))
-        return original(self, s)
+        return original(r, alpha, s)
 
-    monkeypatch.setattr(HalfLinearEquation, "inv_r_alpha_array", counting)
+    monkeypatch.setattr(equation, "_inv_r_alpha", counting)
     _tail_table.cache_clear()
     path = write_config(tmp_path, POLY_INI)
     for command in ("check", "transform"):

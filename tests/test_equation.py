@@ -24,7 +24,7 @@ from oscdelay import (
     validate,
 )
 from oscdelay.equation import (BLOCK, MAX_TERMS, ValidationReport, Violation, _geometric_ratio,
-                               _suffix_sums, _table, _tail_table)
+                               _inv_r_alpha, _suffix_sums, _table, _tail_table)
 from oscdelay.errors import DivisionByZero, DomainError, NonConvergentError, StageError
 
 
@@ -85,7 +85,8 @@ class TestRPartial:
 
 
 class TestInfiniteR:
-    """A term the tail pass sums needs a finite r there, as validate's H1 does."""
+    """A term the tail pass sums needs a finite r there, as validate's H1 does, and a
+    block of terms that all underflow to 0.0 ends the pass uncertified."""
 
     def test_infinite_r_at_the_start_is_domain_error(self):
         # r(5) = 10^500 is inf, so every term is 0; validate reports H1 at 5
@@ -102,6 +103,16 @@ class TestInfiniteR:
         head = theta(eq, 1)
         assert head.certified and head.truncation_index < 100
         assert theta(eq, 4000).value == 0.0
+
+    def test_underflowed_block_ends_the_pass(self):
+        # every term 1e200^(-3) = 1e-600 is 0.0; the true terms are constant, so
+        # the series diverges and the pass must not certify it
+        eq = make_eq("1e200", RationalExponent(1, 3), sigma=1)
+        res = theta(eq, 1)
+        assert (res.value, res.truncation_index, res.tail_bound, res.certified, res.method) == \
+               (0.0, BLOCK, None, False, "underflow")
+        assert theta(eq, 3 * BLOCK).value == 0.0
+        assert classify_form(eq) is FormClass.INCONCLUSIVE
 
     def test_infinite_r_in_a_partial_sum_is_domain_error(self):
         eq = make_eq("pow(10, z*100)", RationalExponent(1, 3), zeta0=1)
@@ -381,7 +392,29 @@ class TestTableSharing:
         a, b = make_eq("2^z", RationalExponent(1, 1)), make_eq("2^z", RationalExponent(1, 1))
         assert a is not b and a.r is not b.r
         assert a == b and hash(a) == hash(b) and hash(a.r) == hash(b.r)
-        assert _tail_table(a) is _tail_table(b)
+        assert _table(a) is _table(b)
+
+    @settings(max_examples=20, deadline=None)
+    @given(case=st.sampled_from([("2^z", RationalExponent(1, 1), "2^(1-z)"),
+                                 ("(z+5)*(z+6)", RationalExponent(1, 1), "1/(z+5)")]),
+           zeta0=st.integers(0, 3), closed=st.booleans(),
+           variants=st.lists(st.tuples(st.sampled_from(("1", "z", "3*2^z")),
+                                       st.sampled_from(((DelayForm.MINUS_SIGMA, 0),
+                                                        (DelayForm.MINUS_SIGMA, 2),
+                                                        (DelayForm.MINUS_SIGMA_PLUS_ONE, 1)))),
+                             min_size=2, max_size=2, unique=True))
+    def test_table_depends_only_on_r_alpha_zeta0_and_closed_form_presence(
+            self, case, zeta0, closed, variants):
+        r_text, alpha, closed_text = case
+        cf = Sequence.from_expression(closed_text) if closed else None
+        a, b = (make_eq(r_text, alpha, zeta0=zeta0, q_text=q, sigma=sigma, theta_cf=cf, form=form)
+                for q, (form, sigma) in variants)
+        assert a != b
+        assert _table(a) is _table(b)
+        # at zeta0, below it and past the scanned range
+        for z in (zeta0, zeta0 - 3, _table(a).end + 10):
+            assert theta(a, z) == theta(b, z)
+            assert theta_extended(a, z) == theta_extended(b, z)
 
     def test_equal_equation_compared_with_the_store_once(self, monkeypatch):
         a, b = make_eq("3^z", RationalExponent(1, 1)), make_eq("3^z", RationalExponent(1, 1))
@@ -542,5 +575,5 @@ class TestBlockSize:
             got = theta(eq, z)
             assert (got.method, got.truncation_index, got.certified) == \
                    ("max_terms", MAX_TERMS, False)
-            want = math.fsum(eq.inv_r_alpha_array(np.arange(z, MAX_TERMS + 1, dtype=float)))
+            want = math.fsum(_inv_r_alpha(eq.r, eq.alpha, np.arange(z, MAX_TERMS + 1, dtype=float)))
             assert abs(got.value - want) <= 1e-12 * want

@@ -1,8 +1,15 @@
-"""Tests for the built-in worked-example reproductions."""
+"""Tests for the built-in worked-example reproductions and the README's library example."""
+import contextlib
+import io
+import pathlib
+import re
+
 import pytest
 
 from oscdelay import FormClass, example_equation, reproduce_example, theta
-from oscdelay.equation import _table, _tail_table
+from oscdelay.equation import _TailTable, _table, _tail_table
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 class TestExampleEquations:
@@ -22,6 +29,21 @@ class TestExampleEquations:
         theta(a, a.zeta0)
         theta(b, b.zeta0)
         assert _table(a) is _table(b)
+
+    def test_lambda0_sweep_builds_one_table(self, monkeypatch):
+        # q carries lambda0, but the tail sums depend only on r, alpha and zeta0
+        built = []
+        original = _TailTable.__init__
+
+        def counting(self, *args):
+            built.append(args)
+            original(self, *args)
+
+        monkeypatch.setattr(_TailTable, "__init__", counting)
+        _tail_table.cache_clear()
+        for lambda0 in (0.5, 1.0, 2.0, 3.1):
+            reproduce_example(1, lambda0)
+        assert len(built) == 1
 
     def test_example2_starts_at_two(self):
         # r(1) = 0 would violate positivity, so the built-in starts at 2
@@ -62,7 +84,7 @@ class TestReproduction:
         # compares the published value with the tail sum itself
         row = next(r for r in reproduce_example(n)["comparison"] if r["quantity"] == quantity)
         eq = example_equation(n)
-        want = max(abs(_tail_table(eq).lookup(z)[0].value - published(z)) for z in zs)
+        want = max(abs(_table(eq).lookup(z)[0].value - published(z)) for z in zs)
         assert row["computed"] == want
         assert 0.0 < want <= 1e-9
 
@@ -82,3 +104,23 @@ class TestReproduction:
         (sumq,) = rep["verdicts"]
         assert sumq.criterion == "CanonicalSumQ"
         assert sumq.holds
+
+
+def test_readme_library_example():
+    """The README's library example runs and prints what its comments say."""
+    block = re.search(r"## Library example\n\n```python\n(.*?)```", README.read_text(), re.S).group(1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(block, {})
+    calls = [line for line in block.splitlines() if line.startswith("print(")]
+    printed = out.getvalue().splitlines()
+    assert len(printed) == len(calls)
+    for call, got in zip(calls, printed):
+        if "#" not in call:
+            continue
+        want = call.split("#", 1)[1].split()
+        if call.startswith("print(ceq."):
+            # r_tilde and q_tilde carry the transform's rounding
+            assert [float(v) for v in got.split()] == pytest.approx([float(v) for v in want], abs=1e-12)
+        else:
+            assert got.split() == want

@@ -237,6 +237,14 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify_trajectory(traj)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-8])
+    def test_tol_not_finite_or_negative_rejected(self, tol):
+        # a NaN tol would count every entry as zero: tends_to_zero for any trajectory
+        traj = Trajectory(0, tuple(float(z) for z in range(40)), 0, (),
+                          TrajectoryStatus(StatusKind.COMPLETED))
+        with pytest.raises(ValueError, match="tol"):
+            classify_trajectory(traj, tol=tol)
+
     @given(st.floats(min_value=0.01, max_value=100.0))
     @settings(max_examples=30, deadline=None)
     def test_invariant_under_positive_scaling(self, c):
