@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -155,8 +155,8 @@ class VerdictStatus(enum.Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class EvidenceRow:
+class EvidenceRow(NamedTuple):
+    """One sampled index of a criterion's series; its fields name the JSON keys and CSV columns."""
     zeta: int
     term: float
     partial_sum: float
@@ -185,17 +185,17 @@ _VERDICT_OF_PROBE = {
 }
 
 
-def _valid_indices(eq: HalfLinearEquation, start: int, horizon: int) -> np.ndarray:
-    """The index column [start, start + horizon), once the hypotheses hold on
-    [zeta0, start + max(horizon, 8)]; so r > 0 and r, q are finite on it."""
-    report = validate(eq, start + max(horizon, 8))
+def _valid_indices(eq: HalfLinearEquation, horizon: int) -> np.ndarray:
+    """The index column [zeta0, zeta0 + horizon), once the hypotheses hold on
+    [zeta0, zeta0 + max(horizon, 8)]; so r > 0 and r, q are finite on it."""
+    report = validate(eq, eq.zeta0 + max(horizon, 8))
     # an identically-zero q (violation without an offending index) is allowed
     # through: the evaluators then report all-zero terms as a failing verdict
     hard = [v for v in report.violations if v.index is not None]
     if hard:
         first = hard[0]
         raise StageError(f"hypothesis {first.hypothesis} violated: {first.detail}")
-    return np.arange(start, start + horizon)
+    return np.arange(eq.zeta0, eq.zeta0 + horizon)
 
 
 def _evidence(start: int, term: np.ndarray, running: Optional[np.ndarray] = None) -> tuple:
@@ -233,14 +233,14 @@ def _root_series(eq: HalfLinearEquation, z: np.ndarray, weights: np.ndarray) -> 
 
 def crit_thm21(eq: HalfLinearEquation, horizon: int) -> CriterionVerdict:
     """Series of ((1/r(z)) * sum_{s=zeta0}^{z-1} q(s))^(1/alpha)."""
-    z = _valid_indices(eq, eq.zeta0, horizon)
+    z = _valid_indices(eq, horizon)
     return _series_verdict(THM21, "every solution oscillates or tends to zero", eq.zeta0,
                            _root_series(eq, z, eq.q.eval_array(z)))
 
 
 def crit_thm22a(eq: HalfLinearEquation, horizon: int) -> CriterionVerdict:
     """Series of ((1/r(z)) * sum_{s=zeta0}^{z-1} q(s) theta^alpha(s - sigma))^(1/alpha)."""
-    z = _valid_indices(eq, eq.zeta0, horizon)
+    z = _valid_indices(eq, horizon)
     th = np.zeros(horizon)  # a zero weight leaves the inner sum as skipping the term would
     flags: list[str] = []
     for i, s in enumerate((z - eq.sigma).tolist()):
@@ -255,7 +255,7 @@ def crit_thm22a(eq: HalfLinearEquation, horizon: int) -> CriterionVerdict:
 
 def crit_thm22b(eq: HalfLinearEquation, horizon: int) -> CriterionVerdict:
     """Series of q(s) * theta^(alpha+1)(s + 1)."""
-    z = _valid_indices(eq, eq.zeta0, horizon)
+    z = _valid_indices(eq, horizon)
     th = _theta_column(eq, eq.zeta0 + 1, horizon)
     with np.errstate(over="ignore"):
         term = eq.q.eval_array(z) * th ** (eq.alpha.value + 1.0)
@@ -264,25 +264,22 @@ def crit_thm22b(eq: HalfLinearEquation, horizon: int) -> CriterionVerdict:
 
 def crit_lem21(eq: HalfLinearEquation, horizon: int) -> CriterionVerdict:
     """Series of q(z) itself."""
-    q = eq.q.eval_array(_valid_indices(eq, eq.zeta0, horizon))
+    q = eq.q.eval_array(_valid_indices(eq, horizon))
     return _series_verdict(LEM21, "every eventually positive solution is eventually decreasing",
                            eq.zeta0, q)
 
 
-def crit_thm23(eq: HalfLinearEquation, horizon: int, zeta1: Optional[int] = None) -> CriterionVerdict:
+def crit_thm23(eq: HalfLinearEquation, horizon: int) -> CriterionVerdict:
     """limsup of v(z) = theta^alpha(z) * sum_{s=zeta1}^{z-1} q(s), compared against 1.
 
     The limsup is estimated as the supremum of v over the trailing half of the
-    horizon; `zeta1` defaults to zeta0 and may be overridden since finite
-    start shifts can move individual v values (though not true divergence).
+    horizon, with zeta1 = zeta0: since theta(z) -> 0, a later zeta1 moves
+    individual v values but not the limsup.
     """
-    z1 = eq.zeta0 if zeta1 is None else zeta1
-    if z1 < eq.zeta0:
-        raise ValueError(f"zeta1 must be >= zeta0 = {eq.zeta0}")
-    q = eq.q.eval_array(_valid_indices(eq, z1, horizon))
-    q_prev = np.concatenate(([0.0], q))[:horizon]  # evidence term: q(z - 1), 0 at zeta1
+    q = eq.q.eval_array(_valid_indices(eq, horizon))
+    q_prev = np.concatenate(([0.0], q))[:horizon]  # evidence term: q(z - 1), 0 at zeta0
     with np.errstate(over="ignore", invalid="ignore"):
-        v = _theta_column(eq, z1, horizon) ** eq.alpha.value * _exclusive_sum(q)
+        v = _theta_column(eq, eq.zeta0, horizon) ** eq.alpha.value * _exclusive_sum(q)
     v[~np.isfinite(v)] = np.inf
 
     tail = v[horizon // 2:]
@@ -299,7 +296,7 @@ def crit_thm23(eq: HalfLinearEquation, horizon: int, zeta1: Optional[int] = None
         last_partial=estimate,
     )
     return CriterionVerdict(THM23, status, "every solution oscillates",
-                            _evidence(z1, q_prev, v), probe)
+                            _evidence(eq.zeta0, q_prev, v), probe)
 
 
 _EVALUATORS = {

@@ -99,13 +99,6 @@ class HalfLinearEquation:
             return zeta - self.sigma
         return zeta - self.sigma + 1
 
-    def inv_r_alpha(self, zeta: int) -> float:
-        """r(zeta)^(-1/alpha); raises DomainError unless r(zeta) > 0."""
-        rv = self.r(zeta)
-        if rv <= 0:
-            raise DomainError(f"r({zeta}) = {rv} is not positive")
-        return rv ** (-self.alpha.den / self.alpha.num)
-
 
 def _inv_r_alpha(r: Sequence, alpha: RationalExponent, s: np.ndarray) -> np.ndarray:
     """r(s)^(-1/alpha), NaN where r is infinite; raises DomainError unless r > 0."""

@@ -1,15 +1,16 @@
 """Report assembly and machine-readable serialization.
 
 Reports are plain dict trees.  Every float is rendered with 17 significant
-digits through a single formatting routine used by both the JSON and CSV
-writers, so the two formats carry identical numeric strings and runs are
-byte-identical apart from the timestamp.
+digits ("%.17g", with fmt_float spelling NaN and the infinities) in both the
+JSON and CSV writers, so the two formats carry identical numeric strings and
+runs are byte-identical apart from the timestamp.
 """
 from __future__ import annotations
 
 import dataclasses
 import enum
 import io
+import json
 import math
 from datetime import datetime, timezone
 
@@ -49,15 +50,7 @@ def verdict_to_dict(v: CriterionVerdict) -> dict:
         "conclusion": v.conclusion,
         "probe": _to_plain(v.probe) if v.probe else None,
         "flags": list(v.flags),
-        "evidence": [
-            {
-                "zeta": r.zeta,
-                "term": r.term,
-                "partial_sum": r.partial_sum,
-                "running_value": r.running_value,
-            }
-            for r in v.evidence
-        ],
+        "evidence": [row._asdict() for row in v.evidence],
     }
 
 
@@ -73,6 +66,10 @@ def new_report(config_echo: dict) -> dict:
     }
 
 
+# json.dumps(s, ensure_ascii=False) without building an encoder per call
+_json_string = json.JSONEncoder(ensure_ascii=False).encode
+
+
 def _write_json(out: io.StringIO, obj, indent: int):
     pad = "  " * indent
     if obj is None:
@@ -86,11 +83,7 @@ def _write_json(out: io.StringIO, obj, indent: int):
     elif isinstance(obj, int):
         out.write(str(obj))
     elif isinstance(obj, str):
-        out.write(
-            '"'
-            + obj.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n").replace("\t", "\\t")
-            + '"'
-        )
+        out.write(_json_string(obj))
     elif isinstance(obj, dict):
         if not obj:
             out.write("{}")
@@ -147,14 +140,15 @@ def _verdicts(report: dict) -> list:
 
 def to_csv(report: dict) -> str:
     """Plot-ready CSV of criterion evidence, one row per sampled index."""
-    lines = ["criterion_id,zeta,term,partial_sum,running_value"]
+    lines = ["criterion_id," + ",".join(EvidenceRow._fields)]
     for verdict in _verdicts(report):
-        cid = _csv_cell(verdict.criterion)
-        lines.extend(
-            f"{cid},{row.zeta},{_csv_number(row.term)},{_csv_number(row.partial_sum)},"
-            f"{_csv_number(row.running_value)}"
-            for row in verdict.evidence
-        )
+        cid = _csv_cell(verdict.criterion) + ","
+        for row in verdict.evidence:
+            # "%.17g" is fmt_float on a finite float; only nan and inf hold an "n"
+            text = "%d,%.17g,%.17g,%.17g" % row
+            if "n" in text:
+                text = ",".join([str(row.zeta), *map(_csv_number, row[1:])])
+            lines.append(cid + text)
     return "\n".join(lines) + "\n"
 
 

@@ -23,14 +23,13 @@ class Sequence:
     ast: Optional[expr.Ast] = None
     name: Optional[str] = None
     fn: Optional[Callable] = None
-    table_start: int = 0
     table: tuple = field(default_factory=tuple)
 
     @classmethod
-    def from_expression(cls, text_or_ast, domain_start: Optional[int] = None) -> "Sequence":
+    def from_expression(cls, text_or_ast) -> "Sequence":
         ast = expr.parse_expression(text_or_ast) if isinstance(text_or_ast, str) else text_or_ast
         name = text_or_ast if isinstance(text_or_ast, str) else expr.pretty(ast)
-        return cls(kind="expr", domain_start=domain_start, ast=ast, name=name)
+        return cls(kind="expr", ast=ast, name=name)
 
     @classmethod
     def closed_form(cls, name: str, fn: Callable, domain_start: Optional[int] = None) -> "Sequence":
@@ -41,13 +40,12 @@ class Sequence:
         return cls(
             kind="table",
             domain_start=start,
-            table_start=start,
             table=tuple(float(v) for v in values),
         )
 
     def describe(self) -> str:
         if self.kind == "table":
-            return f"table[{self.table_start}..{self.table_start + len(self.table) - 1}]"
+            return f"table[{self.domain_start}..{self.domain_start + len(self.table) - 1}]"
         return self.name or self.kind
 
     def _check_domain(self, zeta: int):
@@ -59,8 +57,8 @@ class Sequence:
     def __call__(self, zeta: int) -> float:
         self._check_domain(zeta)
         if self.kind == "table":
-            i = int(zeta) - self.table_start
-            if i < 0 or i >= len(self.table):
+            i = int(zeta) - self.domain_start
+            if i >= len(self.table):
                 raise DomainError(f"index {zeta} outside table {self.describe()}")
             return self.table[i]
         try:
@@ -79,8 +77,8 @@ class Sequence:
                 f"index {int(z.min())} below domain start {self.domain_start} of {self.describe()}"
             )
         if self.kind == "table":
-            idx = z.astype(int) - self.table_start
-            if idx.size and (idx.min() < 0 or idx.max() >= len(self.table)):
+            idx = z.astype(int) - self.domain_start
+            if idx.size and idx.max() >= len(self.table):
                 raise DomainError(f"index outside table {self.describe()}")
             return np.asarray(self.table, dtype=float)[idx]
         if self.kind == "expr":

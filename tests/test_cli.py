@@ -227,6 +227,24 @@ class TestCsvWriter:
         assert '"a,""quoted"" id",1,NaN,Infinity,-Infinity' in text
         assert text == csv_via_plain_dicts(report)
 
+    # any float: the whole exponent range, +-0.0, subnormals, NaN and +-inf
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.builds(EvidenceRow, st.integers(), st.floats(), st.floats(), st.floats()),
+                         max_size=8))
+    @example(rows=[EvidenceRow(-(10 ** 30), 0.0, -0.0, 2.2250738585072009e-308),
+                   EvidenceRow(2 ** 63, 1.7976931348623157e308, -5e-324, 1e-5)])
+    def test_drawn_rows_match_oracle(self, rows):
+        report = new_report({})
+        report["verdicts"] = [CriterionVerdict("Thm21", VerdictStatus.INCONCLUSIVE, "c", tuple(rows))]
+        assert to_csv(report) == csv_via_plain_dicts(report)
+
+    def test_row_fields_name_json_keys_and_csv_columns(self):
+        report = new_report({})
+        report["verdicts"] = [self._verdict("Thm21")]
+        evidence = json.loads(to_json(report))["verdicts"][0]["evidence"]
+        assert [tuple(row) for row in evidence] == [EvidenceRow._fields] * len(self.SPECIAL)
+        assert tuple(to_csv(report).split("\n")[0].split(",")[1:]) == EvidenceRow._fields
+
 
 class TestCli:
     def test_check_exit_zero(self, ex2_config, capsys):
@@ -481,8 +499,10 @@ def test_tail_terms_summed_once_per_equation(tmp_path, monkeypatch):
     assert sum(points) <= 1_100_000
 
 
-# coefficients that are negative, zero, overflowing or have a pole somewhere
-FUZZ_R = ("1", "z", "2^z", "(z*(z+1))^(5/3)", "2^(-z)", "-1", "0", "1/(z-2)", "pow(10, z*100)")
+# coefficients that are negative, zero, overflowing or have a pole somewhere; the
+# form feed is whitespace to the tokenizer and must be escaped in the JSON report
+FUZZ_R = ("1", "z", "2^z", "(z*(z+1))^(5/3)", "2^(-z)", "-1", "0", "1/(z-2)", "pow(10, z*100)",
+          "z\x0c+1")
 FUZZ_Q = ("1", "1/z", "1-z", "0", "1/(z-3)", "pow(10, z*100)")
 
 
@@ -499,8 +519,11 @@ FUZZ_Q = ("1", "1/z", "1-z", "0", "1/(z-3)", "pow(10, z*100)")
 # the first difference overflows, and its cube overflows
 @example(r="1", q="1", alpha="1", form=("delay", 1), zeta0=1, init="0, -1e308, 1e308")
 @example(r="1", q="1", alpha="3", form=("delay", 1), zeta0=1, init="0, 1, 1e308")
+# the config echo holds a form feed
+@example(r="z\x0c+1", q="1", alpha="1", form=("delay", 1), zeta0=1, init=None)
 def test_cli_never_exits_three(r, q, alpha, form, zeta0, init):
-    """Every failure stays inside the OscDelayError hierarchy: exit 0, 1 or 2."""
+    """Every failure stays inside the OscDelayError hierarchy: exit 0, 1 or 2; every
+    report written (exit 0 or 2) is valid JSON."""
     kind, sigma = form
     init = init or ", ".join(["1"] * (sigma + 2))
     text = (f'[equation]\nr = "{r}"\nq = "{q}"\nalpha = {alpha}\nsigma = {sigma}\n'
@@ -511,4 +534,9 @@ def test_cli_never_exits_three(r, q, alpha, form, zeta0, init):
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
         for command in ("validate", "classify", "simulate", "check", "transform"):
-            assert main([command, "--config", path, "--horizon", "30", "--quiet"]) in (0, 1, 2), command
+            out = os.path.join(tmp, f"{command}.json")
+            code = main([command, "--config", path, "--horizon", "30", "--out", out, "--quiet"])
+            assert code in (0, 1, 2), command
+            if code in (0, 2):
+                with open(out, encoding="utf-8") as handle:
+                    json.load(handle)

@@ -204,14 +204,6 @@ class TestThm23:
         assert 1.0 < v.probe.last_partial <= 1.0 + 1e-6
         assert v.probe.status is ProbeStatus.UNDECIDED
 
-    def test_zeta1_override(self):
-        eq = example_equation(1, 2.0)
-        v_default = crit_thm23(eq, 100)
-        v_shift = crit_thm23(eq, 100, zeta1=3)
-        assert v_default.holds and v_shift.holds
-        with pytest.raises(ValueError):
-            crit_thm23(eq, 100, zeta1=0)
-
 
 class TestFramework:
     def test_evaluate_criterion_dispatch(self):

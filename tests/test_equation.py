@@ -165,7 +165,7 @@ class TestTheta:
             eq = example_equation(n)
             for z in range(eq.zeta0, eq.zeta0 + 30):
                 lhs = theta(eq, z).value - theta(eq, z + 1).value
-                rhs = eq.inv_r_alpha(z)
+                rhs = eq.r(z) ** (-eq.alpha.den / eq.alpha.num)
                 assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs)), (n, z)
 
     def test_theta_strictly_decreasing(self):
@@ -201,7 +201,7 @@ class TestTheta:
         # theta(zeta0 - k) = theta(zeta0) + sum of r^(-1/alpha) over the gap
         eq = example_equation(1)
         ext = theta_extended(eq, 0)
-        want = theta(eq, eq.zeta0).value + eq.inv_r_alpha(0)
+        want = theta(eq, eq.zeta0).value + eq.r(0) ** (-eq.alpha.den / eq.alpha.num)
         assert ext.value == pytest.approx(want, rel=1e-12)
 
     def test_extension_needs_positive_r(self):
@@ -528,7 +528,7 @@ class TestThetaProperties:
         for z in zs[:-1]:
             assert th[z + 1] < th[z]
             # theta(z) - theta(z+1) = r(z)^(-1/alpha)
-            assert abs(th[z] - th[z + 1] - eq.inv_r_alpha(z)) <= 1e-12 * th[z]
+            assert abs(th[z] - th[z + 1] - eq.r(z) ** (-eq.alpha.den / eq.alpha.num)) <= 1e-12 * th[z]
 
     @settings(max_examples=30, deadline=None)
     @given(tail_cases())
