@@ -101,10 +101,14 @@ class HalfLinearEquation:
 
 
 def _inv_r_alpha(r: Sequence, alpha: RationalExponent, s: np.ndarray) -> np.ndarray:
-    """r(s)^(-1/alpha), NaN where r is infinite; raises DomainError unless r > 0."""
+    """r(s)^(-1/alpha), NaN where r is infinite; raises DomainError unless r > 0,
+    the scalar call's error where r is NaN."""
     rv = r.eval_array(s)
     if rv.size and not np.all(rv > 0):
-        bad = int(np.asarray(s)[np.argmax(~(rv > 0))])
+        i = int(np.argmax(~(rv > 0)))
+        bad = int(np.asarray(s)[i])
+        if np.isnan(rv[i]):
+            r(bad)  # raises as the scalar call does
         raise DomainError(f"r({bad}) is not positive")
     with np.errstate(over="ignore"):
         t = rv ** (-alpha.den / alpha.num)
@@ -391,27 +395,17 @@ def _offence(hyp: str, name: str, rel: str, seq: Sequence, z: int) -> tuple:
 def _first_violation(hyp: str, name: str, rel: str, seq: Sequence, lo: int, hi: int) -> tuple:
     """(first offender on [lo, hi], or None and whether some value is positive).
 
-    The column finds the offender and the scalar seq(z) words it.  Where the
-    column cannot be evaluated, or the scalar value there is no offence, the
-    per-index loop decides, so the report is the one the loop gives.
+    The column flags the candidate offenders and the scalar seq(z) confirms and
+    words each, in index order, so the report is the one the per-index loop gives.
     """
-    try:
-        v = seq.eval_array(np.arange(lo, hi + 1))
-    except Exception:  # the loop meets the same failure at its first index and words it
-        v = None
-    if v is not None:
-        bad = ~np.isfinite(v) | ((v <= 0) if hyp == "H1" else (v < 0))
-        if not bad.any():
-            return None, bool((v > 0).any())
-        found, _ = _offence(hyp, name, rel, seq, lo + int(np.argmax(bad)))
+    v = seq.eval_array(np.arange(lo, hi + 1))
+    bad = ~np.isfinite(v) | ((v <= 0) if hyp == "H1" else (v < 0))
+    positive = bool((v > 0).any())
+    for z in (lo + np.flatnonzero(bad)).tolist():
+        found, value = _offence(hyp, name, rel, seq, z)
         if found is not None:
             return found, False
-    positive = False
-    for z in range(lo, hi + 1):
-        found, v = _offence(hyp, name, rel, seq, z)
-        if found is not None:
-            return found, False
-        positive = positive or v > 0
+        positive = positive or value > 0
     return None, positive
 
 

@@ -107,30 +107,30 @@ def tokenize(text: str) -> list[Token]:
             tokens.append(Token(_SINGLE[c], c, i))
             i += 1
             continue
-        if c.isdigit():
+        if c.isdecimal():  # the digits float() reads: "²" is a digit, not a decimal
             start = i
-            while i < n and text[i].isdigit():
+            while i < n and text[i].isdecimal():
                 i += 1
             if i < n and text[i] == ".":
                 i += 1
-                if i >= n or not text[i].isdigit():
+                if i >= n or not text[i].isdecimal():
                     raise LexError(i, "digit expected after decimal point")
-                while i < n and text[i].isdigit():
+                while i < n and text[i].isdecimal():
                     i += 1
             # optional exponent part; 'e' not followed by digits stays an ident
             if i < n and text[i] in "eE":
                 j = i + 1
                 if j < n and text[j] in "+-":
                     j += 1
-                if j < n and text[j].isdigit():
-                    while j < n and text[j].isdigit():
+                if j < n and text[j].isdecimal():
+                    while j < n and text[j].isdecimal():
                         j += 1
                     i = j
             tokens.append(Token(NUMBER, text[start:i], start))
             continue
         if c.isalpha() or c == "_":
             start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
+            while i < n and (text[i].isalpha() or text[i].isdecimal() or text[i] == "_"):
                 i += 1
             tokens.append(Token(IDENT, text[start:i], start))
             continue

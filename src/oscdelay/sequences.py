@@ -70,25 +70,33 @@ class Sequence:
         return value
 
     def eval_array(self, z: np.ndarray) -> np.ndarray:
-        """Evaluate at many indices at once; no finiteness check (callers decide)."""
+        """The values the scalar call computes at the indices z, before its finiteness check.
+
+        A table or an expression is read as one column when that succeeds.
+        Otherwise, and always for a closed form, the values are computed index by
+        index up to the first index whose scalar call raises DomainError, and are
+        NaN from there on.
+        """
         z = np.asarray(z, dtype=float)
-        if self.domain_start is not None and z.size and z.min() < self.domain_start:
-            raise DomainError(
-                f"index {int(z.min())} below domain start {self.domain_start} of {self.describe()}"
-            )
+        n = z.size  # the indices before the first one outside the domain
+        if self.domain_start is not None:
+            end = self.domain_start + len(self.table) if self.kind == "table" else math.inf
+            outside = (z < self.domain_start) | (z >= end)
+            n = int(np.argmax(outside)) if outside.any() else n
+        if self.kind == "expr" and n == z.size:
+            try:
+                return expr.eval_values(self.ast, z)
+            except DomainError:
+                pass
+        out = np.full(z.shape, np.nan)
         if self.kind == "table":
-            idx = z.astype(int) - self.domain_start
-            if idx.size and idx.max() >= len(self.table):
-                raise DomainError(f"index outside table {self.describe()}")
-            return np.asarray(self.table, dtype=float)[idx]
-        if self.kind == "expr":
-            return expr.eval_values(self.ast, z)
-        try:
-            out = self.fn(z)
-            out = np.asarray(out, dtype=float)
-            if out.shape == z.shape:
-                return out
-        except (TypeError, ValueError):
-            pass
-        # closed form that does not vectorize: fall back to a scalar loop
-        return np.array([float(self.fn(v)) for v in z], dtype=float)
+            out[:n] = np.asarray(self.table, dtype=float)[z[:n].astype(int) - self.domain_start]
+            return out
+        for i, zeta in enumerate(z[:n].astype(int).tolist()):
+            try:
+                out[i] = expr.eval_at(self.ast, zeta) if self.kind == "expr" else float(self.fn(zeta))
+            except OverflowError:
+                out[i] = math.inf
+            except DomainError:
+                break
+        return out

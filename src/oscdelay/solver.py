@@ -222,47 +222,35 @@ def classify_trajectory(traj: Trajectory, tol: float = ZERO_TOL) -> TrajectoryCl
     return TrajectoryClass(TrajectoryKind.INCONCLUSIVE)
 
 
-def _residual_loop(eq: HalfLinearEquation, candidate: Sequence, frm: int, to: int) -> list:
-    """The left-hand side one index at a time; raises at the first index that fails."""
-    out = []
-    a = eq.alpha
-    for z in range(frm, to + 1):
-        x0, x1, x2 = candidate(z), candidate(z + 1), candidate(z + 2)
-        xd = candidate(eq.delayed_index(z))
-        lhs = (
-            eq.r(z + 1) * signed_pow(x2 - x1, a)
-            - eq.r(z) * signed_pow(x1 - x0, a)
-            + eq.q(z) * signed_pow(xd, a)
-        )
-        out.append((z, lhs))
-    return out
-
-
 def residual_pointwise(
     eq: HalfLinearEquation, candidate: Sequence, frm: int, to: int
 ) -> list[tuple[int, float]]:
     """Pointwise left-hand side r(z+1)(Dx(z+1))^a - r(z)(Dx(z))^a + q(z) x^a(d(z)).
 
-    Evaluated on the columns x, x(d(z)), r and q.  Where a column cannot be
-    evaluated or a value is not finite, the per-index loop runs instead, so the
-    error raised is that of the first index that fails.
+    Evaluated on the columns x, x(d(z)), r and q.  At each index where a value
+    is not finite, in order, the scalar calls compute it again, so the error
+    raised is that of the first index that fails.
     """
     z = np.arange(frm, to + 1)
     a = eq.alpha
-    try:
-        x = candidate.eval_array(np.arange(frm, to + 3))
-        xd = candidate.eval_array(eq.delayed_index(z))
-        r = eq.r.eval_array(np.arange(frm, to + 2))
-        with np.errstate(invalid="ignore", over="ignore"):
-            lhs = (
-                r[1:] * signed_pow_array(x[2:] - x[1:-1], a)
-                - r[:-1] * signed_pow_array(x[1:-1] - x[:-2], a)
-                + eq.q.eval_array(z) * signed_pow_array(xd, a)
-            )
-    except Exception:  # the loop meets the same failure at its first index
-        lhs = None
-    if lhs is None or not np.isfinite(lhs).all():
-        return _residual_loop(eq, candidate, frm, to)
+    x = candidate.eval_array(np.arange(frm, to + 3))
+    xd = candidate.eval_array(eq.delayed_index(z))
+    r = eq.r.eval_array(np.arange(frm, to + 2))
+    with np.errstate(invalid="ignore", over="ignore"):
+        lhs = (
+            r[1:] * signed_pow_array(x[2:] - x[1:-1], a)
+            - r[:-1] * signed_pow_array(x[1:-1] - x[:-2], a)
+            + eq.q.eval_array(z) * signed_pow_array(xd, a)
+        )
+    for i in np.flatnonzero(~np.isfinite(lhs)).tolist():
+        s = frm + i
+        x0, x1, x2 = candidate(s), candidate(s + 1), candidate(s + 2)
+        x_delayed = candidate(eq.delayed_index(s))
+        lhs[i] = (
+            eq.r(s + 1) * signed_pow(x2 - x1, a)
+            - eq.r(s) * signed_pow(x1 - x0, a)
+            + eq.q(s) * signed_pow(x_delayed, a)
+        )
     return list(zip(z.tolist(), lhs.tolist()))
 
 

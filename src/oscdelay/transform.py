@@ -85,14 +85,14 @@ def crit_canonical_sumq(ceq: HalfLinearEquation, horizon: int) -> CriterionVerdi
     """Divergence test on sum(qt): when it diverges, the comparison equation
     oscillates and so does the original delay equation.  A negative qt term is
     a StageError, as a negative q is for the criteria."""
-
-    def q_tilde(z):
+    z = np.arange(ceq.zeta0, ceq.zeta0 + horizon)
+    term = ceq.q.eval_array(z)
+    if not np.isfinite(term).all():
+        bad = int(z[np.argmax(~np.isfinite(term))])
         try:
-            return ceq.q(z)
+            ceq.q(bad)
         except DomainError as exc:
-            raise StageError(f"q_tilde not evaluable at {z}: {exc}") from exc
-
-    term = np.array([q_tilde(z) for z in range(ceq.zeta0, ceq.zeta0 + horizon)])
+            raise StageError(f"q_tilde not evaluable at {bad}: {exc}") from exc
     negative = term < 0
     if negative.any():
         i = int(np.argmax(negative))

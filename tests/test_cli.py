@@ -288,6 +288,12 @@ class TestCli:
         path.write_text(EXAMPLE2_INI.replace("alpha = 1/3", "alpha = 2/3"))
         assert main(["check", "--config", str(path)]) == 1
 
+    def test_non_decimal_digit_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "digit.ini"
+        path.write_text(EXAMPLE2_INI.replace('q = "z^(4/3)"', 'q = "z^¹"'), encoding="utf-8")
+        assert main(["validate", "--config", str(path), "--quiet"]) == 1
+        assert "config error: lex error at offset 2" in capsys.readouterr().err
+
     def test_missing_config_exit_one(self):
         assert main(["validate", "--config", "/nonexistent.ini", "--quiet"]) == 1
 

@@ -314,6 +314,14 @@ def column_scalar_split(z):
     return np.where(np.asarray(z) == 7, -1.0, 1.0)
 
 
+def hidden_at_5(z):
+    """A closed form whose array call is 1.0 everywhere while its scalar call
+    raises DomainError at 5: only its scalar calls show the failure."""
+    if np.ndim(z) == 0 and z == 5:
+        raise DomainError("no value at 5")
+    return np.ones(np.shape(z)) if np.ndim(z) else 1.0
+
+
 class TestValidateParity:
     """The columnar validate gives the report of the per-index loop."""
 
@@ -335,6 +343,10 @@ class TestValidateParity:
         (seq_eq(Sequence.closed_form("split", column_scalar_split), "1"), 20),
         (example_equation(1), 200),
         (example_equation(3), 20000),
+        (seq_eq(Sequence.closed_form("hidden", hidden_at_5), "1"), 20),  # the array call hides 5
+        (seq_eq("1", Sequence.closed_form("hidden", hidden_at_5)), 20),
+        # flagged on the column, but a table's scalar call has no finiteness check
+        (seq_eq("1", Sequence.from_table(1, [math.nan] * 3 + [1.0] * 5 + [-1.0] * 20)), 20),
     ])
     def test_same_report_as_loop(self, eq, horizon):
         assert validate(eq, horizon) == validate_loop(eq, horizon)

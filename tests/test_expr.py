@@ -3,9 +3,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oscdelay import Sequence
 from oscdelay.errors import DivisionByZero, DomainError, LexError, ParseError
 from oscdelay.expr import (
     Binary,
@@ -64,6 +65,16 @@ class TestTokenize:
     def test_bad_decimal(self):
         with pytest.raises(LexError):
             tokenize("2.")
+
+    @pytest.mark.parametrize("text", ["z*²", "z^¹", "1.²", "1e²"])
+    def test_non_decimal_digit_is_a_lex_error(self, text):
+        # "²" is a digit to str.isdigit, but float() does not read it
+        with pytest.raises(LexError) as exc_info:
+            parse_expression(text)
+        assert exc_info.value.position == 2
+
+    def test_other_decimal_digits_read_as_numbers(self):
+        assert parse_expression("٣*z") == Binary("*", Literal(3.0), Var())
 
 
 class TestParse:
@@ -503,3 +514,62 @@ class TestCompiledParity:
         copy = pickle.loads(pickle.dumps(seq))
         assert copy == seq and hash(copy) == hash(seq) and not hasattr(copy.ast, "_forms")
         assert copy(7) == value and np.array_equal(copy.eval_array(np.arange(3, 9)), column)
+
+
+def _follows_scalar_calls(column, outcomes) -> bool:
+    """column holds each scalar outcome's value bit for bit up to the first index
+    whose scalar call raises DomainError, and NaN from there on."""
+    failed = False
+    for got, want in zip(column.tolist(), outcomes):
+        if want[0] == "error":
+            assert issubclass(want[1], DomainError), want
+            failed = True
+        if not _same(("value", got), ("value", math.nan) if failed else want):
+            return False
+    return len(column) == len(outcomes)
+
+
+class TestColumnContract:
+    """Sequence.eval_array holds the values the scalar call computes before its
+    finiteness check: from one column when the column evaluates, else index by
+    index up to the first index whose scalar call raises, and NaN from there on."""
+
+    @given(expression_trees(), st.integers(-20, 2990), st.integers(0, 12))
+    @example(parse_expression("1/(z-5)+10"), 0, 12)                  # a pole
+    @example(parse_expression("pow(z-5, 2)"), 0, 12)                 # a negative base
+    @example(parse_expression("2^z + 1/(z-1026)"), 1020, 10)         # inf, then a pole
+    @settings(max_examples=300, deadline=None)
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_expression(self, ast, start, n):
+        zs = np.arange(start, start + n)
+        got = Sequence.from_expression(ast).eval_array(zs)
+        column = _outcome(eval_values, ast, zs)
+        # the column form and the scalar one may differ in the last bit; each is
+        # pinned to the walker by TestCompiledParity
+        if column[0] == "value":
+            assert _same(("value", got), column)
+        else:
+            assert _follows_scalar_calls(got, [_outcome(eval_at, ast, z) for z in zs.tolist()])
+
+    @given(st.integers(-5, 5), st.lists(st.floats(allow_nan=False), max_size=8),
+           st.integers(-10, 15), st.integers(0, 12))
+    @settings(max_examples=200, deadline=None)
+    def test_table_read_outside_its_range(self, start, values, first, n):
+        seq = Sequence.from_table(start, values)
+        zs = np.arange(first, first + n)
+        assert _follows_scalar_calls(seq.eval_array(zs), [_outcome(seq, z) for z in zs.tolist()])
+
+    @given(st.integers(-5, 20), st.none() | st.integers(-5, 5), st.integers(-10, 10),
+           st.integers(0, 12))
+    @settings(max_examples=200, deadline=None)
+    def test_closed_form_with_a_failing_index(self, fail_at, domain_start, first, n):
+        def fn(z):
+            if np.ndim(z):
+                return np.ones(np.shape(z))  # an array call that hides the failure
+            if z == fail_at:
+                raise DomainError(f"no value at {z}")
+            return 1e3 * math.sin(z)
+
+        seq = Sequence.closed_form("hidden", fn, domain_start)
+        zs = np.arange(first, first + n)
+        assert _follows_scalar_calls(seq.eval_array(zs), [_outcome(seq, z) for z in zs.tolist()])

@@ -1,6 +1,7 @@
 """Tests for forward iteration, classification, residuals and the
 positive-solution inequality monitor."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -323,6 +324,14 @@ POLY_EQ = HalfLinearEquation(
 SMOOTH = Sequence.closed_form("sin(z)+1.5", lambda z: math.sin(z) + 1.5)  # scalar-only closed form
 
 
+def hidden_at_5(z):
+    """A closed form whose array call is 1.0 everywhere while its scalar call
+    raises DomainError at 5: only its scalar calls show the failure."""
+    if np.ndim(z) == 0 and z == 5:
+        raise DomainError("no value at 5")
+    return np.ones(np.shape(z)) if np.ndim(z) else 1.0
+
+
 class TestResidualParity:
     """The columnar residual matches the per-index loop: values within 1e-15 of the
     scale of their terms (numpy's array pow and r, q may differ from the scalar
@@ -351,7 +360,10 @@ class TestResidualParity:
         (linear_eq(q_text="1/(z-5)+10", zeta0=1), 4, 20, "division by zero"),
         (linear_eq(q_text="pow(z-8, 2)", zeta0=1), 4, 20, "negative base with non-literal exponent"),
         (linear_eq(q_text="2^z", zeta0=1), 4, 1030, "2^z is not finite at index 1024"),  # overflow
-    ], ids=["below_frm", "below_delayed", "past_end", "pole", "negative_base", "overflow"])
+        (replace(linear_eq(zeta0=1), q=Sequence.closed_form("hidden", hidden_at_5)), 4, 20,
+         "no value at 5"),
+    ], ids=["below_frm", "below_delayed", "past_end", "pole", "negative_base", "overflow",
+            "hidden_by_array_call"])
     def test_same_error_as_loop(self, eq, frm, to, message):
         cand = (Sequence.from_table(3, [math.cos(z) for z in range(3, 33)]) if to < 32
                 else Sequence.closed_form("cos", lambda z: np.cos(z)))
