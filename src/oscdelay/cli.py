@@ -75,8 +75,8 @@ def run_stages(cfg: RunConfig, stages) -> dict:
             elif stage == "transform":
                 if eq.delay_form.value != "delay_plus_one" or eq.alpha.value < 1:
                     continue
-                ceq = to_canonical(eq)
                 horizon = cfg.check.horizon if cfg.check else 200
+                ceq = to_canonical(eq, horizon)
                 zs = list(range(eq.zeta0, eq.zeta0 + min(horizon, 50)))
                 report["stages"]["transform"] = {
                     "sigma": ceq.sigma,

@@ -110,7 +110,7 @@ def reproduce_example(n: int, lambda0: float = 2.0, horizon: int = 200) -> dict:
         rows.append(_row("max |q(s) * theta^(alpha+1)(s+1) - 1|", 0.0, term_err))
         rows.append(_row("Thm22B holds (series diverges)", True, v22b.holds))
     elif n == 3:
-        ceq = to_canonical(eq)
+        ceq = to_canonical(eq, max(horizon, 100))  # the rows read r_tilde and q_tilde on [1, 100]
         theta_err = _theta_error(eq, range(1, 51))
         rows.append(_row("max |theta(z) - 1/z| on [1, 50]", 0.0, theta_err))
         rt_err = max(abs(ceq.r(z) - 1.0) for z in range(1, 101))
@@ -133,7 +133,7 @@ def reproduce_example(n: int, lambda0: float = 2.0, horizon: int = 200) -> dict:
         )
         # the published comparison equation: r_tilde = 1, q_tilde = 4
         literal = replace(ceq, r=Sequence.from_expression("1"), q=Sequence.from_expression("4"))
-        alternating = Sequence.closed_form("(-1)^z", lambda z: (-1.0) ** z)
+        alternating = Sequence.from_table(1, [(-1.0) ** z for z in range(1, 102)])
         res = canonical_residual(literal, alternating, 3, 100)
         rows.append(_row("residual of (-1)^z with q_tilde = 4 on [3, 100]", 0.0, res))
         sumq = crit_canonical_sumq(ceq, horizon)

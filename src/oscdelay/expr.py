@@ -417,6 +417,6 @@ def eval_at(ast: Ast, zeta) -> float:
 
 def eval_values(ast: Ast, z: np.ndarray) -> np.ndarray:
     """Vectorized evaluation over an array of index values."""
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN follow the column contract
         out = _compile(ast)[1](np.asarray(z, dtype=float))
     return np.broadcast_to(np.asarray(out, dtype=float), np.shape(z)).copy() if np.ndim(out) == 0 else np.asarray(out, dtype=float)

@@ -14,9 +14,11 @@ the test applied here is divergence of sum(qt).
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .criteria import CANONICAL_SUM_Q, CriterionVerdict, _series_verdict
+from .criteria import CANONICAL_SUM_Q, CriterionVerdict, _series_verdict, _theta_column
 from .equation import DelayForm, HalfLinearEquation, theta, theta_extended
 from .errors import DomainError, StageError
 from .power import RationalExponent
@@ -24,8 +26,10 @@ from .sequences import Sequence
 from .solver import residual_pointwise
 
 
-def to_canonical(eq: HalfLinearEquation) -> HalfLinearEquation:
-    """Build the canonical comparison equation in y(z) = x(z-1); theta must certify finite."""
+def to_canonical(eq: HalfLinearEquation, horizon: int) -> HalfLinearEquation:
+    """Build the canonical comparison equation in y(z) = x(z-1), with rt and qt
+    tabulated on [zeta0, zeta0 + horizon]; theta must certify finite.  The first
+    index where rt or qt is not evaluable or not finite is a StageError."""
     if eq.delay_form is not DelayForm.MINUS_SIGMA_PLUS_ONE:
         raise StageError("the transform applies to the z - sigma + 1 delay form")
     if eq.alpha.value < 1:
@@ -36,27 +40,30 @@ def to_canonical(eq: HalfLinearEquation) -> HalfLinearEquation:
     if not head.certified and head.method != "poly_tail":
         raise StageError("theta could not be certified finite; transform unavailable")
 
-    a = eq.alpha
-    inv_alpha = a.den / a.num
-
-    def r_tilde(z):
-        z = int(z)
-        return theta(eq, z).value * theta(eq, z + 1).value * eq.r(z) ** inv_alpha
-
-    def q_tilde(z):
-        z = int(z)
-        qv = eq.q(z)
-        if qv == 0.0:
-            # avoids demanding theta at shifted indices the coefficients never weight
-            return 0.0
-        th_next = theta(eq, z + 1).value
-        th_here = theta(eq, z).value
-        th_shift = theta_extended(eq, z - eq.sigma + 1).value
-        return (a.den / a.num) * th_next * th_here ** (a.value - 1.0) * th_shift * qv
+    inv_alpha, power = eq.alpha.den / eq.alpha.num, eq.alpha.value - 1.0
+    th = _theta_column(eq, eq.zeta0, horizon + 2).tolist()
+    columns: dict = {"r_tilde": [], "q_tilde": []}
+    for i, z in enumerate(range(eq.zeta0, eq.zeta0 + horizon + 1)):
+        for name, column in columns.items():
+            try:
+                if name == "r_tilde":
+                    value = th[i] * th[i + 1] * eq.r(z) ** inv_alpha
+                elif (qv := eq.q(z)) == 0.0:
+                    value = 0.0  # needs no theta at a shifted index the coefficients never weight
+                else:
+                    th_shift = theta_extended(eq, z - eq.sigma + 1).value
+                    value = inv_alpha * th[i + 1] * th[i] ** power * th_shift * qv
+            except OverflowError:  # a Python float power beyond float range
+                value = math.inf
+            except DomainError as exc:
+                raise StageError(f"{name} not evaluable at {z}: {exc}") from exc
+            if not math.isfinite(value):
+                raise StageError(f"{name} not evaluable at {z}: {name} is not finite at index {z}")
+            column.append(value)
 
     return HalfLinearEquation(
-        r=Sequence.closed_form("r_tilde", r_tilde, domain_start=eq.zeta0),
-        q=Sequence.closed_form("q_tilde", q_tilde, domain_start=eq.zeta0),
+        r=Sequence.from_table(eq.zeta0, columns["r_tilde"]),
+        q=Sequence.from_table(eq.zeta0, columns["q_tilde"]),
         alpha=RationalExponent(1, 1),
         sigma=eq.sigma,
         delay_form=DelayForm.MINUS_SIGMA_PLUS_ONE,

@@ -41,7 +41,7 @@ def test_criterion_02_example3_transform():
     """Example 3 transform: r_tilde = 1 within 1e-12 on [1, 100]; q_tilde
     constant within 1e-9 and equal to 4/5 within 1e-9; the reproduction
     report flags the mismatch with the published value 4."""
-    ceq = od.to_canonical(od.example_equation(3))
+    ceq = od.to_canonical(od.example_equation(3), 100)
     rt_err = max(abs(ceq.r(z) - 1.0) for z in range(1, 101))
     assert rt_err <= 1e-12
 
@@ -59,14 +59,14 @@ def test_criterion_03_exhibited_solution():
     """(-1)^z solves the comparison equation with r_tilde = 1, q_tilde = 4,
     sigma = 2: residual <= 1e-12 over [3, 100]."""
     ceq = od.HalfLinearEquation(
-        r=od.Sequence.closed_form("1", lambda z: 1.0),
-        q=od.Sequence.closed_form("4", lambda z: 4.0),
+        r=od.Sequence.from_expression("1"),
+        q=od.Sequence.from_expression("4"),
         alpha=RationalExponent(1, 1),
         sigma=2,
         delay_form=od.DelayForm.MINUS_SIGMA_PLUS_ONE,
         zeta0=1,
     )
-    alternating = od.Sequence.closed_form("(-1)^z", lambda z: (-1.0) ** z)
+    alternating = od.Sequence.from_table(1, [(-1.0) ** z for z in range(1, 102)])
     res = od.canonical_residual(ceq, alternating, 3, 100)
     assert res <= 1e-12
     print(f"ACCEPTANCE 3: PASS (residual {res:.2e})")

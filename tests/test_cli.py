@@ -472,6 +472,31 @@ class TestCli:
         assert data["errors"] == [{"stage": "classify", "error": "r(5) is not finite"}]
         assert data["stages"]["validate"]["violations"][0]["index"] == 5
 
+    def test_cancelling_expression_leaves_stderr_empty(self, tmp_path):
+        # the tail pass reaches z = 1024, where 2^z - 2^z is inf - inf: a NaN column entry
+        path = write_config(tmp_path, EXAMPLE2_INI.replace('"(z*(z-1))^(1/3)"', '"2^z - 2^z + 1"')
+                            .replace('theta_closed_form = "1/(z-1)"\n', ""))
+        src = os.path.dirname(os.path.dirname(oscdelay.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        command = [sys.executable, "-m", "oscdelay.cli", "classify", "--config", path, "--quiet"]
+        done = subprocess.run(command, capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode in (0, 2)
+        assert "RuntimeWarning" not in done.stderr, done.stderr
+
+    @pytest.mark.parametrize("r, sigma, horizon, error", [
+        # theta(0) needs r(0) = 0 > 0
+        ("z*(z+1)", 2, 200, "q_tilde not evaluable at 1: r(0) is not positive"),
+        # r(309) = 10^309 overflows; validate reports H1 there
+        ("10^z", 1, 400, "r_tilde not evaluable at 309: 10^z is not finite at index 309"),
+    ], ids=["shifted-theta-below-domain", "r-overflows-in-horizon"])
+    def test_transform_names_first_unevaluable_coefficient(self, tmp_path, r, sigma, horizon, error):
+        path = write_config(tmp_path, f'[equation]\nr = "{r}"\nq = "1"\nalpha = 1\n'
+                            f"sigma = {sigma}\nform = delay_plus_one\nzeta0 = 1\n")
+        out = tmp_path / "t.json"
+        argv = ["transform", "--config", path, "--horizon", str(horizon), "--out", str(out), "--quiet"]
+        assert main(argv) == 2
+        assert json.loads(out.read_text())["errors"] == [{"stage": "transform", "error": error}]
+
     def test_classify_divergent_tail_canonical(self, tmp_path):
         # r = 1: the tail terms never fall, so theta does not exist
         path = write_config(tmp_path, EXAMPLE2_INI.replace('"(z*(z-1))^(1/3)"', '"1"')

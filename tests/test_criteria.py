@@ -163,14 +163,6 @@ class TestThm22:
             assert row.term == pytest.approx(want, rel=1e-9)
 
 
-def hidden_at_5(z):
-    """A closed form whose array call is 1.0 everywhere while its scalar call
-    raises DomainError at 5: only its scalar calls show the failure."""
-    if np.ndim(z) == 0 and z == 5:
-        raise DomainError("no value at 5")
-    return np.ones(np.shape(z)) if np.ndim(z) else 1.0
-
-
 class TestLem21:
     def test_example1_certified(self):
         v = crit_lem21(example_equation(1, 2.0), 200)
@@ -185,10 +177,10 @@ class TestLem21:
         v = crit_lem21(eq_with_q("1"), 100)
         assert v.status is VerdictStatus.CERTIFIED_HOLDS
 
-    def test_q_failing_only_in_scalar_calls_is_not_certified(self):
-        eq = replace(eq_with_q("1"), q=Sequence.closed_form("hidden", hidden_at_5))
-        with pytest.raises(StageError, match="q not evaluable: no value at 5"):
-            crit_lem21(eq, 100)
+    def test_nan_q_entry_is_not_certified(self):
+        eq = replace(eq_with_q("1"), q=Sequence.from_table(1, [math.nan] * 3 + [1.0] * 300))
+        with pytest.raises(StageError, match=r"q not evaluable: table\[1\.\.303\] is not finite at index 1"):
+            crit_lem21(eq, 200)
 
     def test_harmonic_q_not_failing(self):
         # q = 1/z is not summable: the ratio window (0.99 at z = 100) proves nothing
@@ -302,7 +294,7 @@ class TestOneCodePath:
     def test_evidence_from_one_term_column(self, cid):
         eq, horizon = self.EQ, 150
         if cid == CANONICAL_SUM_Q:
-            v = crit_canonical_sumq(to_canonical(eq), horizon)
+            v = crit_canonical_sumq(to_canonical(eq, horizon), horizon)
         else:
             v = evaluate_criterion(cid, eq, horizon)
         assert [row.zeta for row in v.evidence] == list(range(eq.zeta0, eq.zeta0 + horizon))

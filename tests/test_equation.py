@@ -154,7 +154,7 @@ class TestTheta:
         eq = make_eq(
             "2^(z/3)",
             RationalExponent(1, 3),
-            theta_cf=Sequence.closed_form("bogus", lambda z: 42.0),
+            theta_cf=Sequence.from_expression("42"),
         )
         with pytest.raises(StageError):
             theta(eq, 1)
@@ -249,6 +249,12 @@ class TestValidate:
         assert not report.ok
         assert report.violations[0].hypothesis == "H2"
 
+    def test_nan_table_entry_flagged(self):
+        # a table's scalar call refuses a non-finite entry, as an expression's does
+        eq = seq_eq("1", Sequence.from_table(1, [math.nan] * 3 + [1.0] * 300))
+        assert validate(eq, 200).violations == (
+            Violation("H2", 1, "q not evaluable: table[1..303] is not finite at index 1"),)
+
     def test_sign_changing_r_flagged_at_first_offender(self):
         eq = make_eq("z-10", RationalExponent(1, 1), zeta0=1)
         report = validate(eq, 20)
@@ -298,28 +304,8 @@ def seq_eq(r, q, zeta0=1):
                               sigma=0, delay_form=DelayForm.MINUS_SIGMA, zeta0=zeta0)
 
 
-def pole_at_5(z):
-    """1/(z-5)+10 as a closed form: inf at 5 on a column, DivisionByZero at the scalar 5."""
-    if np.ndim(z) == 0 and z == 5:
-        raise DivisionByZero("division by zero")
-    with np.errstate(divide="ignore"):
-        return 1.0 / (np.asarray(z, dtype=float) - 5.0) + 10.0
-
-
-def column_scalar_split(z):
-    """A column that offends at 7 while the scalar values offend only at 9: where
-    the two disagree (the last bit near 0), the per-index loop decides."""
-    if np.ndim(z) == 0:
-        return -1.0 if z == 9 else 1.0
-    return np.where(np.asarray(z) == 7, -1.0, 1.0)
-
-
-def hidden_at_5(z):
-    """A closed form whose array call is 1.0 everywhere while its scalar call
-    raises DomainError at 5: only its scalar calls show the failure."""
-    if np.ndim(z) == 0 and z == 5:
-        raise DomainError("no value at 5")
-    return np.ones(np.shape(z)) if np.ndim(z) else 1.0
+# 1/(z-5)+10 as a table: the pole is an inf entry, which the column holds and the scalar call refuses
+POLE_TABLE = Sequence.from_table(1, [math.inf if z == 5 else 1.0 / (z - 5) + 10.0 for z in range(1, 21)])
 
 
 class TestValidateParity:
@@ -337,15 +323,17 @@ class TestValidateParity:
         (seq_eq("pow(z-5, 2)", "1"), 20),                          # negative base
         (seq_eq("1", "pow(z-5, 2)"), 20),
         (seq_eq("1/(z-5)+10", "1"), 20),                           # division by zero
-        (seq_eq(Sequence.closed_form("pole", pole_at_5), "1"), 20),
+        (seq_eq(POLE_TABLE, "1"), 20),
         (seq_eq(Sequence.from_table(3, [1.0] * 30), "1"), 20),     # table below its domain start
         (seq_eq("z-10", "1-z", zeta0=0), 20),                      # H1 and H2 offenders
-        (seq_eq(Sequence.closed_form("split", column_scalar_split), "1"), 20),
+        # zero but for the last bit: numpy's array pow and the scalar pow disagree in
+        # sign at some indices, and the per-index loop decides
+        (seq_eq("1", "(z+75)^(4/3) - (z+75)^(2/3)*(z+75)^(2/3)"), 20),
         (example_equation(1), 200),
         (example_equation(3), 20000),
-        (seq_eq(Sequence.closed_form("hidden", hidden_at_5), "1"), 20),  # the array call hides 5
-        (seq_eq("1", Sequence.closed_form("hidden", hidden_at_5)), 20),
-        # flagged on the column, but a table's scalar call has no finiteness check
+        (seq_eq(Sequence.from_table(1, [1.0] * 4 + [math.nan] + [1.0] * 20), "1"), 20),
+        (seq_eq("1", Sequence.from_table(1, [1.0] * 4 + [-math.inf] + [1.0] * 20)), 20),
+        # the NaN entries are flagged on the column, and the scalar call refuses them
         (seq_eq("1", Sequence.from_table(1, [math.nan] * 3 + [1.0] * 5 + [-1.0] * 20)), 20),
     ])
     def test_same_report_as_loop(self, eq, horizon):
@@ -355,11 +343,13 @@ class TestValidateParity:
 class TestDivisionByZero:
     """A zero denominator is a domain error: an H1 violation, not a crash."""
 
-    @pytest.mark.parametrize("r", ["1/(z-5)+10", Sequence.closed_form("pole", pole_at_5)],
-                             ids=["fallback", "columnar"])
-    def test_validate_reports_h1_at_pole(self, r):
+    @pytest.mark.parametrize("r, detail", [
+        ("1/(z-5)+10", "division by zero"),
+        (POLE_TABLE, "table[1..20] is not finite at index 5"),
+    ], ids=["fallback", "columnar"])
+    def test_validate_reports_h1_at_pole(self, r, detail):
         report = validate(seq_eq(r, "1"), 20)
-        assert report.violations == (Violation("H1", 5, "r not evaluable: division by zero"),)
+        assert report.violations == (Violation("H1", 5, f"r not evaluable: {detail}"),)
 
     def test_division_by_zero_is_a_domain_error(self):
         assert issubclass(DivisionByZero, DomainError)
@@ -490,7 +480,7 @@ class TestClosedFormCertification:
     def test_past_truncation_checked_against_tail_bound(self):
         # 2^(-z) is truncated near 30; theta(100) must lie in [0, tail_bound]
         eq = make_eq("2^(z/3)", RationalExponent(1, 3),
-                     theta_cf=Sequence.closed_form("bogus", lambda z: 0.5))
+                     theta_cf=Sequence.from_expression("0.5"))
         with pytest.raises(StageError):
             theta(eq, 100)
         good = theta(example_equation(1), 100)

@@ -1,9 +1,7 @@
 """Tests for forward iteration, classification, residuals and the
 positive-solution inequality monitor."""
 import math
-from dataclasses import replace
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +21,7 @@ from oscdelay import (
     residual,
     residual_pointwise,
 )
-from oscdelay.errors import DivisionByZero, DomainError
+from oscdelay.errors import DomainError
 from oscdelay.power import signed_pow
 from oscdelay.solver import StatusKind, TrajectoryStatus
 
@@ -39,7 +37,7 @@ def linear_eq(q_text="4", sigma=1, zeta0=0, form=DelayForm.MINUS_SIGMA):
     )
 
 
-ALTERNATING = Sequence.closed_form("(-1)^z", lambda z: (-1.0) ** z)
+ALTERNATING = Sequence.from_table(-5, [(-1.0) ** z for z in range(-5, 200)])
 
 
 class TestInitialData:
@@ -167,18 +165,11 @@ class TestIterate:
             assert abs(b - c * a) <= 1e-9 * max(1.0, abs(c * a))
 
 
-def pole_at_5(z):
-    """1/(z-5)+10 as a closed form: inf at 5 on a column, DivisionByZero at the scalar 5."""
-    if np.ndim(z) == 0 and z == 5:
-        raise DivisionByZero("division by zero")
-    with np.errstate(divide="ignore"):
-        return 1.0 / (np.asarray(z, dtype=float) - 5.0) + 10.0
-
-
 class TestDivisionByZero:
-    @pytest.mark.parametrize("r", [Sequence.from_expression("1/(z-5)+10"),
-                                   Sequence.closed_form("pole", pole_at_5)],
-                             ids=["expression", "closed_form"])
+    @pytest.mark.parametrize("r", [
+        Sequence.from_expression("1/(z-5)+10"),
+        Sequence.from_table(1, [math.inf if z == 5 else 1.0 / (z - 5) + 10.0 for z in range(1, 30)]),
+    ], ids=["expression", "table"])
     def test_iterate_stops_with_domain_error_at_pole(self, r):
         eq = HalfLinearEquation(r=r, q=Sequence.from_expression("1"), alpha=RationalExponent(1, 1),
                                 sigma=0, delay_form=DelayForm.MINUS_SIGMA, zeta0=1)
@@ -263,13 +254,12 @@ class TestResidual:
 
     def test_constant_with_zero_forcing(self):
         eq = linear_eq(q_text="0", sigma=1)
-        const = Sequence.closed_form("c", lambda z: 3.7)
+        const = Sequence.from_expression("3.7")
         assert residual(eq, const, 2, 50) == 0.0
 
     def test_perturbation_detected(self):
-        bumped = Sequence.closed_form(
-            "bumped", lambda z: (-1.0) ** z + (0.1 if z == 50 else 0.0)
-        )
+        bumped = Sequence.from_table(40, [(-1.0) ** z + (0.1 if z == 50 else 0.0)
+                                          for z in range(40, 60)])
         rows = residual_pointwise(linear_eq(), bumped, 48, 51)
         assert max(abs(v) for _, v in rows) > 0.05
 
@@ -287,8 +277,8 @@ class TestResidual:
     def test_homogeneity_pointwise(self, c):
         eq = example_equation(3)
         xs = {z: math.sin(z) + 1.5 for z in range(-2, 30)}
-        cand = Sequence.closed_form("x", lambda z, xs=xs: xs[int(z)])
-        scaled = Sequence.closed_form("cx", lambda z, xs=xs: c * xs[int(z)])
+        cand = Sequence.from_table(-2, [xs[z] for z in range(-2, 30)])
+        scaled = Sequence.from_table(-2, [c * xs[z] for z in range(-2, 30)])
         base = residual_pointwise(eq, cand, 1, 25)
         got = residual_pointwise(eq, scaled, 1, 25)
         factor = signed_pow(c, eq.alpha)
@@ -321,15 +311,7 @@ POLY_EQ = HalfLinearEquation(
     q=Sequence.from_expression("1.3*(z^2-1)*z^(2/3)"),
     alpha=RationalExponent(5, 3), sigma=2, delay_form=DelayForm.MINUS_SIGMA_PLUS_ONE, zeta0=1,
 )
-SMOOTH = Sequence.closed_form("sin(z)+1.5", lambda z: math.sin(z) + 1.5)  # scalar-only closed form
-
-
-def hidden_at_5(z):
-    """A closed form whose array call is 1.0 everywhere while its scalar call
-    raises DomainError at 5: only its scalar calls show the failure."""
-    if np.ndim(z) == 0 and z == 5:
-        raise DomainError("no value at 5")
-    return np.ones(np.shape(z)) if np.ndim(z) else 1.0
+SMOOTH = Sequence.from_table(-5, [math.sin(z) + 1.5 for z in range(-5, 40)])
 
 
 class TestResidualParity:
@@ -344,7 +326,7 @@ class TestResidualParity:
         lambda: _trajectory_case(example_equation(2), 300),
         lambda: _trajectory_case(example_equation(3), 300),
         lambda: _trajectory_case(POLY_EQ, 5000),
-    ], ids=["alternating", "scalar_closed_form", "example1", "example2", "example3", "poly"])
+    ], ids=["alternating", "table", "example1", "example2", "example3", "poly"])
     def test_values_match_loop(self, case):
         eq, cand, frm, to = case()
         got = residual_pointwise(eq, cand, frm, to)
@@ -360,13 +342,9 @@ class TestResidualParity:
         (linear_eq(q_text="1/(z-5)+10", zeta0=1), 4, 20, "division by zero"),
         (linear_eq(q_text="pow(z-8, 2)", zeta0=1), 4, 20, "negative base with non-literal exponent"),
         (linear_eq(q_text="2^z", zeta0=1), 4, 1030, "2^z is not finite at index 1024"),  # overflow
-        (replace(linear_eq(zeta0=1), q=Sequence.closed_form("hidden", hidden_at_5)), 4, 20,
-         "no value at 5"),
-    ], ids=["below_frm", "below_delayed", "past_end", "pole", "negative_base", "overflow",
-            "hidden_by_array_call"])
+    ], ids=["below_frm", "below_delayed", "past_end", "pole", "negative_base", "overflow"])
     def test_same_error_as_loop(self, eq, frm, to, message):
-        cand = (Sequence.from_table(3, [math.cos(z) for z in range(3, 33)]) if to < 32
-                else Sequence.closed_form("cos", lambda z: np.cos(z)))
+        cand = Sequence.from_table(3, [math.cos(z) for z in range(3, 33 if to < 32 else 1040)])
         with pytest.raises(DomainError) as want:
             residual_loop(eq, cand, frm, to)
         with pytest.raises(DomainError) as got:
@@ -399,7 +377,7 @@ class TestLemma22Check:
             sigma=2,
             delay_form=DelayForm.MINUS_SIGMA_PLUS_ONE,
             zeta0=1,
-            theta_closed_form=Sequence.closed_form("1/z", lambda z: 1.0 / z),
+            theta_closed_form=Sequence.from_expression("1/z"),
         )
         init = InitialData.for_equation(eq, [1.0, 0.5, 1.0 / 3.0, 0.25])
         traj = iterate(eq, init, 80)
