@@ -26,6 +26,7 @@ from .sequences import Sequence
 
 
 ZERO_TOL = 1e-8  # trajectory entries at most this in magnitude count as zero
+ITERATE_BLOCK = 1024  # indices of r and q that iterate reads per column call
 
 
 @dataclass(frozen=True)
@@ -147,28 +148,38 @@ def iterate(eq: HalfLinearEquation, init: InitialData, horizon: int) -> Trajecto
     except OverflowError:
         return fail(StatusKind.OVERFLOWED, z0)
 
-    for z in range(z0, horizon - 1):
-        try:
-            qz = eq.q(z)
-            xd = x[z + lag]
-            y_next = y[-1] - qz * signed_pow(xd, alpha)
-            if not math.isfinite(y_next):
-                return fail(StatusKind.OVERFLOWED, z + 1)
-            rz1 = eq.r(z + 1)
-            if rz1 <= 0:
+    # q on [lo, hi) and r on [lo + 1, hi + 1) are read as columns one block at a
+    # time, so a trajectory that stops early evaluates at most one block past it.
+    # A flagged entry (non-finite q, non-finite or non-positive r) is computed
+    # again by the scalar call, which raises or returns the value the step uses.
+    for lo in range(z0, horizon - 1, ITERATE_BLOCK):
+        hi = min(lo + ITERATE_BLOCK, horizon - 1)
+        zs = np.arange(lo, hi)
+        q_col = eq.q.eval_array(zs).tolist()
+        r_col = eq.r.eval_array(zs + 1).tolist()
+        for z, qz, rz1 in zip(range(lo, hi), q_col, r_col):
+            try:
+                if not math.isfinite(qz):
+                    qz = eq.q(z)
+                y_next = y[-1] - qz * signed_pow(x[z + lag], alpha)
+                if not math.isfinite(y_next):
+                    return fail(StatusKind.OVERFLOWED, z + 1)
+                if not 0 < rz1 < math.inf:
+                    rz1 = eq.r(z + 1)
+                    if rz1 <= 0:
+                        return fail(StatusKind.DOMAIN_ERROR, z + 1)
+                step = y_next / rz1
+                if not math.isfinite(step):
+                    return fail(StatusKind.OVERFLOWED, z + 2)
+                x_next = x[-1] + signed_pow(step, inv_alpha)
+                if not math.isfinite(x_next):
+                    return fail(StatusKind.OVERFLOWED, z + 2)
+            except OverflowError:
+                return fail(StatusKind.OVERFLOWED, z + 2)
+            except DomainError:
                 return fail(StatusKind.DOMAIN_ERROR, z + 1)
-            step = y_next / rz1
-            if not math.isfinite(step):
-                return fail(StatusKind.OVERFLOWED, z + 2)
-            x_next = x[-1] + signed_pow(step, inv_alpha)
-            if not math.isfinite(x_next):
-                return fail(StatusKind.OVERFLOWED, z + 2)
-        except OverflowError:
-            return fail(StatusKind.OVERFLOWED, z + 2)
-        except DomainError:
-            return fail(StatusKind.DOMAIN_ERROR, z + 1)
-        y.append(y_next)
-        x.append(x_next)
+            y.append(y_next)
+            x.append(x_next)
 
     return Trajectory(start, tuple(x), z0, tuple(y), status)
 

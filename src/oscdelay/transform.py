@@ -43,16 +43,18 @@ def to_canonical(eq: HalfLinearEquation, horizon: int) -> HalfLinearEquation:
     inv_alpha, power = eq.alpha.den / eq.alpha.num, eq.alpha.value - 1.0
     th = _theta_column(eq, eq.zeta0, horizon + 2).tolist()
     columns: dict = {"r_tilde": [], "q_tilde": []}
+    # the coefficient is multiplied in before the second theta factor: a product
+    # of two small thetas can underflow where rt or qt is a normal float
     for i, z in enumerate(range(eq.zeta0, eq.zeta0 + horizon + 1)):
         for name, column in columns.items():
             try:
                 if name == "r_tilde":
-                    value = th[i] * th[i + 1] * eq.r(z) ** inv_alpha
+                    value = th[i] * eq.r(z) ** inv_alpha * th[i + 1]
                 elif (qv := eq.q(z)) == 0.0:
                     value = 0.0  # needs no theta at a shifted index the coefficients never weight
                 else:
                     th_shift = theta_extended(eq, z - eq.sigma + 1).value
-                    value = inv_alpha * th[i + 1] * th[i] ** power * th_shift * qv
+                    value = inv_alpha * th[i + 1] * qv * th[i] ** power * th_shift
             except OverflowError:  # a Python float power beyond float range
                 value = math.inf
             except DomainError as exc:

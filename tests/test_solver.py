@@ -1,6 +1,7 @@
 """Tests for forward iteration, classification, residuals and the
 positive-solution inequality monitor."""
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from oscdelay import (
     residual,
     residual_pointwise,
 )
+from oscdelay import solver
 from oscdelay.errors import DomainError
 from oscdelay.power import signed_pow
 from oscdelay.solver import StatusKind, TrajectoryStatus
@@ -176,6 +178,176 @@ class TestDivisionByZero:
         traj = iterate(eq, InitialData.for_equation(eq, [1.0, 0.5]), 20)
         assert traj.status == TrajectoryStatus(StatusKind.DOMAIN_ERROR, 5)
         assert traj.end_index == 5
+
+
+def iterate_loop(eq, init, horizon):
+    """The per-index iteration the block-column one must reproduce, kept as its oracle:
+    scalar calls q(z) and r(z + 1) at every step."""
+    x, start, z0, a = list(init.values), init.start_index, eq.zeta0, eq.alpha
+    lag = eq.delayed_index(0) - start
+    y = []
+
+    def fail(kind, at):
+        return Trajectory(start, tuple(x), z0, tuple(y), TrajectoryStatus(kind, at))
+
+    try:
+        r0 = eq.r(z0)
+    except DomainError:
+        return fail(StatusKind.DOMAIN_ERROR, z0)
+    if r0 <= 0:
+        return fail(StatusKind.DOMAIN_ERROR, z0)
+    dx = x[z0 + 1 - start] - x[z0 - start]
+    if not math.isfinite(dx):
+        return fail(StatusKind.OVERFLOWED, z0)
+    try:
+        y.append(r0 * signed_pow(dx, a))
+    except OverflowError:
+        return fail(StatusKind.OVERFLOWED, z0)
+    for z in range(z0, horizon - 1):
+        try:
+            y_next = y[-1] - eq.q(z) * signed_pow(x[z + lag], a)
+            if not math.isfinite(y_next):
+                return fail(StatusKind.OVERFLOWED, z + 1)
+            rz1 = eq.r(z + 1)
+            if rz1 <= 0:
+                return fail(StatusKind.DOMAIN_ERROR, z + 1)
+            step = y_next / rz1
+            if not math.isfinite(step):
+                return fail(StatusKind.OVERFLOWED, z + 2)
+            x_next = x[-1] + signed_pow(step, a.reciprocal())
+            if not math.isfinite(x_next):
+                return fail(StatusKind.OVERFLOWED, z + 2)
+        except OverflowError:
+            return fail(StatusKind.OVERFLOWED, z + 2)
+        except DomainError:
+            return fail(StatusKind.DOMAIN_ERROR, z + 1)
+        y.append(y_next)
+        x.append(x_next)
+    return Trajectory(start, tuple(x), z0, tuple(y), TrajectoryStatus(StatusKind.COMPLETED))
+
+
+def _bits(values):
+    return [v.hex() for v in values]
+
+
+_BAD = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 1e300])
+
+
+@st.composite
+def _table_values(draw, low):
+    """Finite entries in [low, 20] with a few NaN, infinite, zero, negative or huge ones."""
+    size = draw(st.integers(1, 70))
+    values = draw(st.lists(st.floats(min_value=low, max_value=20.0), min_size=size, max_size=size))
+    for i in draw(st.lists(st.integers(0, len(values) - 1), max_size=2)):
+        values[i] = draw(_BAD)
+    return values
+
+
+_ALPHAS = [RationalExponent(1, 1), RationalExponent(1, 3), RationalExponent(5, 3),
+           RationalExponent(3, 1)]
+
+
+class TestIterateParity:
+    """iterate reads r and q as block columns and matches the per-index loop."""
+
+    @given(
+        r_values=_table_values(0.05),
+        q_values=_table_values(-20.0),
+        alpha=st.sampled_from(_ALPHAS),
+        sigma=st.integers(0, 2),
+        form=st.sampled_from(list(DelayForm)),
+        init=st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=4, max_size=4),
+        steps=st.integers(2, 64),
+        block=st.sampled_from([1, 3, 7, solver.ITERATE_BLOCK]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_tables_bit_identical_to_loop(self, r_values, q_values, alpha, sigma, form, init,
+                                          steps, block):
+        # a table's column is its entries, so every value and the status agree bit for bit,
+        # tables that end before the horizon included
+        zeta0 = 1
+        if form is DelayForm.MINUS_SIGMA_PLUS_ONE:
+            sigma = max(sigma, 1)
+        eq = HalfLinearEquation(r=Sequence.from_table(zeta0, r_values),
+                                q=Sequence.from_table(zeta0, q_values), alpha=alpha, sigma=sigma,
+                                delay_form=form, zeta0=zeta0)
+        values = init[:sigma + 1] + [init[sigma + 1] or 1.0]
+        data = InitialData.for_equation(eq, values)
+        with mock.patch.object(solver, "ITERATE_BLOCK", block):
+            got = iterate(eq, data, zeta0 + steps)
+        want = iterate_loop(eq, data, zeta0 + steps)
+        assert got.status == want.status
+        assert _bits(got.x) == _bits(want.x) and _bits(got.y) == _bits(want.y)
+
+    @pytest.mark.parametrize("r_text, q_text, zeta0, values, horizon", [
+        ("1/(z-5)", "1", 1, (1.0, 0.5, 0.2), 20),            # r(1) < 0
+        ("1/(5-z)", "1", 1, (1.0, 0.5, 0.2), 20),            # a pole in the loop
+        ("1/(z-5)+10", "1", 1, (1.0, 0.5, 0.2), 20),
+        ("z-10", "1", 1, (1.0, 0.5, 0.2), 20),               # r(1) < 0
+        ("z-10", "1", 11, (1.0, 0.5, 0.2), 40),
+        ("10-z", "1", 1, (1.0, 0.5, 0.2), 20),               # r(10) = 0
+        ("1", "0-1", 1, (1.0, 2.0, 2.5), 3000),              # runaway growth
+        ("1", "1e308", 1, (1.0, 1.0, 1.0), 30),              # y overflows
+        ("1", "1", 1, (0.0, -1e308, 1e308), 30),             # the first difference is inf
+        ("1/2^z", "1", 1, (1.0, 0.5, 0.2), 1100),            # y / r overflows
+        ("1", "2^z", 1, (1.0, 0.5, 0.2), 1100),              # q is inf from 1024 on
+        ("1", "pow(8-z, 2)", 1, (1.0, 0.5, 0.2), 30),         # a negative base at 9
+        ("1", "1/2^z", 1, (1.0, 0.5, 0.2), 1100),            # q underflows to 0.0
+        ("2^(z/3)", "2.0*2^z", 1, (0.3, -0.7, 0.2), 400),    # example 1
+    ])
+    @pytest.mark.parametrize("block", [4, solver.ITERATE_BLOCK])
+    def test_expressions_stop_where_the_loop_stops(self, r_text, q_text, zeta0, values, horizon,
+                                                   block):
+        eq = HalfLinearEquation(r=Sequence.from_expression(r_text),
+                                q=Sequence.from_expression(q_text), alpha=RationalExponent(1, 1),
+                                sigma=1, delay_form=DelayForm.MINUS_SIGMA, zeta0=zeta0)
+        data = InitialData.for_equation(eq, values)
+        with mock.patch.object(solver, "ITERATE_BLOCK", block):
+            got = iterate(eq, data, horizon)
+        want = iterate_loop(eq, data, horizon)
+        assert got.status == want.status
+        assert got.end_index == want.end_index and len(got.y) == len(want.y)
+
+
+class _Reads:
+    """Counts the scalar calls and the column calls (with their points) of each sequence."""
+
+    def __init__(self, monkeypatch):
+        self.calls, self.columns, self.points = 0, {}, {}
+        call, eval_array = Sequence.__call__, Sequence.eval_array
+
+        def counted_call(seq, zeta):
+            self.calls += 1
+            return call(seq, zeta)
+
+        def counted_eval_array(seq, z):
+            self.columns[id(seq)] = self.columns.get(id(seq), 0) + 1
+            self.points[id(seq)] = self.points.get(id(seq), 0) + len(z)
+            return eval_array(seq, z)
+
+        monkeypatch.setattr(Sequence, "__call__", counted_call)
+        monkeypatch.setattr(Sequence, "eval_array", counted_eval_array)
+
+
+class TestIterateReads:
+    def test_hot_loop_makes_no_scalar_calls(self, monkeypatch):
+        reads = _Reads(monkeypatch)
+        horizon = 5000
+        traj = iterate(POLY_EQ, InitialData.for_equation(POLY_EQ, [0.3, -0.7, 0.1, 0.9]), horizon)
+        assert traj.status.kind is StatusKind.COMPLETED
+        assert reads.calls <= 1  # r(zeta0), read before the loop
+        steps = horizon - 1 - POLY_EQ.zeta0
+        for seq in (POLY_EQ.r, POLY_EQ.q):
+            assert reads.columns[id(seq)] <= -(-steps // solver.ITERATE_BLOCK) + 1
+
+    def test_early_stop_reads_one_block(self, monkeypatch):
+        # example 1 overflows at 56; a horizon of zeta0 + 10^6 must not be evaluated
+        eq = example_equation(1)
+        reads = _Reads(monkeypatch)
+        traj = iterate(eq, InitialData.for_equation(eq, [0.3, -0.7, 0.2]), eq.zeta0 + 10**6)
+        assert traj.status == TrajectoryStatus(StatusKind.OVERFLOWED, 56)
+        assert reads.points[id(eq.r)] <= solver.ITERATE_BLOCK
+        assert reads.points[id(eq.q)] <= solver.ITERATE_BLOCK
 
 
 class TestClassify:

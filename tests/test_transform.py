@@ -96,12 +96,23 @@ class TestToCanonical:
         a, inv_alpha = eq.alpha.value, eq.alpha.den / eq.alpha.num
         th = lambda z: theta(eq, z).value  # noqa: E731
         for z in range(1, 62):
-            assert ceq.r(z) == th(z) * th(z + 1) * eq.r(z) ** inv_alpha
+            assert ceq.r(z) == th(z) * eq.r(z) ** inv_alpha * th(z + 1)
             qv = eq.q(z)  # q(1) = 0, and theta_extended(0) would need r(0) > 0
-            want = qv and inv_alpha * th(z + 1) * th(z) ** (a - 1.0) * theta_extended(eq, z - 1).value * qv
+            want = qv and inv_alpha * th(z + 1) * qv * th(z) ** (a - 1.0) * theta_extended(eq, z - 1).value
             assert ceq.q(z) == want
         with pytest.raises(DomainError, match="outside table"):
             ceq.r(62)
+
+    def test_small_theta_product_does_not_underflow(self):
+        # r = q = 10^z: theta(z) = 10^(1-z)/9, so rt = qt = 10^(1-z)/81, a normal float on
+        # [1, 250], while theta(z) * theta(z+1) alone is 0.0 from z = 162 on
+        eq = plus_one_eq("10^z", r_text="10^z")
+        ceq = to_canonical(eq, 300)
+        for z in range(1, 251):
+            want = 10.0 ** (1 - z) / 81
+            assert ceq.r(z) == pytest.approx(want, rel=1e-12)
+            assert ceq.q(z) == pytest.approx(want, rel=1e-12)
+        assert validate(ceq, 250).violations == ()
 
     def test_pickle_round_trip(self):
         ceq = to_canonical(example_equation(3), 100)
