@@ -35,7 +35,7 @@ class Sequence:
         return cls(
             kind="table",
             domain_start=start,
-            table=tuple(float(v) for v in values),
+            table=tuple(map(float, values)),
         )
 
     def describe(self) -> str:

@@ -152,6 +152,12 @@ def iterate(eq: HalfLinearEquation, init: InitialData, horizon: int) -> Trajecto
     # time, so a trajectory that stops early evaluates at most one block past it.
     # A flagged entry (non-finite q, non-finite or non-positive r) is computed
     # again by the scalar call, which raises or returns the value the step uses.
+    # The odd powers are signed_pow inlined: every base is finite (the initial
+    # data, each step and each x are checked), a float ** float that overflows
+    # raises OverflowError, and a zero base gives +0.0.
+    a, inv_a = alpha.value, inv_alpha.value
+    isfinite, copysign = math.isfinite, math.copysign
+    y_last, x_last = y[-1], x[-1]
     for lo in range(z0, horizon - 1, ITERATE_BLOCK):
         hi = min(lo + ITERATE_BLOCK, horizon - 1)
         zs = np.arange(lo, hi)
@@ -159,20 +165,21 @@ def iterate(eq: HalfLinearEquation, init: InitialData, horizon: int) -> Trajecto
         r_col = eq.r.eval_array(zs + 1).tolist()
         for z, qz, rz1 in zip(range(lo, hi), q_col, r_col):
             try:
-                if not math.isfinite(qz):
+                if not isfinite(qz):
                     qz = eq.q(z)
-                y_next = y[-1] - qz * signed_pow(x[z + lag], alpha)
-                if not math.isfinite(y_next):
+                t = x[z + lag]
+                y_next = y_last - qz * (copysign(abs(t) ** a, t) if t else 0.0)
+                if not isfinite(y_next):
                     return fail(StatusKind.OVERFLOWED, z + 1)
                 if not 0 < rz1 < math.inf:
                     rz1 = eq.r(z + 1)
                     if rz1 <= 0:
                         return fail(StatusKind.DOMAIN_ERROR, z + 1)
                 step = y_next / rz1
-                if not math.isfinite(step):
+                if not isfinite(step):
                     return fail(StatusKind.OVERFLOWED, z + 2)
-                x_next = x[-1] + signed_pow(step, inv_alpha)
-                if not math.isfinite(x_next):
+                x_next = x_last + (copysign(abs(step) ** inv_a, step) if step else 0.0)
+                if not isfinite(x_next):
                     return fail(StatusKind.OVERFLOWED, z + 2)
             except OverflowError:
                 return fail(StatusKind.OVERFLOWED, z + 2)
@@ -180,6 +187,7 @@ def iterate(eq: HalfLinearEquation, init: InitialData, horizon: int) -> Trajecto
                 return fail(StatusKind.DOMAIN_ERROR, z + 1)
             y.append(y_next)
             x.append(x_next)
+            y_last, x_last = y_next, x_next
 
     return Trajectory(start, tuple(x), z0, tuple(y), status)
 
@@ -198,45 +206,40 @@ def classify_trajectory(traj: Trajectory, tol: float = ZERO_TOL) -> TrajectoryCl
         raise ValueError(f"trajectory too short: {n} points with burn_in {burn_in}")
 
     tail = traj.x[burn_in:]
-    indices = range(traj.start_index + burn_in, traj.end_index + 1)
-    signif = [(i, v) for i, v in zip(indices, tail) if abs(v) > tol]
-
-    changes = 0
-    first_change = None
-    for (_, a), (j, b) in zip(signif, signif[1:]):
-        if a * b < 0:
-            changes += 1
-            if first_change is None:
-                first_change = j
-    if changes > 0:
+    col = np.asarray(tail, dtype=float)
+    signif = np.flatnonzero(np.abs(col) > tol)
+    # a flip is a change of sign bit between consecutive significant entries;
+    # their product would underflow to -0.0 for entries below about 1e-162
+    negative = np.signbit(col[signif])
+    flips = signif[1:][negative[1:] != negative[:-1]]
+    if flips.size:
         return TrajectoryClass(
-            TrajectoryKind.OSCILLATORY_WITNESS, first_change=first_change, sign_changes=changes
+            TrajectoryKind.OSCILLATORY_WITNESS,
+            first_change=traj.start_index + burn_in + int(flips[0]),
+            sign_changes=int(flips.size),
         )
 
-    tail_window = tail[-max(8, len(tail) // 4):]
-    tail_max = max(abs(v) for v in tail_window)
-    if not signif or tail_max < tol:
-        since = traj.end_index - len(tail_window) + 1
+    window = max(8, len(tail) // 4)
+    tail_max = float(np.abs(col[-window:]).max())
+    if not signif.size or tail_max < tol:
+        since = traj.end_index - window + 1
         return TrajectoryClass(TrajectoryKind.TENDS_TO_ZERO, since=since, bound=tail_max)
 
-    sign = 1.0 if signif[0][1] > 0 else -1.0
-    if all(v * sign > 0 for _, v in signif):
-        # strict sign from the first significant entry onward; zeros in between
-        # make the verdict unreliable, so require every post-burn-in entry signed
-        if all(v * sign > 0 for v in tail):
-            kind = (
-                TrajectoryKind.EVENTUALLY_POSITIVE
-                if sign > 0
-                else TrajectoryKind.EVENTUALLY_NEGATIVE
-            )
-            return TrajectoryClass(kind, since=traj.start_index + burn_in)
+    # no flip, so every significant entry has the sign of the first; zeros in
+    # between make the verdict unreliable, so require every post-burn-in entry signed
+    sign = -1.0 if negative[0] else 1.0
+    if (col * sign > 0).all():
+        kind = (
+            TrajectoryKind.EVENTUALLY_POSITIVE
+            if sign > 0
+            else TrajectoryKind.EVENTUALLY_NEGATIVE
+        )
+        return TrajectoryClass(kind, since=traj.start_index + burn_in)
     return TrajectoryClass(TrajectoryKind.INCONCLUSIVE)
 
 
-def residual_pointwise(
-    eq: HalfLinearEquation, candidate: Sequence, frm: int, to: int
-) -> list[tuple[int, float]]:
-    """Pointwise left-hand side r(z+1)(Dx(z+1))^a - r(z)(Dx(z))^a + q(z) x^a(d(z)).
+def _residual_column(eq: HalfLinearEquation, candidate: Sequence, frm: int, to: int) -> np.ndarray:
+    """Left-hand side r(z+1)(Dx(z+1))^a - r(z)(Dx(z))^a + q(z) x^a(d(z)) on [frm, to].
 
     Evaluated on the columns x, x(d(z)), r and q.  At each index where a value
     is not finite, in order, the scalar calls compute it again, so the error
@@ -262,12 +265,19 @@ def residual_pointwise(
             - eq.r(s) * signed_pow(x1 - x0, a)
             + eq.q(s) * signed_pow(x_delayed, a)
         )
-    return list(zip(z.tolist(), lhs.tolist()))
+    return lhs
+
+
+def residual_pointwise(
+    eq: HalfLinearEquation, candidate: Sequence, frm: int, to: int
+) -> list[tuple[int, float]]:
+    """Pointwise (index, left-hand side) pairs over [frm, to]."""
+    return list(zip(range(frm, to + 1), _residual_column(eq, candidate, frm, to).tolist()))
 
 
 def residual(eq: HalfLinearEquation, candidate: Sequence, frm: int, to: int) -> float:
     """Max absolute pointwise residual over [frm, to]; exact solutions give ~0."""
-    return max(abs(v) for _, v in residual_pointwise(eq, candidate, frm, to))
+    return max(np.abs(_residual_column(eq, candidate, frm, to)).tolist())
 
 
 # relative slack lemma22_check allows lhs over rhs before it reports a violation

@@ -14,6 +14,7 @@ from oscdelay import (
     RationalExponent,
     Sequence,
     Trajectory,
+    TrajectoryClass,
     TrajectoryKind,
     classify_trajectory,
     example_equation,
@@ -308,6 +309,31 @@ class TestIterateParity:
         assert got.status == want.status
         assert got.end_index == want.end_index and len(got.y) == len(want.y)
 
+    def test_zero_base_powers_to_positive_zero(self):
+        # y(1) = 1e-200 * -1e-200 underflows to -0.0 and x(d(1)) = x(0) is -0.0; its power is
+        # +0.0, as signed_pow gives, so y(2) = -0.0 - 0.0 keeps the sign bit (copysign would not)
+        eq = HalfLinearEquation(r=Sequence.from_table(1, [1e-200] + [1.0] * 6),
+                                q=Sequence.from_expression("1"), alpha=RationalExponent(1, 1),
+                                sigma=1, delay_form=DelayForm.MINUS_SIGMA, zeta0=1)
+        data = InitialData.for_equation(eq, (-0.0, 1e-200, 0.0))
+        got, want = iterate(eq, data, 6), iterate_loop(eq, data, 6)
+        assert got.y_at(2).hex() == "-0x0.0p+0"
+        assert got.status == want.status == TrajectoryStatus(StatusKind.COMPLETED)
+        assert _bits(got.x) == _bits(want.x) and _bits(got.y) == _bits(want.y)
+
+    @pytest.mark.parametrize("alpha, q_text, values", [
+        (RationalExponent(3, 1), "1", (1e103, 1.0, 1.0)),         # x(d(1))^3 overflows
+        (RationalExponent(1, 3), "0-1e103", (1.0, 1.0, 1.0)),     # (y(2)/r(2))^3 overflows
+    ], ids=["delayed_term", "step"])
+    def test_power_overflow_stops_at_next_but_one(self, alpha, q_text, values):
+        # |t| ** 3 raises OverflowError once |t| passes 5.7e102
+        eq = HalfLinearEquation(r=Sequence.from_expression("1"), q=Sequence.from_expression(q_text),
+                                alpha=alpha, sigma=1, delay_form=DelayForm.MINUS_SIGMA, zeta0=1)
+        data = InitialData.for_equation(eq, values)
+        got, want = iterate(eq, data, 30), iterate_loop(eq, data, 30)
+        assert got.status == want.status == TrajectoryStatus(StatusKind.OVERFLOWED, 3)
+        assert _bits(got.x) == _bits(want.x) and _bits(got.y) == _bits(want.y)
+
 
 class _Reads:
     """Counts the scalar calls and the column calls (with their points) of each sequence."""
@@ -409,6 +435,13 @@ class TestClassify:
         with pytest.raises(ValueError, match="tol"):
             classify_trajectory(traj, tol=tol)
 
+    def test_flip_whose_product_underflows_counts(self):
+        # (+-1e-200) * (-+1e-200) underflows to -0.0, so a product rule sees no flip
+        traj = Trajectory(0, tuple((-1.0) ** z * 1e-200 for z in range(40)), 0, (),
+                          TrajectoryStatus(StatusKind.COMPLETED))
+        assert classify_trajectory(traj, tol=0.0) == TrajectoryClass(
+            TrajectoryKind.OSCILLATORY_WITNESS, first_change=9, sign_changes=31)
+
     @given(st.floats(min_value=0.01, max_value=100.0))
     @settings(max_examples=30, deadline=None)
     def test_invariant_under_positive_scaling(self, c):
@@ -418,6 +451,56 @@ class TestClassify:
         k1 = classify_trajectory(t1, tol=1e-8).kind
         k2 = classify_trajectory(t2, tol=1e-8 * c).kind
         assert k1 == k2
+
+
+def classify_loop(traj, tol):
+    """The per-entry classification the columnar one must reproduce, kept as its oracle:
+    a flip is a change of sign between consecutive entries above tol."""
+    burn_in = len(traj.x) // 5
+    tail = traj.x[burn_in:]
+    indices = range(traj.start_index + burn_in, traj.end_index + 1)
+    signif = [(i, v) for i, v in zip(indices, tail) if abs(v) > tol]
+    changes, first_change = 0, None
+    for (_, a), (j, b) in zip(signif, signif[1:]):
+        if (a < 0) != (b < 0):
+            changes += 1
+            if first_change is None:
+                first_change = j
+    if changes:
+        return TrajectoryClass(TrajectoryKind.OSCILLATORY_WITNESS, first_change=first_change,
+                               sign_changes=changes)
+    tail_window = tail[-max(8, len(tail) // 4):]
+    tail_max = max(abs(v) for v in tail_window)
+    if not signif or tail_max < tol:
+        return TrajectoryClass(TrajectoryKind.TENDS_TO_ZERO,
+                               since=traj.end_index - len(tail_window) + 1, bound=tail_max)
+    sign = 1.0 if signif[0][1] > 0 else -1.0
+    if all(v * sign > 0 for _, v in signif) and all(v * sign > 0 for v in tail):
+        kind = TrajectoryKind.EVENTUALLY_POSITIVE if sign > 0 else TrajectoryKind.EVENTUALLY_NEGATIVE
+        return TrajectoryClass(kind, since=traj.start_index + burn_in)
+    return TrajectoryClass(TrajectoryKind.INCONCLUSIVE)
+
+
+@st.composite
+def _tail_case(draw):
+    """A trajectory and a tol: entries at +-tol and just past it, +-0.0, subnormals, tiny
+    normals whose products underflow, +-inf and arbitrary finite values."""
+    tol = draw(st.one_of(st.just(0.0), st.just(1e-8), st.floats(min_value=0.0, max_value=1e3)))
+    edge = [tol, math.nextafter(tol, math.inf), 0.0, 5e-324, 1e-310, 1e-200, 1.0, math.inf]
+    entry = st.one_of(st.sampled_from(edge), st.floats(allow_nan=False, allow_infinity=False))
+    signed = st.tuples(entry, st.booleans()).map(lambda p: -p[0] if p[1] else p[0])
+    n = draw(st.integers(10, 40))
+    x = draw(st.lists(signed, min_size=n, max_size=n))
+    return Trajectory(draw(st.integers(-5, 5)), tuple(x), 0, (),
+                      TrajectoryStatus(StatusKind.COMPLETED)), tol
+
+
+class TestClassifyParity:
+    @given(_tail_case())
+    @settings(max_examples=500, deadline=None)
+    def test_same_class_as_loop(self, case):
+        traj, tol = case
+        assert classify_trajectory(traj, tol) == classify_loop(traj, tol)
 
 
 class TestResidual:
@@ -524,6 +607,17 @@ class TestResidualParity:
         assert type(got.value) is type(want.value)
         assert str(got.value) == str(want.value) == message
 
+    @pytest.mark.parametrize("k, want", [(1, "nan"), (5, "inf")], ids=["nan_first", "nan_later"])
+    def test_residual_is_first_max_of_pointwise(self, k, want):
+        # r * Dx overflows from index k on: the pointwise values are inf - inf = nan from k and
+        # inf at k - 1; the residual is what max over the values in index order gives
+        eq = HalfLinearEquation(r=Sequence.from_expression("1e300"), q=Sequence.from_expression("0"),
+                                alpha=RationalExponent(1, 1), sigma=1,
+                                delay_form=DelayForm.MINUS_SIGMA, zeta0=0)
+        cand = Sequence.from_table(0, [max(0, z - k) * 1e10 for z in range(30)])
+        rows = residual_pointwise(eq, cand, 1, 20)
+        assert repr(residual(eq, cand, 1, 20)) == repr(max(abs(v) for _, v in rows)) == want
+
 
 class TestLemma22Check:
     def test_alpha_one_never_violates(self):
@@ -615,3 +709,4 @@ class TestLemma22Check:
         )
         with pytest.raises(ValueError):
             lemma22_check(eq, traj)
+
