@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import abc
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -163,14 +164,51 @@ class EvidenceRow(NamedTuple):
     running_value: float
 
 
+class Evidence(abc.Sequence):
+    """A verdict's evidence as four columns, read as a sequence of EvidenceRow.
+
+    `running_value` is the `partial_sum` list itself when the running value is
+    the partial sum, so a writer can format that column once.
+    """
+    __slots__ = EvidenceRow._fields
+
+    def __init__(self, zeta, term: list, partial_sum: list, running_value: list):
+        self.zeta, self.term = zeta, term
+        self.partial_sum, self.running_value = partial_sum, running_value
+
+    def __len__(self) -> int:
+        return len(self.term)
+
+    def __iter__(self):
+        return map(EvidenceRow, self.zeta, self.term, self.partial_sum, self.running_value)
+
+    def __getitem__(self, i):
+        cells = (self.zeta[i], self.term[i], self.partial_sum[i], self.running_value[i])
+        return tuple(map(EvidenceRow, *cells)) if isinstance(i, slice) else EvidenceRow(*cells)
+
+    def __eq__(self, other):
+        return isinstance(other, Evidence) and tuple(self) == tuple(other)
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self):
+        return f"Evidence({tuple(self)!r})"
+
+
 @dataclass(frozen=True)
 class CriterionVerdict:
     criterion: str
     status: VerdictStatus
     conclusion: str
-    evidence: tuple = field(default_factory=tuple)  # EvidenceRow per sampled index
+    evidence: Evidence = field(default_factory=tuple)  # or EvidenceRows, taken as columns
     probe: Optional[DivergenceAssessment] = None
     flags: tuple = field(default_factory=tuple)
+
+    def __post_init__(self):
+        if not isinstance(self.evidence, Evidence):  # each zeta is kept as given
+            columns = tuple(map(list, zip(*self.evidence))) or ([], [], [], [])
+            object.__setattr__(self, "evidence", Evidence(*columns))
 
     @property
     def holds(self) -> bool:
@@ -198,17 +236,16 @@ def _valid_indices(eq: HalfLinearEquation, horizon: int) -> np.ndarray:
     return np.arange(eq.zeta0, eq.zeta0 + horizon)
 
 
-def _evidence(start: int, term: np.ndarray, running: Optional[np.ndarray] = None) -> tuple:
-    """An EvidenceRow per index from `start`; partial sums of `term` run left to right
+def _evidence(start: int, term: np.ndarray, running: Optional[np.ndarray] = None) -> Evidence:
+    """The evidence columns from index `start`; partial sums of `term` run left to right
     (np.cumsum), and the running value is the partial sum unless given."""
-    partial = np.cumsum(term)
-    running = partial if running is None else running
-    z = range(start, start + len(term))
-    return tuple(map(EvidenceRow, z, term.tolist(), partial.tolist(), running.tolist()))
+    partial = np.cumsum(term).tolist()
+    return Evidence(range(start, start + len(term)), term.tolist(), partial,
+                    partial if running is None else running.tolist())
 
 
 def _series_verdict(criterion, conclusion, start, term, flags=()) -> CriterionVerdict:
-    """The one path from a term column to a verdict: evidence rows and the probe."""
+    """The one path from a term column to a verdict: evidence columns and the probe."""
     probe = divergence_probe(term, start_index=start)
     return CriterionVerdict(criterion, _VERDICT_OF_PROBE[probe.status], conclusion,
                             _evidence(start, term), probe, tuple(flags))

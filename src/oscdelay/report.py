@@ -13,6 +13,7 @@ import io
 import json
 import math
 from datetime import datetime, timezone
+from itertools import chain
 
 from .criteria import CriterionVerdict, DivergenceAssessment, EvidenceRow
 
@@ -138,18 +139,29 @@ def _verdicts(report: dict) -> list:
     return verdicts + list(report.get("verdicts", []))
 
 
+def _csv_column(values: list) -> list:
+    """The CSV text of each cell, from one "%.17g" format over the column: that is
+    fmt_float on finite floats, and a column with a finite sum holds no NaN or
+    infinity (a sum that overflows only costs the per-cell spelling)."""
+    if math.isfinite(sum(values)):
+        return ("\n".join(["%.17g"] * len(values)) % tuple(values)).split("\n")
+    return list(map(_csv_number, values))
+
+
 def to_csv(report: dict) -> str:
-    """Plot-ready CSV of criterion evidence, one row per sampled index."""
-    lines = ["criterion_id," + ",".join(EvidenceRow._fields)]
+    """Plot-ready CSV of criterion evidence, one line per sampled index.
+
+    Each number column is formatted once, and a running value that is the partial
+    sum reuses its text; a verdict's lines then come from one repeated template."""
+    parts = ["criterion_id," + ",".join(EvidenceRow._fields) + "\n"]
     for verdict in _verdicts(report):
-        cid = _csv_cell(verdict.criterion) + ","
-        for row in verdict.evidence:
-            # "%.17g" is fmt_float on a finite float; only nan and inf hold an "n"
-            text = "%d,%.17g,%.17g,%.17g" % row
-            if "n" in text:
-                text = ",".join([str(row.zeta), *map(_csv_number, row[1:])])
-            lines.append(cid + text)
-    return "\n".join(lines) + "\n"
+        ev = verdict.evidence
+        partial = _csv_column(ev.partial_sum)
+        running = partial if ev.running_value is ev.partial_sum else _csv_column(ev.running_value)
+        cells = zip(ev.zeta, _csv_column(ev.term), partial, running)
+        line = _csv_cell(verdict.criterion).replace("%", "%%") + ",%d,%s,%s,%s\n"
+        parts.append(line * len(ev) % tuple(chain.from_iterable(cells)))
+    return "".join(parts)
 
 
 def render(report: dict, fmt: str) -> str:

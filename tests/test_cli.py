@@ -12,11 +12,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oscdelay
+from oscdelay import criteria
 from oscdelay.cli import main, run_stages
 from oscdelay.config import parse_config, parse_criteria
-from oscdelay.criteria import CRITERION_IDS, CriterionVerdict, EvidenceRow, VerdictStatus
+from oscdelay.criteria import (CRITERION_IDS, CriterionVerdict, Evidence, EvidenceRow, VerdictStatus,
+                               evaluate_criterion)
 from oscdelay.errors import ConfigError
-from oscdelay.report import _to_plain, fmt_float, new_report, to_csv, to_json
+from oscdelay.report import (_csv_cell, _csv_number, _to_plain, _verdicts, fmt_float, new_report, to_csv,
+                             to_json)
 
 EXAMPLE2_INI = """\
 [equation]
@@ -205,11 +208,35 @@ def csv_via_plain_dicts(report):
     return "\n".join(lines) + "\n"
 
 
+def csv_per_row(sections):
+    """The per-row CSV writer that formatted each EvidenceRow with one template, kept as
+    the oracle of the column writer. `sections` pairs a criterion id with its rows."""
+    lines = ["criterion_id,zeta,term,partial_sum,running_value"]
+    for criterion, rows in sections:
+        cid = _csv_cell(criterion) + ","
+        for row in rows:
+            text = "%d,%.17g,%.17g,%.17g" % tuple(row)
+            if "n" in text:
+                text = ",".join([str(row[0]), *map(_csv_number, row[1:])])
+            lines.append(cid + text)
+    return "\n".join(lines) + "\n"
+
+
+def rows_of(report):
+    return [(v.criterion, tuple(v.evidence)) for v in _verdicts(report)]
+
+
+def verdict_report(*verdicts):
+    report = new_report({})
+    report["verdicts"] = list(verdicts)
+    return report
+
+
 class TestCsvWriter:
     SPECIAL = (EvidenceRow(1, math.nan, math.inf, -math.inf), EvidenceRow(2, -0.0, 5e-324, 1.0 / 3.0))
 
-    def _verdict(self, criterion):
-        return CriterionVerdict(criterion, VerdictStatus.INCONCLUSIVE, "c", self.SPECIAL)
+    def _verdict(self, criterion, rows=SPECIAL):
+        return CriterionVerdict(criterion, VerdictStatus.INCONCLUSIVE, "c", rows)
 
     def test_check_verdicts_match_oracle(self, ex2_config):
         report = run_stages(parse_config(ex2_config), ("validate", "check"))
@@ -217,30 +244,89 @@ class TestCsvWriter:
         report["stages"]["transform"] = {"sumq_verdict": self._verdict("CanonicalSumQ")}
         text = to_csv(report)
         assert "NaN,Infinity,-Infinity" in text
-        assert text == csv_via_plain_dicts(report)
+        assert text == csv_via_plain_dicts(report) == csv_per_row(rows_of(report))
 
     def test_example_verdicts_match_oracle(self):
         report = new_report({"example": 1})
         example = oscdelay.reproduce_example(1, horizon=60)
-        report["verdicts"] = example["verdicts"] + [self._verdict("a,\"quoted\" id")]
+        report["verdicts"] = example["verdicts"] + [self._verdict("a,\"quoted\" 100% id")]
         text = to_csv(report)
-        assert '"a,""quoted"" id",1,NaN,Infinity,-Infinity' in text
-        assert text == csv_via_plain_dicts(report)
+        assert '"a,""quoted"" 100% id",1,NaN,Infinity,-Infinity' in text
+        assert text == csv_via_plain_dicts(report) == csv_per_row(rows_of(report))
 
-    # any float: the whole exponent range, +-0.0, subnormals, NaN and +-inf
+    # any zeta, any float (the whole exponent range, +-0.0, subnormals, NaN and +-inf)
+    # and any criterion id, "%" and quotes included; the oracle reads the drawn rows
     @settings(max_examples=200, deadline=None)
-    @given(rows=st.lists(st.builds(EvidenceRow, st.integers(), st.floats(), st.floats(), st.floats()),
+    @given(criterion=st.text(max_size=6),
+           rows=st.lists(st.builds(EvidenceRow, st.integers(), st.floats(), st.floats(), st.floats()),
                          max_size=8))
-    @example(rows=[EvidenceRow(-(10 ** 30), 0.0, -0.0, 2.2250738585072009e-308),
+    @example(criterion="Thm21",
+             rows=[EvidenceRow(-(10 ** 30), 0.0, -0.0, 2.2250738585072009e-308),
                    EvidenceRow(2 ** 63, 1.7976931348623157e308, -5e-324, 1e-5)])
-    def test_drawn_rows_match_oracle(self, rows):
-        report = new_report({})
-        report["verdicts"] = [CriterionVerdict("Thm21", VerdictStatus.INCONCLUSIVE, "c", tuple(rows))]
-        assert to_csv(report) == csv_via_plain_dicts(report)
+    def test_drawn_rows_match_oracle(self, criterion, rows):
+        report = verdict_report(self._verdict(criterion, tuple(rows)))
+        assert to_csv(report) == csv_per_row([(criterion, rows)]) == csv_via_plain_dicts(report)
+
+    def test_long_horizon_report_matches_oracle(self, tmp_path):
+        cfg = parse_config(write_config(tmp_path, POLY_INI.replace("criteria = all", "criteria = Thm21,Lem21")
+                                        .replace("horizon = 200", "horizon = 20000")))
+        report = run_stages(cfg, ("validate", "check"))
+        sections = rows_of(report)
+        assert [(cid, [row.zeta for row in rows]) for cid, rows in sections] == [
+            (cid, list(range(1, 20001))) for cid in ("Thm21", "Lem21")]
+        text = to_csv(report)
+        assert text.count("\n") == 40001
+        assert text == csv_per_row(sections)
+
+    def test_planted_non_finite_cells_match_oracle(self):
+        n = 20000
+        column = [z / 7.0 for z in range(n)]
+        term, partial = list(column), list(column)
+        term[7001] = math.nan
+        partial[12999] = -math.inf
+        shared = CriterionVerdict("Lem21", VerdictStatus.INCONCLUSIVE, "c",
+                                  Evidence(range(5, 5 + n), term, partial, partial))
+        rows = tuple(map(EvidenceRow, range(-n, 0), term, partial, column))
+        report = verdict_report(shared, self._verdict("Thm23", rows))
+        text = to_csv(report)
+        assert "Lem21,7006,NaN,1000.1428571428571,1000.1428571428571\n" in text
+        assert "Lem21,13004,1857,-Infinity,-Infinity\n" in text
+        assert text == csv_per_row([("Lem21", tuple(shared.evidence)), ("Thm23", rows)])
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.lists(st.builds(EvidenceRow, st.integers(), st.floats(), st.floats(), st.floats()),
+                         max_size=8),
+           data=st.data())
+    def test_evidence_reads_as_the_rows_given(self, rows, data):
+        rows = tuple(rows)
+        evidence = self._verdict("Thm21", rows).evidence
+        assert isinstance(evidence, Evidence)
+        assert tuple(evidence) == rows and len(evidence) == len(rows)
+        if rows:
+            i = data.draw(st.integers(-len(rows), len(rows) - 1))
+            assert evidence[i] == rows[i] and type(evidence[i]) is EvidenceRow
+        cut = data.draw(st.slices(len(rows) + 2))
+        assert evidence[cut] == rows[cut]
+
+    def test_criterion_to_csv_builds_no_rows(self, monkeypatch):
+        made = []
+
+        class CountedRow(EvidenceRow):
+            def __new__(cls, *fields):
+                made.append(fields)
+                return super().__new__(cls, *fields)
+
+        monkeypatch.setattr(criteria, "EvidenceRow", CountedRow)
+        eq = oscdelay.example_equation(3)
+        text = to_csv(verdict_report(evaluate_criterion("Lem21", eq, 20000)))
+        assert made == []
+        assert text.count("\n") == 20001
+        assert text.splitlines()[-1].split(",")[:3] == ["Lem21", "20000", "%.17g" % eq.q(20000)]
+        # the counter sees the rows that are built
+        assert len(list(evaluate_criterion("Lem21", eq, 3).evidence)) == len(made) == 3
 
     def test_row_fields_name_json_keys_and_csv_columns(self):
-        report = new_report({})
-        report["verdicts"] = [self._verdict("Thm21")]
+        report = verdict_report(self._verdict("Thm21"))
         evidence = json.loads(to_json(report))["verdicts"][0]["evidence"]
         assert [tuple(row) for row in evidence] == [EvidenceRow._fields] * len(self.SPECIAL)
         assert tuple(to_csv(report).split("\n")[0].split(",")[1:]) == EvidenceRow._fields
