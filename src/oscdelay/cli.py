@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import sys
 import traceback
@@ -101,6 +102,7 @@ def _emit(report: dict, fmt: str, out_path, quiet: bool) -> None:
         sys.stdout.write(text)
 
 
+@functools.cache  # parse_args leaves the parser as it was: one per process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="oscdelay",
@@ -173,8 +175,7 @@ _COMMAND_STAGES = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.horizon is not None and args.horizon < 1:
             raise ConfigError(f"--horizon must be at least 1, got {args.horizon}")

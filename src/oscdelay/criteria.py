@@ -16,8 +16,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .equation import (TREND_TOL, HalfLinearEquation, _fit_power_exponent, _geometric_ratio, theta,
-                       theta_extended, validate)
+from .equation import (TREND_TOL, HalfLinearEquation, _fit_power_exponent, _geometric_ratio,
+                       tail_shortfall, theta, theta_extended, validate)
 from .errors import DomainError, StageError
 
 # canonical criterion identifiers
@@ -236,6 +236,17 @@ def _valid_indices(eq: HalfLinearEquation, horizon: int) -> np.ndarray:
     return np.arange(eq.zeta0, eq.zeta0 + horizon)
 
 
+def _tail_gate(criterion: str, eq: HalfLinearEquation) -> Optional[CriterionVerdict]:
+    """None when the paper's condition sum r^(-1/alpha) < inf is established, so a
+    criterion may read theta; otherwise its inconclusive verdict, flagged with the reason."""
+    method = tail_shortfall(eq)
+    if method is None:
+        return None
+    return CriterionVerdict(criterion, VerdictStatus.INCONCLUSIVE, "every solution oscillates",
+                            flags=(f"sum of r^(-1/alpha) not established finite: theta({eq.zeta0}) "
+                                   f"method {method}; criterion not applied",))
+
+
 def _evidence(start: int, term: np.ndarray, running: Optional[np.ndarray] = None) -> Evidence:
     """The evidence columns from index `start`; partial sums of `term` run left to right
     (np.cumsum), and the running value is the partial sum unless given."""
@@ -278,6 +289,8 @@ def crit_thm21(eq: HalfLinearEquation, horizon: int) -> CriterionVerdict:
 def crit_thm22a(eq: HalfLinearEquation, horizon: int) -> CriterionVerdict:
     """Series of ((1/r(z)) * sum_{s=zeta0}^{z-1} q(s) theta^alpha(s - sigma))^(1/alpha)."""
     z = _valid_indices(eq, horizon)
+    if gated := _tail_gate(THM22A, eq):
+        return gated
     th = np.zeros(horizon)  # a zero weight leaves the inner sum as skipping the term would
     flags: list[str] = []
     for i, s in enumerate((z - eq.sigma).tolist()):
@@ -293,6 +306,8 @@ def crit_thm22a(eq: HalfLinearEquation, horizon: int) -> CriterionVerdict:
 def crit_thm22b(eq: HalfLinearEquation, horizon: int) -> CriterionVerdict:
     """Series of q(s) * theta^(alpha+1)(s + 1)."""
     z = _valid_indices(eq, horizon)
+    if gated := _tail_gate(THM22B, eq):
+        return gated
     th = _theta_column(eq, eq.zeta0 + 1, horizon)
     with np.errstate(over="ignore"):
         term = eq.q.eval_array(z) * th ** (eq.alpha.value + 1.0)
@@ -314,6 +329,8 @@ def crit_thm23(eq: HalfLinearEquation, horizon: int) -> CriterionVerdict:
     individual v values but not the limsup.
     """
     q = eq.q.eval_array(_valid_indices(eq, horizon))
+    if gated := _tail_gate(THM23, eq):
+        return gated
     q_prev = np.concatenate(([0.0], q))[:horizon]  # evidence term: q(z - 1), 0 at zeta0
     with np.errstate(over="ignore", invalid="ignore"):
         v = _theta_column(eq, eq.zeta0, horizon) ** eq.alpha.value * _exclusive_sum(q)

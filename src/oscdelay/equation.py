@@ -347,6 +347,15 @@ def theta_extended(eq: HalfLinearEquation, zeta: int) -> TailSumResult:
     return replace(base, value=base.value + gap, method=base.method + "+extension")
 
 
+def tail_shortfall(eq: HalfLinearEquation) -> Optional[str]:
+    """None when the paper's condition sum r^(-1/alpha) < inf is established: theta(zeta0)
+    is certified, or is a power-law tail estimate (uncertified, but accurate enough for
+    the quantities built on theta).  Otherwise the method of theta(zeta0), which falls
+    short.  NonConvergentError and a disagreeing closed form's StageError propagate."""
+    head = theta(eq, eq.zeta0)
+    return None if head.certified or head.method == "poly_tail" else head.method
+
+
 def classify_form(eq: HalfLinearEquation) -> FormClass:
     """Canonical / non-canonical / inconclusive, certifying rather than guessing.
 

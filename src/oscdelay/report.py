@@ -15,7 +15,7 @@ import math
 from datetime import datetime, timezone
 from itertools import chain
 
-from .criteria import CriterionVerdict, DivergenceAssessment, EvidenceRow
+from .criteria import CriterionVerdict, Evidence, EvidenceRow
 
 SCHEMA_VERSION = 1
 
@@ -28,14 +28,25 @@ def fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def _to_plain(obj):
-    """Normalize dataclasses / enums / tuples into dicts, lists and scalars."""
+def _one_level(obj):
+    """obj normalized one level down: an enum's value, a verdict or dataclass as a
+    dict of its fields (a verdict keeps its Evidence), anything else as it is."""
     if isinstance(obj, enum.Enum):
         return obj.value
     if isinstance(obj, CriterionVerdict):
-        return verdict_to_dict(obj)
+        return {"criterion": obj.criterion, "status": obj.status, "holds": obj.holds,
+                "conclusion": obj.conclusion, "probe": obj.probe, "flags": obj.flags,
+                "evidence": obj.evidence}
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _to_plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    return obj
+
+
+def _to_plain(obj):
+    """Normalize dataclasses / enums / tuples into dicts, lists and scalars."""
+    obj = _one_level(obj)
+    if isinstance(obj, Evidence):
+        return [row._asdict() for row in obj]
     if isinstance(obj, dict):
         return {str(k): _to_plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -44,15 +55,7 @@ def _to_plain(obj):
 
 
 def verdict_to_dict(v: CriterionVerdict) -> dict:
-    return {
-        "criterion": v.criterion,
-        "status": v.status.value,
-        "holds": v.holds,
-        "conclusion": v.conclusion,
-        "probe": _to_plain(v.probe) if v.probe else None,
-        "flags": list(v.flags),
-        "evidence": [row._asdict() for row in v.evidence],
-    }
+    return _to_plain(v)
 
 
 def new_report(config_echo: dict) -> dict:
@@ -71,30 +74,67 @@ def new_report(config_echo: dict) -> dict:
 _json_string = json.JSONEncoder(ensure_ascii=False).encode
 
 
-def _write_json(out: io.StringIO, obj, indent: int):
-    pad = "  " * indent
+def _json_scalar(obj) -> str:
     if obj is None:
-        out.write("null")
-    elif obj is True:
-        out.write("true")
-    elif obj is False:
-        out.write("false")
-    elif isinstance(obj, float):
-        out.write(fmt_float(obj))
-    elif isinstance(obj, int):
-        out.write(str(obj))
-    elif isinstance(obj, str):
-        out.write(_json_string(obj))
-    elif isinstance(obj, dict):
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, float):
+        return fmt_float(obj)
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, str):
+        return _json_string(obj)
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _column_text(values, cell) -> list:
+    """The text of each value: one "%.17g" format over a column of floats whose sum
+    is finite (fmt_float's text, as such a column holds no NaN or infinity), else
+    `cell` on each value (a sum that overflows only costs the per-cell spelling)."""
+    if set(map(type, values)) <= {float} and math.isfinite(sum(values)):
+        return ("\n".join(["%.17g"] * len(values)) % tuple(values)).split("\n")
+    return list(map(cell, values))
+
+
+def _number_text(ev: Evidence, cell) -> tuple:
+    """The text of the term, partial-sum and running-value columns, each formatted
+    once; a running value that is the partial sum reuses the partial-sum text."""
+    partial = _column_text(ev.partial_sum, cell)
+    running = partial if ev.running_value is ev.partial_sum else _column_text(ev.running_value, cell)
+    return _column_text(ev.term, cell), partial, running
+
+
+def _write_evidence(out: io.StringIO, ev: Evidence, indent: int):
+    """The evidence as a JSON list of objects keyed by EvidenceRow._fields, from its
+    columns: each column formatted once, then one row template repeated per row."""
+    if not len(ev):
+        out.write("[]")
+        return
+    pad = "  " * (indent + 1)
+    row = (pad + "{\n" + ",\n".join(f"{pad}  {_json_string(k)}: %s" for k in EvidenceRow._fields)
+           + "\n" + pad + "}")
+    # a range holds only ints, which "%s" writes as str(int) does
+    zeta = ev.zeta if type(ev.zeta) is range else _column_text(ev.zeta, _json_scalar)
+    cells = zip(zeta, *_number_text(ev, _json_scalar))
+    out.write("[\n" + ",\n".join([row] * len(ev)) % tuple(chain.from_iterable(cells))
+              + "\n" + "  " * indent + "]")
+
+
+def _write_json(out: io.StringIO, obj, indent: int):
+    """obj as indented JSON, normalized one level at a time as _to_plain does."""
+    obj = _one_level(obj)
+    pad = "  " * indent
+    if isinstance(obj, dict):
         if not obj:
             out.write("{}")
             return
         out.write("{\n")
         items = list(obj.items())
         for i, (k, v) in enumerate(items):
-            out.write(pad + "  ")
-            _write_json(out, str(k), 0)
-            out.write(": ")
+            out.write(pad + "  " + _json_string(str(k)) + ": ")
             _write_json(out, v, indent + 1)
             out.write(",\n" if i + 1 < len(items) else "\n")
         out.write(pad + "}")
@@ -108,13 +148,15 @@ def _write_json(out: io.StringIO, obj, indent: int):
             _write_json(out, v, indent + 1)
             out.write(",\n" if i + 1 < len(obj) else "\n")
         out.write(pad + "]")
+    elif isinstance(obj, Evidence):
+        _write_evidence(out, obj, indent)
     else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+        out.write(_json_scalar(obj))
 
 
 def to_json(report: dict) -> str:
     out = io.StringIO()
-    _write_json(out, _to_plain(report), 0)
+    _write_json(out, report, 0)
     out.write("\n")
     return out.getvalue()
 
@@ -139,15 +181,6 @@ def _verdicts(report: dict) -> list:
     return verdicts + list(report.get("verdicts", []))
 
 
-def _csv_column(values: list) -> list:
-    """The CSV text of each cell, from one "%.17g" format over the column: that is
-    fmt_float on finite floats, and a column with a finite sum holds no NaN or
-    infinity (a sum that overflows only costs the per-cell spelling)."""
-    if math.isfinite(sum(values)):
-        return ("\n".join(["%.17g"] * len(values)) % tuple(values)).split("\n")
-    return list(map(_csv_number, values))
-
-
 def to_csv(report: dict) -> str:
     """Plot-ready CSV of criterion evidence, one line per sampled index.
 
@@ -156,9 +189,7 @@ def to_csv(report: dict) -> str:
     parts = ["criterion_id," + ",".join(EvidenceRow._fields) + "\n"]
     for verdict in _verdicts(report):
         ev = verdict.evidence
-        partial = _csv_column(ev.partial_sum)
-        running = partial if ev.running_value is ev.partial_sum else _csv_column(ev.running_value)
-        cells = zip(ev.zeta, _csv_column(ev.term), partial, running)
+        cells = zip(ev.zeta, *_number_text(ev, _csv_number))
         line = _csv_cell(verdict.criterion).replace("%", "%%") + ",%d,%s,%s,%s\n"
         parts.append(line * len(ev) % tuple(chain.from_iterable(cells)))
     return "".join(parts)

@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .criteria import CANONICAL_SUM_Q, CriterionVerdict, _series_verdict, _theta_column
-from .equation import DelayForm, HalfLinearEquation, theta, theta_extended
+from .equation import DelayForm, HalfLinearEquation, tail_shortfall, theta_extended
 from .errors import DomainError, StageError
 from .power import RationalExponent
 from .sequences import Sequence
@@ -34,10 +34,7 @@ def to_canonical(eq: HalfLinearEquation, horizon: int) -> HalfLinearEquation:
         raise StageError("the transform applies to the z - sigma + 1 delay form")
     if eq.alpha.value < 1:
         raise StageError(f"the transform requires alpha >= 1, got {eq.alpha}")
-    head = theta(eq, eq.zeta0)
-    # a power-law tail estimate is accepted alongside certified sums: it is
-    # uncertified but accurate enough for the derived coefficients
-    if not head.certified and head.method != "poly_tail":
+    if tail_shortfall(eq) is not None:
         raise StageError("theta could not be certified finite; transform unavailable")
 
     inv_alpha, power = eq.alpha.den / eq.alpha.num, eq.alpha.value - 1.0

@@ -13,13 +13,13 @@ from hypothesis import strategies as st
 
 import oscdelay
 from oscdelay import criteria
-from oscdelay.cli import main, run_stages
+from oscdelay.cli import build_parser, main, run_stages
 from oscdelay.config import parse_config, parse_criteria
 from oscdelay.criteria import (CRITERION_IDS, CriterionVerdict, Evidence, EvidenceRow, VerdictStatus,
                                evaluate_criterion)
 from oscdelay.errors import ConfigError
-from oscdelay.report import (_csv_cell, _csv_number, _to_plain, _verdicts, fmt_float, new_report, to_csv,
-                             to_json)
+from oscdelay.report import (_csv_cell, _csv_number, _json_string, _to_plain, _verdicts, fmt_float,
+                             new_report, to_csv, to_json)
 
 EXAMPLE2_INI = """\
 [equation]
@@ -330,6 +330,193 @@ class TestCsvWriter:
         evidence = json.loads(to_json(report))["verdicts"][0]["evidence"]
         assert [tuple(row) for row in evidence] == [EvidenceRow._fields] * len(self.SPECIAL)
         assert tuple(to_csv(report).split("\n")[0].split(",")[1:]) == EvidenceRow._fields
+
+
+def json_via_row_dicts(report):
+    """The recursive JSON writer that wrote each evidence row as a row._asdict() dict of
+    _to_plain, one call per dict and per value, kept as the oracle of the column writer."""
+    def write(out, obj, indent):
+        pad = "  " * indent
+        if obj is None:
+            out.append("null")
+        elif obj is True:
+            out.append("true")
+        elif obj is False:
+            out.append("false")
+        elif isinstance(obj, float):
+            out.append(fmt_float(obj))
+        elif isinstance(obj, int):
+            out.append(str(obj))
+        elif isinstance(obj, str):
+            out.append(_json_string(obj))
+        elif isinstance(obj, dict):
+            if not obj:
+                out.append("{}")
+                return
+            out.append("{\n")
+            items = list(obj.items())
+            for i, (k, v) in enumerate(items):
+                out.append(pad + "  ")
+                write(out, str(k), 0)
+                out.append(": ")
+                write(out, v, indent + 1)
+                out.append(",\n" if i + 1 < len(items) else "\n")
+            out.append(pad + "}")
+        elif isinstance(obj, (list, tuple)):
+            if not obj:
+                out.append("[]")
+                return
+            out.append("[\n")
+            for i, v in enumerate(obj):
+                out.append(pad + "  ")
+                write(out, v, indent + 1)
+                out.append(",\n" if i + 1 < len(obj) else "\n")
+            out.append(pad + "]")
+        else:
+            raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+    out = []
+    write(out, _to_plain(report), 0)
+    return "".join(out) + "\n"
+
+
+def example_report(n, horizon=200):
+    """The report `oscdelay example n` writes, built as cli.main builds it."""
+    example = oscdelay.reproduce_example(n, horizon=horizon)
+    report = new_report({"example": n, "lambda0": 2.0})
+    report["stages"]["example"] = example
+    report["verdicts"] = example.pop("verdicts")
+    report["discrepancy_flags"] = example.pop("discrepancy_flags")
+    return report
+
+
+class TestJsonWriter:
+    """to_json writes evidence from its columns; the per-row writer is the oracle."""
+    _verdict = TestCsvWriter._verdict
+
+    def test_check_and_transform_reports_match_oracle(self, ex3_config):
+        report = run_stages(parse_config(ex3_config), ("validate", "classify", "simulate", "check",
+                                                       "transform"))
+        assert report["stages"]["transform"]["sumq_verdict"].evidence
+        assert to_json(report) == json_via_row_dicts(report)
+
+    @pytest.mark.parametrize("n", (1, 2, 3))
+    def test_example_reports_match_oracle(self, n):
+        report = example_report(n)
+        text = to_json(report)
+        assert text == json_via_row_dicts(report)
+        assert json.loads(text)["verdicts"][0]["evidence"][-1]["zeta"] > 100
+
+    # any zeta, any float (the whole exponent range, +-0.0, subnormals, NaN and +-inf)
+    # and any criterion id: quotes, "%", backslashes and control characters included
+    @settings(max_examples=200, deadline=None)
+    @given(criterion=st.text(max_size=6),
+           rows=st.lists(st.builds(EvidenceRow, st.integers(), st.floats(), st.floats(), st.floats()),
+                         max_size=8))
+    @example(criterion='a"%s\\\x00\n\x7f %%', rows=list(TestCsvWriter.SPECIAL))
+    @example(criterion="Thm21",
+             rows=[EvidenceRow(-(10 ** 30), 0.0, -0.0, 2.2250738585072009e-308),
+                   EvidenceRow(2 ** 63, 1.7976931348623157e308, -5e-324, 1e-5)])
+    def test_drawn_rows_match_oracle(self, criterion, rows):
+        report = verdict_report(self._verdict(criterion, tuple(rows)))
+        text = to_json(report)
+        assert text == json_via_row_dicts(report)
+        assert json.loads(text)["verdicts"][0]["criterion"] == criterion
+
+    def test_int_and_bool_cells_match_oracle(self):
+        # "%.17g" % True is "1": a column that is not all floats is spelled cell by cell
+        rows = (EvidenceRow(True, 1, False, 2 ** 70), EvidenceRow(False, True, 0.5, -3),
+                EvidenceRow(2, 2.5, 0, True), EvidenceRow(3.0, -(2 ** 64), 1e300, None))
+        report = verdict_report(self._verdict("Thm21", rows))
+        text = to_json(report)
+        assert text == json_via_row_dicts(report)
+        evidence = json.loads(text)["verdicts"][0]["evidence"]
+        assert [list(row.values()) for row in evidence] == [list(row) for row in rows]
+        assert '"zeta": true,' in text and '"running_value": 1180591620717411303424\n' in text
+
+    def test_empty_evidence_matches_oracle(self):
+        report = verdict_report(self._verdict("Thm22A", ()), self._verdict("Lem21", ()))
+        report["stages"]["check"] = {"verdicts": [self._verdict("Thm23", ())]}
+        text = to_json(report)
+        assert text == json_via_row_dicts(report)
+        assert text.count('"evidence": []') == 3
+
+    def test_long_horizon_report_matches_oracle(self, tmp_path):
+        cfg = parse_config(write_config(tmp_path, POLY_INI.replace("criteria = all", "criteria = Thm21,Lem21")
+                                        .replace("horizon = 200", "horizon = 20000")))
+        report = run_stages(cfg, ("validate", "check"))
+        text = to_json(report)
+        assert text == json_via_row_dicts(report)
+        assert text.count('"running_value": ') == 40000
+
+    def test_planted_non_finite_cells_match_oracle(self):
+        n = 20000
+        column = [z / 7.0 for z in range(n)]
+        term, partial = list(column), list(column)
+        term[7001] = math.nan
+        partial[12999] = -math.inf
+        shared = CriterionVerdict("Lem21", VerdictStatus.INCONCLUSIVE, "c",
+                                  Evidence(range(5, 5 + n), term, partial, partial))
+        rows = tuple(map(EvidenceRow, range(-n, 0), term, partial, column))
+        report = verdict_report(shared, self._verdict("Thm23", rows))
+        text = to_json(report)
+        assert text == json_via_row_dicts(report)
+        row = ('"zeta": 7006,\n          "term": "NaN",\n          "partial_sum": 1000.1428571428571,\n'
+               '          "running_value": 1000.1428571428571\n')
+        assert row in text
+        assert '"partial_sum": "-Infinity",\n          "running_value": "-Infinity"\n' in text
+
+    def test_criterion_to_json_builds_no_rows(self, monkeypatch):
+        made = []
+
+        class CountedRow(EvidenceRow):
+            def __new__(cls, *fields):
+                made.append(fields)
+                return super().__new__(cls, *fields)
+
+        monkeypatch.setattr(criteria, "EvidenceRow", CountedRow)
+        eq = oscdelay.example_equation(3)
+        text = to_json(verdict_report(evaluate_criterion("Lem21", eq, 20000)))
+        assert made == []
+        assert text.count('"zeta": ') == 20000
+        assert '"zeta": 20000,\n          "term": %s,' % ("%.17g" % eq.q(20000)) in text
+        # the counter sees the rows that are built
+        assert len(list(evaluate_criterion("Lem21", eq, 3).evidence)) == len(made) == 3
+
+
+def without_timestamp(text):
+    return re.sub(r'"generated_at": "[^"]*"', '"generated_at": "T"', text)
+
+
+class TestParserBuiltOnce:
+    """main parses with one parser per process; a call sees none of the calls before it."""
+
+    def run_main(self, tmp_path, argv, fresh=False):
+        if fresh:  # as a separate process would parse
+            build_parser.cache_clear()
+        out = tmp_path / "report.json"
+        assert main([*argv, "--out", str(out), "--quiet"]) == 0
+        return without_timestamp(out.read_text())
+
+    def test_consecutive_calls_match_separate_runs(self, tmp_path):
+        calls = (["example", "1", "--lambda0", "0.5", "--horizon", "40"],
+                 ["example", "1", "--horizon", "40"],
+                 ["example", "2", "--format", "csv", "--horizon", "30"],
+                 ["example", "2", "--horizon", "30"])
+        parser = build_parser()
+        consecutive = [self.run_main(tmp_path, argv) for argv in calls]
+        assert build_parser() is parser
+        assert consecutive == [self.run_main(tmp_path, argv, fresh=True) for argv in calls]
+        assert json.loads(consecutive[1])["config"]["lambda0"] == 2.0
+        assert consecutive[2].startswith("criterion_id,") and consecutive[3].startswith("{")
+
+    def test_parse_error_leaves_the_next_call_unaffected(self, tmp_path, capsys):
+        expected = self.run_main(tmp_path, ["example", "3", "--horizon", "40"], fresh=True)
+        with pytest.raises(SystemExit) as exc:
+            main(["example", "3", "--horizon", "x"])
+        assert exc.value.code == 2
+        assert "invalid int value: 'x'" in capsys.readouterr().err
+        assert self.run_main(tmp_path, ["example", "3", "--horizon", "40"]) == expected
 
 
 class TestCli:

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oscdelay import (
     DelayForm,
@@ -24,12 +26,13 @@ from oscdelay.criteria import (
     CRITERION_IDS,
     LEM21,
     THM21,
+    THM22A,
     THM22B,
     THM23,
     ProbeStatus,
     VerdictStatus,
 )
-from oscdelay.equation import theta, theta_extended
+from oscdelay.equation import tail_shortfall, theta, theta_extended
 from oscdelay.errors import DomainError, StageError
 from oscdelay.transform import crit_canonical_sumq, to_canonical
 
@@ -313,3 +316,59 @@ class TestOneCodePath:
             for row in v.evidence:
                 want = math.fsum(eq.q(s) for s in range(eq.zeta0, row.zeta))
                 assert row.partial_sum == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+def power_law_eq(r_text, q_text, form=DelayForm.MINUS_SIGMA_PLUS_ONE):
+    return HalfLinearEquation(
+        r=Sequence.from_expression(r_text),
+        q=Sequence.from_expression(q_text),
+        alpha=RationalExponent(1, 1),
+        sigma=1,
+        delay_form=form,
+        zeta0=1,
+    )
+
+
+THETA_READERS = (THM22A, THM22B, THM23)
+
+
+class TestTailGate:
+    """The criteria that read theta apply only where sum r^(-1/alpha) < inf is established."""
+
+    def test_established_tails(self):
+        assert [tail_shortfall(example_equation(n)) for n in (1, 2, 3)] == [None] * 3
+        assert theta(TestOneCodePath.EQ, 1).method == "poly_tail"
+        assert tail_shortfall(TestOneCodePath.EQ) is None
+
+    @pytest.mark.parametrize("cid", THETA_READERS)
+    def test_canonical_equation_declined(self, cid):
+        # sum z^(-1/2) diverges, but the tail pass stops at max_terms with theta(1) = 1998.5,
+        # which Thm22A and Thm23 used to read as a finite tail
+        eq = power_law_eq("z^(1/2)", "1/z^4")
+        assert theta(eq, 1).method == "max_terms" and tail_shortfall(eq) == "max_terms"
+        v = evaluate_criterion(cid, eq, 200)
+        assert v.status is VerdictStatus.INCONCLUSIVE and not v.holds
+        assert v.flags == ("sum of r^(-1/alpha) not established finite: theta(1) method max_terms; "
+                           "criterion not applied",)
+        assert len(v.evidence) == 0 and v.probe is None
+
+    def test_criteria_without_theta_still_run(self):
+        eq = power_law_eq("z^(1/2)", "1/z^4")
+        assert evaluate_criterion(THM21, eq, 200).evidence
+        assert evaluate_criterion(LEM21, eq, 200).status is VerdictStatus.NUMERICALLY_FAILS
+
+    def test_hypotheses_checked_before_the_tail(self):
+        with pytest.raises(StageError, match="hypothesis H1"):
+            crit_thm23(power_law_eq("z-3", "1"), 50)
+
+    # r = z^p with p <= 1 is canonical, and p = 3/2 converges too slowly for the tail
+    # pass to establish it: a criterion that reads theta must decline both
+    @settings(max_examples=12, deadline=None)
+    @given(p=st.sampled_from(["1/2", "1", "3/2"]), k=st.sampled_from([0, 2, 4]),
+           c=st.sampled_from([0.5, 3.0]), form=st.sampled_from(list(DelayForm)),
+           cid=st.sampled_from(THETA_READERS))
+    def test_unestablished_tail_never_holds(self, p, k, c, form, cid):
+        eq = power_law_eq(f"z^({p})", f"{c}/z^{k}", form)
+        assert tail_shortfall(eq) is not None
+        v = evaluate_criterion(cid, eq, 120)
+        assert v.status is VerdictStatus.INCONCLUSIVE and v.flags[0].startswith("sum of r^(-1/alpha)")
