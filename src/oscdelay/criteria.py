@@ -59,6 +59,7 @@ class DivergenceAssessment:
     term_exponent_estimate: Optional[float] = None
 
 
+@np.errstate(over="ignore")  # a partial sum past float range is +inf, which reads as divergence
 def divergence_probe(terms, start_index: int = 1) -> DivergenceAssessment:
     """Assess sum(terms) for divergence from a finite sample of non-negative terms.
 
@@ -247,6 +248,7 @@ def _tail_gate(criterion: str, eq: HalfLinearEquation) -> Optional[CriterionVerd
                                    f"method {method}; criterion not applied",))
 
 
+@np.errstate(over="ignore")  # a partial sum past float range is reported as Infinity
 def _evidence(start: int, term: np.ndarray, running: Optional[np.ndarray] = None) -> Evidence:
     """The evidence columns from index `start`; partial sums of `term` run left to right
     (np.cumsum), and the running value is the partial sum unless given."""
@@ -271,6 +273,12 @@ def _exclusive_sum(x: np.ndarray) -> np.ndarray:
 
 def _theta_column(eq: HalfLinearEquation, start: int, n: int) -> np.ndarray:
     return np.array([theta(eq, s).value for s in range(start, start + n)])
+
+
+def _weighted(w: np.ndarray, th: np.ndarray, p: float) -> np.ndarray:
+    """w * th^p, where a zero weight stays itself rather than 0 * inf = NaN; an overflow is +inf."""
+    with np.errstate(over="ignore"):
+        return np.multiply(w, th ** p, out=w.copy(), where=w != 0)
 
 
 def _root_series(eq: HalfLinearEquation, z: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -298,7 +306,7 @@ def crit_thm22a(eq: HalfLinearEquation, horizon: int) -> CriterionVerdict:
             th[i] = theta_extended(eq, s).value
         except DomainError:
             flags.append(f"theta({s}) not evaluable; term at s={s + eq.sigma} skipped")
-    weights = eq.q.eval_array(z) * th ** eq.alpha.value
+    weights = _weighted(eq.q.eval_array(z), th, eq.alpha.value)
     return _series_verdict(THM22A, "every solution oscillates", eq.zeta0,
                            _root_series(eq, z, weights), flags)
 
@@ -309,8 +317,7 @@ def crit_thm22b(eq: HalfLinearEquation, horizon: int) -> CriterionVerdict:
     if gated := _tail_gate(THM22B, eq):
         return gated
     th = _theta_column(eq, eq.zeta0 + 1, horizon)
-    with np.errstate(over="ignore"):
-        term = eq.q.eval_array(z) * th ** (eq.alpha.value + 1.0)
+    term = _weighted(eq.q.eval_array(z), th, eq.alpha.value + 1.0)
     return _series_verdict(THM22B, "every solution oscillates", eq.zeta0, term)
 
 
@@ -333,7 +340,7 @@ def crit_thm23(eq: HalfLinearEquation, horizon: int) -> CriterionVerdict:
         return gated
     q_prev = np.concatenate(([0.0], q))[:horizon]  # evidence term: q(z - 1), 0 at zeta0
     with np.errstate(over="ignore", invalid="ignore"):
-        v = _theta_column(eq, eq.zeta0, horizon) ** eq.alpha.value * _exclusive_sum(q)
+        v = _weighted(_exclusive_sum(q), _theta_column(eq, eq.zeta0, horizon), eq.alpha.value)
     v[~np.isfinite(v)] = np.inf
 
     tail = v[horizon // 2:]

@@ -231,6 +231,7 @@ class _TailTable:
                     lambda s_last, t_last: _poly_tail_estimate(s_last, t_last, p))
         return None
 
+    @np.errstate(over="ignore")  # a block sum past float range is +inf; the trend screen judges the terms
     def _scan(self, sums: list) -> tuple:
         """Sum blocks to a tail certificate: (T, tail bound, certified, method, remainder)."""
         z0, last = self.zeta0, self.zeta0 + self.max_terms

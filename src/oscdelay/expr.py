@@ -11,6 +11,9 @@ integer or a literal ratio of odd integers; odd/odd ratios use sign-preserving
 semantics (see :func:`oscdelay.power.signed_pow`).  The builtin
 spow(x, m, n) applies the sign-preserving power unconditionally;
 pow(x, y) is the general positive-base power.
+
+Nesting past MAX_DEPTH (200) parser levels is a ParseError, not a RecursionError:
+at most 66 nested parentheses or calls, 199 leading minus signs or carets in a chain.
 """
 from __future__ import annotations
 
@@ -43,6 +46,9 @@ _SINGLE = {
     ")": RPAREN,
     ",": COMMA,
 }
+
+# binary operator token -> (operator, precedence); ^ alone is right-associative
+_BINARY = {PLUS: ("+", 1), MINUS: ("-", 1), STAR: ("*", 2), SLASH: ("/", 2), CARET: ("^", 3)}
 
 BUILTINS = {"spow": 3, "pow": 2}
 
@@ -147,48 +153,26 @@ class _Parser:
     def peek(self) -> Token:
         return self.tokens[self.pos]
 
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != EOF:
+    def advance(self) -> None:
+        if self.peek().kind != EOF:
             self.pos += 1
-        return tok
 
-    def expect(self, kind: str, what: str) -> Token:
+    def expect(self, kind: str, what: str) -> None:
         tok = self.peek()
         if tok.kind != kind:
             raise ParseError(tok.position, what)
-        return self.advance()
+        self.advance()
 
-    def expression(self, depth: int = 0) -> Ast:
+    def expression(self, depth: int = 0, level: int = 1) -> Ast:
+        """Binary operators of precedence at least `level`, by precedence climbing."""
         if depth > MAX_DEPTH:
             raise ParseError(self.peek().position, "shallower nesting")
-        node = self.term(depth + 1)
-        while self.peek().kind in (PLUS, MINUS):
-            op = self.advance()
-            rhs = self.term(depth + 1)
-            node = Binary("+" if op.kind == PLUS else "-", node, rhs)
-        return node
-
-    def term(self, depth: int) -> Ast:
-        if depth > MAX_DEPTH:
-            raise ParseError(self.peek().position, "shallower nesting")
-        node = self.power(depth + 1)
-        while self.peek().kind in (STAR, SLASH):
-            op = self.advance()
-            rhs = self.power(depth + 1)
-            node = Binary("*" if op.kind == STAR else "/", node, rhs)
-        return node
-
-    def power(self, depth: int) -> Ast:
-        if depth > MAX_DEPTH:
-            raise ParseError(self.peek().position, "shallower nesting")
-        base = self.unary(depth + 1)
-        if self.peek().kind == CARET:
+        node = self.unary(depth + 1)
+        while (op := _BINARY.get(self.peek().kind)) and op[1] >= level:
             self.advance()
-            # right-associative exponent
-            expo = self.power(depth + 1)
-            return Binary("^", base, expo)
-        return base
+            rhs = self.expression(depth + 1, op[1] if op[0] == "^" else op[1] + 1)
+            node = Binary(op[0], node, rhs)
+        return node
 
     def unary(self, depth: int) -> Ast:
         if depth > MAX_DEPTH:
@@ -199,8 +183,6 @@ class _Parser:
         return self.atom(depth + 1)
 
     def atom(self, depth: int) -> Ast:
-        if depth > MAX_DEPTH:
-            raise ParseError(self.peek().position, "shallower nesting")
         tok = self.peek()
         if tok.kind == NUMBER:
             self.advance()
@@ -234,9 +216,7 @@ class _Parser:
 def parse(tokens: list[Token]) -> Ast:
     p = _Parser(tokens)
     node = p.expression()
-    tok = p.peek()
-    if tok.kind != EOF:
-        raise ParseError(tok.position, "end of input")
+    p.expect(EOF, "end of input")
     return node
 
 

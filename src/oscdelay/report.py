@@ -54,10 +54,6 @@ def _to_plain(obj):
     return obj
 
 
-def verdict_to_dict(v: CriterionVerdict) -> dict:
-    return _to_plain(v)
-
-
 def new_report(config_echo: dict) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,

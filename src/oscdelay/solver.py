@@ -242,8 +242,9 @@ def _residual_column(eq: HalfLinearEquation, candidate: Sequence, frm: int, to: 
     """Left-hand side r(z+1)(Dx(z+1))^a - r(z)(Dx(z))^a + q(z) x^a(d(z)) on [frm, to].
 
     Evaluated on the columns x, x(d(z)), r and q.  At each index where a value
-    is not finite, in order, the scalar calls compute it again, so the error
-    raised is that of the first index that fails.
+    is not finite, in order, the scalar calls of its inputs raise the error of
+    the first index that fails; an entry whose inputs all succeed overflowed,
+    and keeps its inf or NaN.
     """
     z = np.arange(frm, to + 1)
     a = eq.alpha
@@ -256,15 +257,9 @@ def _residual_column(eq: HalfLinearEquation, candidate: Sequence, frm: int, to: 
             - r[:-1] * signed_pow_array(x[1:-1] - x[:-2], a)
             + eq.q.eval_array(z) * signed_pow_array(xd, a)
         )
-    for i in np.flatnonzero(~np.isfinite(lhs)).tolist():
-        s = frm + i
-        x0, x1, x2 = candidate(s), candidate(s + 1), candidate(s + 2)
-        x_delayed = candidate(eq.delayed_index(s))
-        lhs[i] = (
-            eq.r(s + 1) * signed_pow(x2 - x1, a)
-            - eq.r(s) * signed_pow(x1 - x0, a)
-            + eq.q(s) * signed_pow(x_delayed, a)
-        )
+    for s in (frm + np.flatnonzero(~np.isfinite(lhs))).tolist():
+        candidate(s), candidate(s + 1), candidate(s + 2), candidate(eq.delayed_index(s))
+        eq.r(s + 1), eq.r(s), eq.q(s)
     return lhs
 
 

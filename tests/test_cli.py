@@ -756,6 +756,25 @@ class TestCli:
         assert done.returncode in (0, 2)
         assert "RuntimeWarning" not in done.stderr, done.stderr
 
+    @pytest.mark.parametrize("argv, r, q, stage, want", [
+        (["check", "--criterion", "Lem21"], "1", "1e307", "check", "certified_holds"),
+        (["check", "--criterion", "Thm21"], "1e-300", "1e7", "check", "certified_holds"),
+        (["classify"], "1/(z*1e300)", "1", "classify", "canonical"),
+    ], ids=["lem21-partial-sums", "thm21-partial-sums", "tail-block-sums"])
+    def test_overflowing_sums_warn_nothing(self, tmp_path, argv, r, q, stage, want):
+        # a numpy RuntimeWarning is an error under pytest, and the CLI would exit 3 on it
+        path = write_config(tmp_path, f'[equation]\nr = "{r}"\nq = "{q}"\nalpha = 1\n'
+                            "sigma = 1\nform = delay\nzeta0 = 1\n")
+        out = tmp_path / "report.json"
+        assert main(argv + ["--config", path, "--horizon", "200", "--out", str(out), "--quiet"]) == 0
+        result = json.loads(out.read_text())["stages"][stage]
+        if stage == "classify":
+            assert result["form"] == want
+        else:
+            (verdict,) = result["verdicts"]
+            assert verdict["status"] == want
+            assert verdict["evidence"][-1]["partial_sum"] == "Infinity"
+
     @pytest.mark.parametrize("r, sigma, horizon, error", [
         # theta(0) needs r(0) = 0 > 0
         ("z*(z+1)", 2, 200, "q_tilde not evaluable at 1: r(0) is not positive"),

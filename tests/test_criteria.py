@@ -248,6 +248,35 @@ class TestFramework:
             crit_lem21(eq, 50)
 
 
+class TestZeroWeight:
+    """A zero weight (q, or Thm23's empty sum at zeta0) gives a zero term where theta^p
+    overflows to inf, as Thm22A's skipped shifts and to_canonical do, not 0 * inf = NaN."""
+
+    # theta(1) is about 5e186, so theta^(5/3) overflows near zeta0
+    HUGE_THETA = dict(r_text="10^(z-312)", alpha=(5, 3))
+
+    def test_thm22b_zero_q_before_an_infinite_term(self):
+        # theta(2)^2 overflows: q(1) = 0 weighs it, and the next term is +inf
+        v = crit_thm22b(eq_with_q("z-1", r_text="1e-200*2^z", alpha=(1, 1)), 200)
+        assert v.evidence[0].term == 0.0 and math.isinf(v.evidence[1].term)
+        assert v.status is VerdictStatus.CERTIFIED_HOLDS
+
+    def test_thm22a_zero_q_before_an_infinite_weight(self):
+        v = crit_thm22a(eq_with_q("z-1", **self.HUGE_THETA), 200)
+        assert not any(math.isnan(row.partial_sum) for row in v.evidence)
+        assert v.status is VerdictStatus.CERTIFIED_HOLDS
+
+    @pytest.mark.parametrize("cid", [THM22A, THM22B, THM23])
+    def test_zero_q_fails(self, cid):
+        v = evaluate_criterion(cid, eq_with_q("0", **self.HUGE_THETA), 200)
+        assert all(row.term == row.running_value == 0.0 for row in v.evidence)
+        assert v.status is VerdictStatus.NUMERICALLY_FAILS
+
+    def test_thm23_empty_sum_at_zeta0_is_zero(self):
+        v = crit_thm23(eq_with_q("1", **self.HUGE_THETA), 200)
+        assert v.evidence[0].running_value == 0.0 and math.isinf(v.evidence[1].running_value)
+
+
 def scalar_series(cid, eq, horizon):
     """(term, running value or None) per index, recomputed one index at a time
     from the scalar eq.r, eq.q and theta, with inner sums added left to right."""

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oscdelay import Sequence
+from oscdelay import Sequence, expr
 from oscdelay.errors import DivisionByZero, DomainError, LexError, ParseError
 from oscdelay.expr import (
     Binary,
@@ -235,6 +235,193 @@ class TestProperties:
             for z in range(2, 101):
                 want = fn(float(z))
                 assert abs(eval_at(ast, z) - want) <= 1e-12 * max(1.0, abs(want)), (text, z)
+
+
+# --- The recursive-descent parser the precedence loop replaced, kept as its oracle
+
+OLD_MAX_DEPTH = 200
+
+
+class _OldParser:
+    """One method per precedence level, each checking the nesting depth: 5 levels per
+    parenthesis, so 39 nested parentheses and 196 leading minus signs or carets."""
+
+    def __init__(self, tokens):
+        self.tokens = tokens
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def advance(self):
+        tok = self.tokens[self.pos]
+        if tok.kind != expr.EOF:
+            self.pos += 1
+        return tok
+
+    def expect(self, kind, what):
+        tok = self.peek()
+        if tok.kind != kind:
+            raise ParseError(tok.position, what)
+        return self.advance()
+
+    def check(self, depth):
+        if depth > OLD_MAX_DEPTH:
+            raise ParseError(self.peek().position, "shallower nesting")
+
+    def expression(self, depth=0):
+        self.check(depth)
+        node = self.term(depth + 1)
+        while self.peek().kind in (expr.PLUS, expr.MINUS):
+            op = self.advance()
+            rhs = self.term(depth + 1)
+            node = Binary("+" if op.kind == expr.PLUS else "-", node, rhs)
+        return node
+
+    def term(self, depth):
+        self.check(depth)
+        node = self.power(depth + 1)
+        while self.peek().kind in (expr.STAR, expr.SLASH):
+            op = self.advance()
+            rhs = self.power(depth + 1)
+            node = Binary("*" if op.kind == expr.STAR else "/", node, rhs)
+        return node
+
+    def power(self, depth):
+        self.check(depth)
+        base = self.unary(depth + 1)
+        if self.peek().kind == expr.CARET:
+            self.advance()
+            return Binary("^", base, self.power(depth + 1))
+        return base
+
+    def unary(self, depth):
+        self.check(depth)
+        if self.peek().kind == expr.MINUS:
+            self.advance()
+            return Unary("-", self.unary(depth + 1))
+        return self.atom(depth + 1)
+
+    def atom(self, depth):
+        self.check(depth)
+        tok = self.peek()
+        if tok.kind == expr.NUMBER:
+            self.advance()
+            return Literal(float(tok.lexeme))
+        if tok.kind == expr.IDENT:
+            self.advance()
+            if self.peek().kind == expr.LPAREN:
+                if tok.lexeme not in expr.BUILTINS:
+                    raise ParseError(tok.position, f"a known function, got {tok.lexeme!r}")
+                self.advance()
+                args = [self.expression(depth + 1)]
+                while self.peek().kind == expr.COMMA:
+                    self.advance()
+                    args.append(self.expression(depth + 1))
+                self.expect(expr.RPAREN, "')'")
+                arity = expr.BUILTINS[tok.lexeme]
+                if len(args) != arity:
+                    raise ParseError(tok.position, f"{arity} arguments to {tok.lexeme}")
+                return Call(tok.lexeme, tuple(args))
+            if tok.lexeme == "z":
+                return Var()
+            raise ParseError(tok.position, f"'z', got {tok.lexeme!r}")
+        if tok.kind == expr.LPAREN:
+            self.advance()
+            node = self.expression(depth + 1)
+            self.expect(expr.RPAREN, "')'")
+            return node
+        raise ParseError(tok.position, "a number, 'z', '-' or '('")
+
+
+def old_parse_expression(text):
+    p = _OldParser(tokenize(text))
+    node = p.expression()
+    tok = p.peek()
+    if tok.kind != expr.EOF:
+        raise ParseError(tok.position, "end of input")
+    return node
+
+
+def _parse_outcome(parse, text):
+    """('ast', tree) or ('error', type, offset, message): what parsing text gives."""
+    try:
+        return ("ast", parse(text))
+    except (LexError, ParseError) as exc:
+        return ("error", type(exc), exc.position, str(exc))
+
+
+_LEVEL = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3}  # unary minus is 4, an atom 5
+
+
+def minimal_text(ast) -> str:
+    """ast as text with only the parentheses the grammar needs."""
+    def level(node):
+        return _LEVEL[node.op] if isinstance(node, Binary) else 4 if isinstance(node, Unary) else 5
+
+    def text(node, need):
+        if isinstance(node, Binary):
+            p = _LEVEL[node.op]
+            left, right = (4, 3) if node.op == "^" else (p, p + 1)
+            out = text(node.left, left) + node.op + text(node.right, right)
+        elif isinstance(node, Unary):
+            out = "-" + text(node.child, 4)
+        elif isinstance(node, Call):
+            out = f"{node.name}({','.join(text(a, 0) for a in node.args)})"
+        else:
+            out = pretty(node)
+        return f"({out})" if level(node) < need else out
+    return text(ast, 0)
+
+
+@st.composite
+def edited_expressions(draw):
+    """A minimal-parenthesis expression, as it is, cut short, or with one character inserted."""
+    text = minimal_text(draw(expression_trees()))
+    cut = draw(st.integers(0, len(text)))
+    edit = draw(st.sampled_from(["none", "truncate", "insert"]))
+    if edit == "truncate":
+        return text[:cut]
+    if edit == "insert":
+        return text[:cut] + draw(st.sampled_from(EXPR_ALPHABET)) + text[cut:]
+    return text
+
+
+class TestParserOracle:
+    """The precedence loop parses as the recursive-descent parser did: the same tree,
+    or the same error type, offset and message, within the old nesting limit."""
+
+    @given(expression_trees())
+    @settings(max_examples=250, deadline=None)
+    def test_minimal_parentheses_round_trip(self, ast):
+        assert parse_expression(minimal_text(ast)) == ast
+
+    @given(edited_expressions())
+    @settings(max_examples=600, deadline=None)
+    def test_edited_expressions_match_old_parser(self, text):
+        assert _parse_outcome(parse_expression, text) == _parse_outcome(old_parse_expression, text)
+
+    # 38 characters nest at most 38 parentheses, each 5 old levels deep: below the old limit
+    @given(st.text(alphabet=EXPR_ALPHABET, max_size=38))
+    @settings(max_examples=600, deadline=None)
+    def test_token_soup_matches_old_parser(self, text):
+        assert _parse_outcome(parse_expression, text) == _parse_outcome(old_parse_expression, text)
+
+    @pytest.mark.parametrize("old, new, shape", [
+        (39, 66, lambda n: "(" * n + "z" + ")" * n),
+        (39, 66, lambda n: "pow(" * n + "z" + ", 2)" * n),
+        (196, 199, lambda n: "-" * n + "z"),
+        (196, 199, lambda n: "z" + "^z" * n),
+    ], ids=["parentheses", "calls", "minus_signs", "caret_chain"])
+    def test_nesting_limits(self, old, new, shape):
+        # every input the old parser accepted parses to the same tree; 3 levels per
+        # parenthesis in place of 5 admit deeper inputs, up to a clean ParseError
+        assert parse_expression(shape(old)) == old_parse_expression(shape(old))
+        with pytest.raises(ParseError, match="shallower nesting"):
+            old_parse_expression(shape(old + 1))
+        parse_expression(shape(new))
+        with pytest.raises(ParseError, match="shallower nesting"):
+            parse_expression(shape(new + 1))
 
 
 # --- The tree walker the compiled forms replaced, kept as their oracle ---------

@@ -618,6 +618,18 @@ class TestResidualParity:
         rows = residual_pointwise(eq, cand, 1, 20)
         assert repr(residual(eq, cand, 1, 20)) == repr(max(abs(v) for _, v in rows)) == want
 
+    @pytest.mark.parametrize("cand", [
+        Sequence.from_table(-1, [1e308, -1e308] * 60),  # each difference overflows to +-inf
+        Sequence.from_expression("1e200*(z+1)"),  # each power 5/3 overflows
+    ], ids=["differences", "powers"])
+    def test_overflow_keeps_the_column_value(self, cand):
+        # every input is finite and alpha = 5/3: the overflowed entries keep the column's
+        # NaN, and no ValueError or OverflowError escapes from a scalar power
+        eq = example_equation(3)
+        rows = residual_pointwise(eq, cand, 1, 50)
+        assert all(math.isnan(v) for _, v in rows)
+        assert math.isnan(residual(eq, cand, 1, 50))
+
 
 class TestLemma22Check:
     def test_alpha_one_never_violates(self):
