@@ -264,6 +264,7 @@ def _series_verdict(criterion, conclusion, start, term, flags=()) -> CriterionVe
                             _evidence(start, term), probe, tuple(flags))
 
 
+@np.errstate(over="ignore")  # a running sum past float range is +inf
 def _exclusive_sum(x: np.ndarray) -> np.ndarray:
     """out[i] = x[0] + ... + x[i-1], added left to right; out[0] = 0."""
     out = np.zeros_like(x)
@@ -275,10 +276,11 @@ def _theta_column(eq: HalfLinearEquation, start: int, n: int) -> np.ndarray:
     return np.array([theta(eq, s).value for s in range(start, start + n)])
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _weighted(w: np.ndarray, th: np.ndarray, p: float) -> np.ndarray:
-    """w * th^p, where a zero weight stays itself rather than 0 * inf = NaN; an overflow is +inf."""
-    with np.errstate(over="ignore"):
-        return np.multiply(w, th ** p, out=w.copy(), where=w != 0)
+    """w * th^p: 0 where w = 0 (not 0 * inf = NaN), NaN where it overflows from a finite th."""
+    term = np.multiply(w, th ** p, out=w.copy(), where=w != 0)
+    return np.where(np.isinf(term) & np.isfinite(th), np.nan, term)
 
 
 def _root_series(eq: HalfLinearEquation, z: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -339,8 +341,7 @@ def crit_thm23(eq: HalfLinearEquation, horizon: int) -> CriterionVerdict:
     if gated := _tail_gate(THM23, eq):
         return gated
     q_prev = np.concatenate(([0.0], q))[:horizon]  # evidence term: q(z - 1), 0 at zeta0
-    with np.errstate(over="ignore", invalid="ignore"):
-        v = _weighted(_exclusive_sum(q), _theta_column(eq, eq.zeta0, horizon), eq.alpha.value)
+    v = _weighted(_exclusive_sum(q), _theta_column(eq, eq.zeta0, horizon), eq.alpha.value)
     v[~np.isfinite(v)] = np.inf
 
     tail = v[horizon // 2:]

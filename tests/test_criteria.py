@@ -250,21 +250,32 @@ class TestFramework:
 
 class TestZeroWeight:
     """A zero weight (q, or Thm23's empty sum at zeta0) gives a zero term where theta^p
-    overflows to inf, as Thm22A's skipped shifts and to_canonical do, not 0 * inf = NaN."""
+    overflows to inf, as Thm22A's skipped shifts and to_canonical do, not 0 * inf = NaN.
+    A non-zero weight times an overflowed theta^p is NaN: the term is finite, and an
+    overflowed +inf would read as divergence."""
 
-    # theta(1) is about 5e186, so theta^(5/3) overflows near zeta0
+    # theta(1) is about 5e186, so theta^(5/3) overflows near zeta0; with r = 1e-200*2^z,
+    # theta(2)^2 overflows. Both series converge geometrically.
     HUGE_THETA = dict(r_text="10^(z-312)", alpha=(5, 3))
+    HUGE_THETA_SQUARED = dict(r_text="1e-200*2^z", alpha=(1, 1))
 
-    def test_thm22b_zero_q_before_an_infinite_term(self):
-        # theta(2)^2 overflows: q(1) = 0 weighs it, and the next term is +inf
-        v = crit_thm22b(eq_with_q("z-1", r_text="1e-200*2^z", alpha=(1, 1)), 200)
-        assert v.evidence[0].term == 0.0 and math.isinf(v.evidence[1].term)
-        assert v.status is VerdictStatus.CERTIFIED_HOLDS
+    def test_thm22b_zero_q_before_an_overflowed_term(self):
+        v = crit_thm22b(eq_with_q("z-1", **self.HUGE_THETA_SQUARED), 200)
+        assert v.evidence[0].term == 0.0 and math.isnan(v.evidence[1].term)
+        assert v.status is VerdictStatus.INCONCLUSIVE
 
-    def test_thm22a_zero_q_before_an_infinite_weight(self):
+    def test_thm22a_zero_q_before_an_overflowed_weight(self):
         v = crit_thm22a(eq_with_q("z-1", **self.HUGE_THETA), 200)
-        assert not any(math.isnan(row.partial_sum) for row in v.evidence)
-        assert v.status is VerdictStatus.CERTIFIED_HOLDS
+        assert v.evidence[1].term == 0.0 and math.isnan(v.evidence[2].term)
+        assert v.status is VerdictStatus.INCONCLUSIVE
+
+    @pytest.mark.parametrize("cid,config", [(THM22A, "HUGE_THETA"), (THM22B, "HUGE_THETA"),
+                                            (THM22B, "HUGE_THETA_SQUARED")])
+    @pytest.mark.parametrize("q_text", ["1", "1e-300"])
+    def test_overflowed_product_is_not_divergence(self, cid, config, q_text):
+        v = evaluate_criterion(cid, eq_with_q(q_text, **getattr(self, config)), 200)
+        assert not any(math.isinf(row.term) for row in v.evidence)
+        assert v.status is VerdictStatus.INCONCLUSIVE
 
     @pytest.mark.parametrize("cid", [THM22A, THM22B, THM23])
     def test_zero_q_fails(self, cid):
