@@ -6,11 +6,11 @@ Exit codes: 0 success, 1 config error, 2 stage error, 3 internal error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import math
 import sys
 import traceback
+from dataclasses import replace
 
 from . import criteria
 from .config import CheckConfig, OutputConfig, RunConfig, parse_config, parse_criteria
@@ -142,27 +142,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    if getattr(args, "criterion", None) is not None:
+    check, simulate = cfg.check, cfg.simulate
+    if getattr(args, "criterion", None) is not None:  # only the check command has it
         ids = parse_criteria(args.criterion)
-        base = cfg.check or CheckConfig(criteria=ids)
-        cfg = dataclasses.replace(cfg, check=dataclasses.replace(base, criteria=ids))
+        check = replace(check or CheckConfig(criteria=ids), criteria=ids)
     if args.horizon is not None:
-        if cfg.check:
-            cfg = dataclasses.replace(cfg, check=dataclasses.replace(cfg.check, horizon=args.horizon))
-        else:
-            cfg = dataclasses.replace(
-                cfg, check=CheckConfig(criteria=criteria.CRITERION_IDS, horizon=args.horizon)
-            )
-        if cfg.simulate:
-            cfg = dataclasses.replace(
-                cfg, simulate=dataclasses.replace(cfg.simulate, horizon=args.horizon)
-            )
-    out = cfg.output
-    if args.format:
-        out = OutputConfig(format=args.format, path=out.path)
-    if args.out:
-        out = OutputConfig(format=out.format, path=args.out)
-    return dataclasses.replace(cfg, output=out)
+        check = replace(check or CheckConfig(criteria=criteria.CRITERION_IDS), horizon=args.horizon)
+        simulate = simulate and replace(simulate, horizon=args.horizon)
+    output = OutputConfig(format=args.format or cfg.output.format, path=args.out or cfg.output.path)
+    return replace(cfg, check=check, simulate=simulate, output=output)
 
 
 _COMMAND_STAGES = {

@@ -115,16 +115,16 @@ def _unquote(value: str) -> str:
     return value
 
 
-def _get(section, key: str, kind, where: str, default=None):
+def _get(section, key: str, kind, default=None):
     if key not in section:
         if default is not None:
             return default
-        raise ConfigError(f"missing key {key!r} in [{where}]")
+        raise ConfigError(f"missing key {key!r} in [{section.name}]")
     raw = section[key].strip()
     try:
         return kind(raw)
     except (ValueError, TypeError) as exc:
-        raise ConfigError(f"bad value for {key!r} in [{where}]: {exc}") from exc
+        raise ConfigError(f"bad value for {key!r} in [{section.name}]: {exc}") from exc
 
 
 def parse_criteria(raw: str) -> tuple:
@@ -154,23 +154,23 @@ def parse_config(path: str) -> RunConfig:
         raise ConfigError("missing [equation] section")
     sec = parser["equation"]
     try:
-        alpha = RationalExponent.parse(_get(sec, "alpha", str, "equation"))
+        alpha = RationalExponent.parse(_get(sec, "alpha", str))
     except ValueError as exc:
         raise ConfigError(f"bad alpha: {exc}") from exc
-    form_text = _get(sec, "form", str, "equation")
+    form_text = _get(sec, "form", str)
     try:
         form = DelayForm(form_text)
     except ValueError:
         raise ConfigError(f"form must be 'delay' or 'delay_plus_one', got {form_text!r}") from None
-    sigma = _get(sec, "sigma", int, "equation")
+    sigma = _get(sec, "sigma", int)
 
     def expression(key: str) -> Sequence:
-        return Sequence.from_expression(_unquote(_get(sec, key, str, "equation")))
+        return Sequence.from_expression(_unquote(_get(sec, key, str)))
 
     try:
         equation = HalfLinearEquation(
             r=expression("r"), q=expression("q"), alpha=alpha, sigma=sigma, delay_form=form,
-            zeta0=_get(sec, "zeta0", int, "equation"),
+            zeta0=_get(sec, "zeta0", int),
             theta_closed_form=expression("theta_closed_form") if "theta_closed_form" in sec else None,
         )
     except (LexError, ParseError, ValueError) as exc:
@@ -179,22 +179,19 @@ def parse_config(path: str) -> RunConfig:
     simulate = None
     if "simulate" in parser:
         sim = parser["simulate"]
-        values = [v for v in _get(sim, "init", str, "simulate").split(",") if v.strip()]
+        values = [v for v in _get(sim, "init", str).split(",") if v.strip()]
         try:
             init = InitialData.for_equation(equation, values)
         except ValueError as exc:
             raise ConfigError(f"bad init list: {exc}") from exc
-        simulate = SimulateConfig(
-            init=init,
-            horizon=_get(sim, "horizon", int, "simulate"),
-            tol=_get(sim, "tol", float, "simulate", ZERO_TOL),
-        )
+        simulate = SimulateConfig(init=init, horizon=_get(sim, "horizon", int),
+                                  tol=_get(sim, "tol", float, ZERO_TOL))
 
     check = None
     if "check" in parser:
         chk = parser["check"]
-        check = CheckConfig(criteria=parse_criteria(_get(chk, "criteria", str, "check")),
-                            horizon=_get(chk, "horizon", int, "check", 200))
+        check = CheckConfig(criteria=parse_criteria(_get(chk, "criteria", str)),
+                            horizon=_get(chk, "horizon", int, 200))
 
     output = OutputConfig()
     if "output" in parser:

@@ -68,7 +68,7 @@ def divergence_probe(terms, start_index: int = 1) -> DivergenceAssessment:
     half with exponent at least P_CONVERGE.
     """
     t = np.asarray(terms, dtype=float)
-    if t.size and float(np.nanmin(t)) < 0:
+    if (t < 0).any():  # NaN compares false: it is no negative term
         raise ValueError("divergence probe requires non-negative terms")
 
     finite = np.isfinite(t)

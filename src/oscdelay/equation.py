@@ -116,14 +116,18 @@ def _inv_r_alpha(r: Sequence, alpha: RationalExponent, s: np.ndarray) -> np.ndar
     return t
 
 
+@np.errstate(over="ignore")  # a sum past the float range is +inf, then a DomainError
 def _sum_inv_r_alpha(eq: HalfLinearEquation, lo: int, hi: int) -> float:
-    """Sum of r^(-1/alpha) over [lo, hi); DomainError where r is not positive or a
-    term is not finite."""
+    """Sum of r^(-1/alpha) over [lo, hi); DomainError where r is not positive, a
+    term is not finite or the sum passes the float range."""
     terms = _inv_r_alpha(eq.r, eq.alpha, np.arange(lo, hi, dtype=float))
     if not np.all(np.isfinite(terms)):
         bad = lo + int(np.argmax(~np.isfinite(terms)))
         raise DomainError(f"r^(-1/alpha) not finite at index {bad}")
-    return float(np.sum(terms))
+    total = float(np.sum(terms))
+    if total == math.inf:
+        raise DomainError(f"the sum of r^(-1/alpha) on [{lo}, {hi}) exceeds the float range")
+    return total
 
 
 def R_partial(eq: HalfLinearEquation, zeta: int) -> float:
@@ -180,6 +184,7 @@ def _poly_tail_estimate(s_last: float, t_last: float, p: float) -> float:
                     + p3 * (p + 3.0) * (p + 4.0) / (30240.0 * m ** 5))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # past the float range: inf or NaN, which lookup refuses
 def _suffix_sums(t: np.ndarray) -> np.ndarray:
     """out[i] = sum(t[i:]), compensated after Neumaier (1974): TwoSum recovers each
     rounding error of the reversed np.cumsum, and their running sum is added back."""
@@ -188,6 +193,14 @@ def _suffix_sums(t: np.ndarray) -> np.ndarray:
     prev = np.concatenate(([0.0], acc[:-1]))
     back = acc - prev
     return (acc + np.cumsum((prev - (acc - back)) + (rev - back)))[::-1]
+
+
+def _fsum(values: list) -> float:
+    """math.fsum of non-negative values; +inf past the float range."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return math.inf
 
 
 class _TailTable:
@@ -202,7 +215,7 @@ class _TailTable:
         self.tol, self.max_terms = (CHECK_TOL, CHECK_MAX_TERMS) if closed else (TAIL_TOL, MAX_TERMS)
         sums: list = []
         *self.meta, self.remainder = self._scan(sums)
-        self.after = [math.fsum(sums[k + 1:]) for k in range(len(sums))]
+        self.after = [_fsum(sums[k + 1:]) for k in range(len(sums))]
         self.rest = self.remainder(self.end, self._t_end)
         # block number -> (suffix sums, later blocks' sum, remainder); block 0 from the pass
         self.blocks = {0: (_suffix_sums(self._first), self.after[0], self.rest)}
@@ -281,6 +294,8 @@ class _TailTable:
             self.blocks[k] = (_suffix_sums(t), self.after[k] if k < scanned else 0.0, rest)
         suffix, after, rest = self.blocks[k]
         lower = float(suffix[i]) + after
+        if not math.isfinite(lower + rest):
+            raise DomainError(f"theta({zeta}) exceeds the float range")
         return TailSumResult(lower + rest, *self.meta), lower
 
 
@@ -339,12 +354,14 @@ def theta_extended(eq: HalfLinearEquation, zeta: int) -> TailSumResult:
     """theta at possibly under-domain indices via theta(z) = theta(zeta0) + sum_{s=z}^{zeta0-1} r^(-1/alpha)(s).
 
     Raises DomainError when r is not evaluable, not positive, or too small for a
-    finite term on the gap.
+    finite term on the gap, or when theta(zeta) passes the float range.
     """
     if zeta >= eq.zeta0:
         return theta(eq, zeta)
     gap = _sum_inv_r_alpha(eq, zeta, eq.zeta0)
     base = theta(eq, eq.zeta0)
+    if base.value + gap == math.inf:
+        raise DomainError(f"theta({zeta}) exceeds the float range")
     return replace(base, value=base.value + gap, method=base.method + "+extension")
 
 
@@ -391,17 +408,6 @@ class ValidationReport:
         return not self.violations
 
 
-def _offence(hyp: str, name: str, rel: str, seq: Sequence, z: int) -> tuple:
-    """(the violation seq(z) makes or None, the scalar value seq(z))."""
-    try:
-        v = seq(z)
-    except DomainError as exc:
-        return Violation(hyp, z, f"{name} not evaluable: {exc}"), math.nan
-    if v < 0 or (v == 0 and hyp == "H1"):
-        return Violation(hyp, z, f"{name}({z}) = {v} {rel} 0"), v
-    return None, v
-
-
 def _first_violation(hyp: str, name: str, rel: str, seq: Sequence, lo: int, hi: int) -> tuple:
     """(first offender on [lo, hi], or None and whether some value is positive).
 
@@ -412,9 +418,12 @@ def _first_violation(hyp: str, name: str, rel: str, seq: Sequence, lo: int, hi: 
     bad = ~np.isfinite(v) | ((v <= 0) if hyp == "H1" else (v < 0))
     positive = bool((v > 0).any())
     for z in (lo + np.flatnonzero(bad)).tolist():
-        found, value = _offence(hyp, name, rel, seq, z)
-        if found is not None:
-            return found, False
+        try:
+            value = seq(z)
+        except DomainError as exc:
+            return Violation(hyp, z, f"{name} not evaluable: {exc}"), False
+        if value < 0 or (value == 0 and hyp == "H1"):
+            return Violation(hyp, z, f"{name}({z}) = {value} {rel} 0"), False
         positive = positive or value > 0
     return None, positive
 

@@ -18,9 +18,8 @@ from .errors import DomainError
 
 @dataclass(frozen=True)
 class Sequence:
-    kind: str  # "expr" | "table"
     domain_start: Optional[int] = None  # a table's first index; an expression has none
-    ast: Optional[expr.Ast] = None
+    ast: Optional[expr.Ast] = None  # an expression's; a table has none
     name: Optional[str] = None
     table: tuple = field(default_factory=tuple)
 
@@ -28,23 +27,19 @@ class Sequence:
     def from_expression(cls, text_or_ast) -> "Sequence":
         ast = expr.parse_expression(text_or_ast) if isinstance(text_or_ast, str) else text_or_ast
         name = text_or_ast if isinstance(text_or_ast, str) else expr.pretty(ast)
-        return cls(kind="expr", ast=ast, name=name)
+        return cls(ast=ast, name=name)
 
     @classmethod
     def from_table(cls, start: int, values) -> "Sequence":
-        return cls(
-            kind="table",
-            domain_start=start,
-            table=tuple(map(float, values)),
-        )
+        return cls(domain_start=start, table=tuple(map(float, values)))
 
     def describe(self) -> str:
-        if self.kind == "table":
+        if self.ast is None:
             return f"table[{self.domain_start}..{self.domain_start + len(self.table) - 1}]"
-        return self.name or self.kind
+        return self.name or "expr"
 
     def __call__(self, zeta: int) -> float:
-        if self.kind == "expr":
+        if self.ast is not None:
             value = expr.eval_at(self.ast, zeta)
         elif zeta < self.domain_start:
             raise DomainError(
@@ -66,13 +61,13 @@ class Sequence:
         index it does not cover.
         """
         z = np.asarray(z, dtype=float)
-        if self.kind == "expr":
+        if self.ast is not None:
             try:
                 return expr.eval_values(self.ast, z)
             except DomainError:
                 pass
         out = np.full(z.shape, np.nan)
-        if self.kind == "table":
+        if self.ast is None:
             outside = (z < self.domain_start) | (z >= self.domain_start + len(self.table))
             n = int(np.argmax(outside)) if outside.any() else z.size
             out[:n] = np.asarray(self.table, dtype=float)[z[:n].astype(int) - self.domain_start]

@@ -844,6 +844,11 @@ FUZZ_Q = ("1", "1/z", "1-z", "0", "1/(z-3)", "pow(10, z*100)")
 @example(r="1", q="1", alpha="3", form=("delay", 1), zeta0=1, init="0, 1, 1e308")
 # the config echo holds a form feed
 @example(r="z\x0c+1", q="1", alpha="1", form=("delay", 1), zeta0=1, init=None)
+# tail sums past the float range: the later blocks' sum, a suffix sum, and a
+# theta past it whose criterion terms are all NaN
+@example(r="1e-308*z^1.01", q="1", alpha="1", form=("delay", 1), zeta0=1, init=None)
+@example(r="0.6*10^(z-309)", q="1", alpha="1", form=("delay_plus_one", 1), zeta0=1, init=None)
+@example(r="0.59*10^(z-309)", q="1", alpha="1", form=("delay", 1), zeta0=2, init=None)
 def test_cli_never_exits_three(r, q, alpha, form, zeta0, init):
     """Every failure stays inside the OscDelayError hierarchy: exit 0, 1 or 2; every
     report written (exit 0 or 2) is valid JSON."""

@@ -579,3 +579,62 @@ class TestBlockSize:
                    ("max_terms", MAX_TERMS, False)
             want = math.fsum(_inv_r_alpha(eq.r, eq.alpha, np.arange(z, MAX_TERMS + 1, dtype=float)))
             assert abs(got.value - want) <= 1e-12 * want
+
+
+class TestFloatRange:
+    """A tail or partial sum past the float range is a DomainError naming the index,
+    never a NaN or +inf value, and a finite theta keeps its bits."""
+
+    def test_later_blocks_past_the_float_range(self):
+        # every block sum fits, but the blocks after the first overflow together
+        eq = make_eq("1e-308*z^1.01", RationalExponent(1, 1), sigma=1)
+        with pytest.raises(DomainError, match=r"theta\(1\) exceeds the float range"):
+            theta(eq, 1)
+        with pytest.raises(DomainError, match=r"theta\(1\) exceeds the float range"):
+            classify_form(eq)
+
+    def test_suffix_sum_past_the_float_range(self):
+        # theta(1) = 10^308 / 0.6 * 10/9 overflows; theta(2) is ten times smaller
+        eq = make_eq("0.6*10^(z-309)", RationalExponent(1, 1), sigma=1,
+                     form=DelayForm.MINUS_SIGMA_PLUS_ONE)
+        with pytest.raises(DomainError, match=r"theta\(1\) exceeds the float range"):
+            theta(eq, 1)
+        assert theta(eq, 2).value == pytest.approx(1e307 / 0.6 * 10 / 9, rel=1e-12)
+
+    def test_extension_past_the_float_range(self):
+        # theta(2) and the gap term r(1)^(-1) both fit; their sum does not
+        eq = make_eq("0.59*10^(z-309)", RationalExponent(1, 1), zeta0=2, sigma=1)
+        assert math.isfinite(theta(eq, 2).value)
+        with pytest.raises(DomainError, match=r"theta\(1\) exceeds the float range"):
+            theta_extended(eq, 1)
+        with pytest.raises(DomainError, match=r"theta\(1\) exceeds the float range"):
+            theta(eq, 1)
+
+    def test_partial_sum_past_the_float_range(self):
+        eq = make_eq("1e-308", RationalExponent(1, 1), sigma=1)
+        assert R_partial(eq, 2) == 1e308
+        with pytest.raises(DomainError, match=r"\[1, 3\) exceeds the float range"):
+            R_partial(eq, 3)
+
+    # float.hex of the numeric theta, from the tail table each equation reads
+    PINNED = {
+        "poly": [(1, "0x1.9dd0ed333268fp-1"), (2, "0x1.c05f7b95cd1dcp-2"),
+                 (200, "0x1.471bdd495cf5ep-8"), (70000, "0x1.df58bebc0458ap-17"),
+                 (1_500_000, "0x1.65ea0cf4b0bd0p-21")],
+        1: [(1, "0x1.0000000000000p+0"), (50, "0x1.ffffffffffff7p-50"),
+            (200, "0x1.fffffffffffdap-200")],
+        2: [(2, "0x1.fffffffcd9e55p-1"), (50, "0x1.4e5e0a0e2cfd4p-6"),
+            (200, "0x1.49539ca81fac5p-8")],
+        3: [(1, "0x1.00000001930ffp+0"), (50, "0x1.47ae14dfa541fp-6"),
+            (200, "0x1.47ae160df130dp-8")],
+    }
+
+    @pytest.mark.parametrize("which", ["poly", 1, 2, 3])
+    def test_finite_theta_keeps_its_bits(self, which):
+        if which == "poly":
+            eq = make_eq("(z*(z+1.7))^(5/3)", RationalExponent(5, 3), sigma=2,
+                         q_text="1.3*(z^2-1)*z^(2/3)", form=DelayForm.MINUS_SIGMA_PLUS_ONE)
+        else:
+            eq = example_equation(which)
+        got = [(z, _table(eq).lookup(z)[0].value.hex()) for z, _ in self.PINNED[which]]
+        assert got == self.PINNED[which]
