@@ -403,10 +403,6 @@ class ValidationReport:
     horizon: int
     violations: tuple = field(default_factory=tuple)
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
 
 def _first_violation(hyp: str, name: str, rel: str, seq: Sequence, lo: int, hi: int) -> tuple:
     """(first offender on [lo, hi], or None and whether some value is positive).

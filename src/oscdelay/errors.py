@@ -11,7 +11,6 @@ class LexError(OscDelayError):
     def __init__(self, position: int, message: str):
         super().__init__(f"lex error at offset {position}: {message}")
         self.position = position
-        self.message = message
 
 
 class ParseError(OscDelayError):
@@ -20,7 +19,6 @@ class ParseError(OscDelayError):
     def __init__(self, position: int, expected: str):
         super().__init__(f"parse error at offset {position}: expected {expected}")
         self.position = position
-        self.expected = expected
 
 
 class DomainError(OscDelayError):

@@ -213,31 +213,11 @@ class _Parser:
         raise ParseError(tok.position, "a number, 'z', '-' or '('")
 
 
-def parse(tokens: list[Token]) -> Ast:
-    p = _Parser(tokens)
+def parse_expression(text: str) -> Ast:
+    p = _Parser(tokenize(text))
     node = p.expression()
     p.expect(EOF, "end of input")
     return node
-
-
-def parse_expression(text: str) -> Ast:
-    return parse(tokenize(text))
-
-
-def pretty(ast: Ast) -> str:
-    """Fully parenthesized rendering; re-parsing yields a structurally identical tree."""
-    if isinstance(ast, Literal):
-        v = ast.value
-        return str(int(v)) if v.is_integer() and abs(v) < 1e16 else repr(v)
-    if isinstance(ast, Var):
-        return "z"
-    if isinstance(ast, Unary):
-        return f"(-{pretty(ast.child)})"
-    if isinstance(ast, Binary):
-        return f"({pretty(ast.left)} {ast.op} {pretty(ast.right)})"
-    if isinstance(ast, Call):
-        return f"{ast.name}({', '.join(pretty(a) for a in ast.args)})"
-    raise TypeError(f"not an Ast node: {ast!r}")
 
 
 def _literal_ratio(node: Ast):

@@ -42,18 +42,6 @@ def _one_level(obj):
     return obj
 
 
-def _to_plain(obj):
-    """Normalize dataclasses / enums / tuples into dicts, lists and scalars."""
-    obj = _one_level(obj)
-    if isinstance(obj, Evidence):
-        return [row._asdict() for row in obj]
-    if isinstance(obj, dict):
-        return {str(k): _to_plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_to_plain(v) for v in obj]
-    return obj
-
-
 def new_report(config_echo: dict) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
@@ -120,7 +108,7 @@ def _write_evidence(out: io.StringIO, ev: Evidence, indent: int):
 
 
 def _write_json(out: io.StringIO, obj, indent: int):
-    """obj as indented JSON, normalized one level at a time as _to_plain does."""
+    """obj as indented JSON, each value normalized by _one_level as it is written."""
     obj = _one_level(obj)
     pad = "  " * indent
     if isinstance(obj, dict):

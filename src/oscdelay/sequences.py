@@ -24,10 +24,8 @@ class Sequence:
     table: tuple = field(default_factory=tuple)
 
     @classmethod
-    def from_expression(cls, text_or_ast) -> "Sequence":
-        ast = expr.parse_expression(text_or_ast) if isinstance(text_or_ast, str) else text_or_ast
-        name = text_or_ast if isinstance(text_or_ast, str) else expr.pretty(ast)
-        return cls(ast=ast, name=name)
+    def from_expression(cls, text: str) -> "Sequence":
+        return cls(ast=expr.parse_expression(text), name=text)
 
     @classmethod
     def from_table(cls, start: int, values) -> "Sequence":

@@ -80,12 +80,6 @@ class Trajectory:
             raise DomainError(f"x({zeta}) not stored (range {self.start_index}..{self.end_index})")
         return self.x[i]
 
-    def y_at(self, zeta: int) -> float:
-        i = zeta - self.y_start
-        if i < 0 or i >= len(self.y):
-            raise DomainError(f"y({zeta}) not stored")
-        return self.y[i]
-
     @property
     def end_index(self) -> int:
         return self.start_index + len(self.x) - 1

@@ -18,7 +18,7 @@ from oscdelay.config import parse_config, parse_criteria
 from oscdelay.criteria import (CRITERION_IDS, CriterionVerdict, Evidence, EvidenceRow, VerdictStatus,
                                evaluate_criterion)
 from oscdelay.errors import ConfigError
-from oscdelay.report import (_csv_cell, _csv_number, _json_string, _to_plain, _verdicts, fmt_float,
+from oscdelay.report import (_csv_cell, _csv_number, _json_string, _one_level, _verdicts, fmt_float,
                              new_report, to_csv, to_json)
 
 EXAMPLE2_INI = """\
@@ -88,6 +88,15 @@ def ex3_config(tmp_path):
     return str(path)
 
 
+# configs whose structure parse_config refuses, with the start of its message
+STRUCTURE_ERRORS = [
+    (EXAMPLE3_INI.replace("alpha = 5/3\n", ""), "missing key 'alpha' in [equation]"),
+    ('r = "1"\nq = "1"\n', "cannot parse config"),
+    ("[check]\ncriteria = all\nhorizon = 10\n", "missing [equation] section"),
+]
+STRUCTURE_ERROR_IDS = ["missing-alpha", "no-section-header", "no-equation-section"]
+
+
 def write_config(tmp_path, text):
     path = tmp_path / "run.ini"
     path.write_text(text)
@@ -127,6 +136,12 @@ class TestConfig:
         bad = EXAMPLE2_INI.replace("criteria = all", "criteria = Lem21, Thm99")
         with pytest.raises(ConfigError, match=r"unknown criteria \['Thm99'\]; known: Thm21"):
             parse_config(write_config(tmp_path, bad))
+
+    @pytest.mark.parametrize("text, message", STRUCTURE_ERRORS, ids=STRUCTURE_ERROR_IDS)
+    def test_structure_error_named(self, tmp_path, text, message):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(write_config(tmp_path, text))
+        assert str(exc.value).startswith(message)
 
     @pytest.mark.parametrize("listed", [",", " , ", ""])
     def test_empty_criteria_list_rejected(self, tmp_path, listed):
@@ -183,6 +198,19 @@ class TestReportFormats:
             # every numeric string in the CSV appears verbatim in the JSON
             for cell in cells[2:]:
                 assert cell in json_text, cell
+
+
+def _to_plain(obj):
+    """obj normalized into dicts, lists and scalars, each evidence row a dict: the
+    plain report tree that the two oracle writers below read."""
+    obj = _one_level(obj)
+    if isinstance(obj, Evidence):
+        return [row._asdict() for row in obj]
+    if isinstance(obj, dict):
+        return {str(k): _to_plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_to_plain(v) for v in obj]
+    return obj
 
 
 def csv_via_plain_dicts(report):
@@ -567,6 +595,19 @@ class TestCli:
         assert main(["validate", "--config", str(path), "--quiet"]) == 1
         assert "config error: lex error at offset 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out-file"])
+    def test_report_emitted_without_quiet(self, ex2_config, tmp_path, capsys, to_file):
+        out = tmp_path / "report.json"
+        argv = ["validate", "--config", ex2_config] + (["--out", str(out)] if to_file else [])
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        if to_file:
+            assert printed == f"report written to {out}\n"
+            assert json.loads(out.read_text())["stages"]["validate"]
+        else:
+            assert not out.exists()
+            assert json.loads(printed)["stages"]["validate"]
+
     def test_missing_config_exit_one(self):
         assert main(["validate", "--config", "/nonexistent.ini", "--quiet"]) == 1
 
@@ -644,13 +685,14 @@ class TestCli:
         (["simulate"], EXAMPLE3_INI.replace("horizon = 40", "horizon = 40\ntol = -1e-8")),
         (["example", "1", "--lambda0", "nan"], None),
         (["example", "1", "--lambda0", "inf"], None),
+        *[(["check"], text) for text, _ in STRUCTURE_ERRORS],
     ], ids=["check-horizon-0", "validate-horizon-neg", "transform-horizon-neg",
             "simulate-horizon-1", "check-section-horizon-0", "simulate-section-horizon-1",
             "zero-init", "check-section-horizon-text", "simulate-section-tol-text",
             "example1-horizon-neg", "example2-horizon-0", "negative-sigma", "unknown-form",
             "nan-init", "inf-init", "unparsable-theta-closed-form", "simulate-section-tol-nan",
             "simulate-section-tol-inf", "simulate-section-tol-neg", "example1-lambda0-nan",
-            "example1-lambda0-inf"])
+            "example1-lambda0-inf", *STRUCTURE_ERROR_IDS])
     def test_out_of_range_input_exit_one(self, tmp_path, capsys, argv, ini):
         if ini is not None:
             argv = argv + ["--config", write_config(tmp_path, ini)]
@@ -775,19 +817,30 @@ class TestCli:
             assert verdict["status"] == want
             assert verdict["evidence"][-1]["partial_sum"] == "Infinity"
 
-    @pytest.mark.parametrize("r, sigma, horizon, error", [
+    @pytest.mark.parametrize("r, alpha, sigma, horizon, error", [
         # theta(0) needs r(0) = 0 > 0
-        ("z*(z+1)", 2, 200, "q_tilde not evaluable at 1: r(0) is not positive"),
+        ("z*(z+1)", 1, 2, 200, "q_tilde not evaluable at 1: r(0) is not positive"),
         # r(309) = 10^309 overflows; validate reports H1 there
-        ("10^z", 1, 400, "r_tilde not evaluable at 309: 10^z is not finite at index 309"),
-    ], ids=["shifted-theta-below-domain", "r-overflows-in-horizon"])
-    def test_transform_names_first_unevaluable_coefficient(self, tmp_path, r, sigma, horizon, error):
-        path = write_config(tmp_path, f'[equation]\nr = "{r}"\nq = "1"\nalpha = 1\n'
+        ("10^z", 1, 1, 400, "r_tilde not evaluable at 309: 10^z is not finite at index 309"),
+        # theta(1) = 4.9e13 is certified, but its power alpha - 1 = 24 passes the float range
+        ("(1e-12*1.0204^z)^25", 25, 1, 200, "q_tilde not evaluable at 1: q_tilde is not finite at index 1"),
+    ], ids=["shifted-theta-below-domain", "r-overflows-in-horizon", "theta-power-overflows"])
+    def test_transform_names_first_unevaluable_coefficient(self, tmp_path, r, alpha, sigma, horizon, error):
+        path = write_config(tmp_path, f'[equation]\nr = "{r}"\nq = "1"\nalpha = {alpha}\n'
                             f"sigma = {sigma}\nform = delay_plus_one\nzeta0 = 1\n")
         out = tmp_path / "t.json"
         argv = ["transform", "--config", path, "--horizon", str(horizon), "--out", str(out), "--quiet"]
         assert main(argv) == 2
         assert json.loads(out.read_text())["errors"] == [{"stage": "transform", "error": error}]
+
+    def test_classify_names_pole_in_tail(self, tmp_path):
+        # r has a pole at z = 1000, inside the tail: its column is NaN from there,
+        # and the scalar call at 1000 gives the error the report records
+        path = write_config(tmp_path, '[equation]\nr = "z^2 + 1/(z-1000)"\nq = "1"\nalpha = 1\n'
+                            "sigma = 1\nform = delay\nzeta0 = 1\n")
+        out = tmp_path / "c.json"
+        assert main(["classify", "--config", path, "--out", str(out), "--quiet"]) == 2
+        assert json.loads(out.read_text())["errors"] == [{"stage": "classify", "error": "division by zero"}]
 
     def test_classify_divergent_tail_canonical(self, tmp_path):
         # r = 1: the tail terms never fall, so theta does not exist

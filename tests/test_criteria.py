@@ -247,6 +247,14 @@ class TestFramework:
         with pytest.raises(StageError):
             crit_lem21(eq, 50)
 
+    def test_verdicts_compare_and_hash_by_rows(self):
+        v = evaluate_criterion("Lem21", example_equation(3), 50)
+        again = evaluate_criterion("Lem21", example_equation(3), 50)
+        assert v == again and hash(v) == hash(again)
+        rebuilt = replace(v, evidence=tuple(v.evidence))  # rows, taken as columns
+        assert rebuilt == v and hash(rebuilt) == hash(v)
+        assert repr(v.evidence).startswith("Evidence((EvidenceRow(")
+
 
 class TestZeroWeight:
     """A zero weight (q, or Thm23's empty sum at zeta0) gives a zero term where theta^p

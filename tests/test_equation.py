@@ -241,12 +241,12 @@ class TestClassifyForm:
 class TestValidate:
     def test_example1_ok(self):
         report = validate(example_equation(1), 100)
-        assert report.ok
+        assert report.violations == ()
 
     def test_zero_q_flagged(self):
         eq = make_eq("1", RationalExponent(1, 1), q_text="0")
         report = validate(eq, 100)
-        assert not report.ok
+        assert report.violations
         assert report.violations[0].hypothesis == "H2"
 
     def test_nan_table_entry_flagged(self):

@@ -95,7 +95,7 @@ class TestIterate:
         traj = iterate(eq, init, 25)
         for z in range(traj.y_start, traj.y_start + len(traj.y)):
             want = eq.r(z) * signed_pow(traj.x_at(z + 1) - traj.x_at(z), eq.alpha)
-            assert abs(traj.y_at(z) - want) <= 1e-9 * max(1.0, abs(want))
+            assert abs(traj.y[z - traj.y_start] - want) <= 1e-9 * max(1.0, abs(want))
 
     def test_overflow_truncates_and_marks(self):
         eq = linear_eq(q_text="0-1", sigma=0)  # q = -1: runaway growth, H2 violated on purpose
@@ -155,7 +155,7 @@ class TestIterate:
         traj = iterate(eq, init, 40)
         for z in range(traj.y_start, traj.y_start + len(traj.y) - 1):
             if traj.x_at(eq.delayed_index(z)) > 0:
-                assert traj.y_at(z + 1) <= traj.y_at(z) + 1e-12
+                assert traj.y[z + 1 - traj.y_start] <= traj.y[z - traj.y_start] + 1e-12
 
     @given(st.floats(min_value=0.1, max_value=10.0))
     @settings(max_examples=30, deadline=None)
@@ -317,7 +317,7 @@ class TestIterateParity:
                                 sigma=1, delay_form=DelayForm.MINUS_SIGMA, zeta0=1)
         data = InitialData.for_equation(eq, (-0.0, 1e-200, 0.0))
         got, want = iterate(eq, data, 6), iterate_loop(eq, data, 6)
-        assert got.y_at(2).hex() == "-0x0.0p+0"
+        assert got.y[2 - got.y_start].hex() == "-0x0.0p+0"
         assert got.status == want.status == TrajectoryStatus(StatusKind.COMPLETED)
         assert _bits(got.x) == _bits(want.x) and _bits(got.y) == _bits(want.y)
 

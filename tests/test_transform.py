@@ -259,3 +259,14 @@ class TestCanonicalSumQ:
         )
         with pytest.raises(StageError, match=r"q_tilde\(3\) = -1.0 < 0"):
             crit_canonical_sumq(ceq, 20)
+
+    def test_q_tilde_short_of_horizon_is_stage_error(self):
+        # the table ends at 50: the first index it does not cover is named
+        ceq = comparison_eq(
+            r_tilde=Sequence.from_expression("1"),
+            q_tilde=Sequence.from_table(1, [0.5] * 50),
+            sigma=1,
+            zeta0=1,
+        )
+        with pytest.raises(StageError, match=r"^q_tilde not evaluable at 51: index 51 outside table table\[1\.\.50\]$"):
+            crit_canonical_sumq(ceq, 100)
