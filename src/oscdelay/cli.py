@@ -21,19 +21,16 @@ from .report import new_report, render
 from .solver import classify_trajectory, iterate
 from .transform import crit_canonical_sumq, to_canonical
 
-STAGE_ORDER = ("validate", "classify", "simulate", "check", "transform")
-
 
 def run_stages(cfg: RunConfig, stages) -> dict:
-    """Execute the requested stages in pipeline order, recording per-stage errors."""
+    """Execute the given stages in the given order, recording per-stage errors."""
     report = new_report(cfg.echo())
     eq = cfg.equation
-    wanted = [s for s in STAGE_ORDER if s in stages]
 
     def record_error(stage: str, exc: Exception):
         report["errors"].append({"stage": stage, "error": str(exc)})
 
-    for stage in wanted:
+    for stage in stages:
         try:
             if stage == "validate":
                 horizon = cfg.check.horizon if cfg.check else 100

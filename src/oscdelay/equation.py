@@ -46,9 +46,6 @@ class FormClass(enum.Enum):
 TAIL_TOL = 1e-12
 MAX_TERMS = 1_000_000
 BLOCK = 65536
-# the looser and shorter pass that cross-checks a registered closed form
-CHECK_TOL = 1e-9
-CHECK_MAX_TERMS = 100_000
 # The decay tests shared by the tail sums and the criteria's divergence probe.
 RATIO_WINDOW = 8        # ratios in the geometric certificate's trailing window
 RATIO_MAX = 0.99        # largest ratio the certificate accepts
@@ -90,6 +87,9 @@ class HalfLinearEquation:
             raise ValueError("sigma must be a non-negative integer")
         if self.delay_form is DelayForm.MINUS_SIGMA_PLUS_ONE and self.sigma < 1:
             raise ValueError("the z - sigma + 1 delay form requires sigma >= 1")
+        # so that every index from zeta0 - sigma to zeta0 + MAX_TERMS is an exact float
+        if abs(self.zeta0) > 2 ** 52 or self.sigma > 2 ** 52:
+            raise ValueError("|zeta0| and sigma must be at most 2^52")
 
     def __getstate__(self) -> dict:
         return {k: v for k, v in self.__dict__.items() if k != "_table"}
@@ -209,10 +209,8 @@ class _TailTable:
     theta(z) = suffix sum of z's block + sums of later scanned blocks + remainder.
     """
 
-    def __init__(self, r: Sequence, alpha: RationalExponent, zeta0: int, closed: bool):
+    def __init__(self, r: Sequence, alpha: RationalExponent, zeta0: int):
         self.r, self.alpha, self.zeta0 = r, alpha, zeta0
-        # a closed form is only cross-checked, by a looser and shorter pass
-        self.tol, self.max_terms = (CHECK_TOL, CHECK_MAX_TERMS) if closed else (TAIL_TOL, MAX_TERMS)
         sums: list = []
         *self.meta, self.remainder = self._scan(sums)
         self.after = [_fsum(sums[k + 1:]) for k in range(len(sums))]
@@ -234,8 +232,8 @@ class _TailTable:
         """(T, tail bound, certified, method, remainder) from hist, the terms before stop; or None."""
         rho = _geometric_ratio(hist)
         if rho is not None:
-            # underflowed to zero after a decaying run: tail is below tol
-            bound = self.tol if hist[-1] == 0.0 else float(hist[-1]) * rho / (1.0 - rho)
+            # underflowed to zero after a decaying run: tail is below TAIL_TOL
+            bound = TAIL_TOL if hist[-1] == 0.0 else float(hist[-1]) * rho / (1.0 - rho)
             return (stop - 1, bound, True, "geometric",
                     lambda s_last, t_last: t_last * rho / (1.0 - rho))
         p = _fit_power_exponent(np.arange(stop - hist.size, stop, dtype=float), hist)
@@ -247,7 +245,7 @@ class _TailTable:
     @np.errstate(over="ignore")  # a block sum past float range is +inf; the trend screen judges the terms
     def _scan(self, sums: list) -> tuple:
         """Sum blocks to a tail certificate: (T, tail bound, certified, method, remainder)."""
-        z0, last = self.zeta0, self.zeta0 + self.max_terms
+        z0, last = self.zeta0, self.zeta0 + MAX_TERMS
         hist = np.empty(0)  # the last terms summed, up to the current stop
         prev_min: Optional[float] = None  # the trend screen's last block
         keep = max(FIT_WINDOW, RATIO_WINDOW + 1)
@@ -258,7 +256,7 @@ class _TailTable:
                 self._first = t
             sums.append(float(np.sum(t)))
             self.end, self._t_end = s + m - 1, float(t[-1])
-            below = t <= self.tol
+            below = t <= TAIL_TOL
             stopped = bool(below.any())
             n = int(np.argmax(below)) + 1 if stopped else m
             hist = np.concatenate([hist, t[:n]])[-keep:]
@@ -304,7 +302,7 @@ class _TailTable:
 _MAX_TABLES = 4
 
 
-# keyed on _TailTable's arguments (r, alpha, zeta0, closed), the only inputs theta has
+# keyed on _TailTable's arguments (r, alpha, zeta0), the only inputs theta's tail sum has
 _tail_table = functools.lru_cache(maxsize=_MAX_TABLES)(_TailTable)
 
 
@@ -314,8 +312,7 @@ def _table(eq: HalfLinearEquation) -> _TailTable:
     try:
         return eq._table
     except AttributeError:
-        key = (eq.r, eq.alpha, eq.zeta0, eq.theta_closed_form is not None)
-        object.__setattr__(eq, "_table", _tail_table(*key))
+        object.__setattr__(eq, "_table", _tail_table(eq.r, eq.alpha, eq.zeta0))
         return eq._table
 
 

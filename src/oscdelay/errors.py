@@ -5,20 +5,26 @@ class OscDelayError(Exception):
     """Base class for all package-specific errors."""
 
 
-class LexError(OscDelayError):
+class _PositionedError(OscDelayError):
+    """Raised as cls(position, detail) and worded by the subclass's TEMPLATE, so
+    the args Exception keeps are enough to pickle it."""
+
+    position = property(lambda self: self.args[0])
+
+    def __str__(self) -> str:
+        return self.TEMPLATE.format(*self.args)
+
+
+class LexError(_PositionedError):
     """Unrecognized character in an expression string."""
 
-    def __init__(self, position: int, message: str):
-        super().__init__(f"lex error at offset {position}: {message}")
-        self.position = position
+    TEMPLATE = "lex error at offset {}: {}"
 
 
-class ParseError(OscDelayError):
+class ParseError(_PositionedError):
     """Malformed token stream."""
 
-    def __init__(self, position: int, expected: str):
-        super().__init__(f"parse error at offset {position}: expected {expected}")
-        self.position = position
+    TEMPLATE = "parse error at offset {}: expected {}"
 
 
 class DomainError(OscDelayError):

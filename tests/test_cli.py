@@ -608,6 +608,18 @@ class TestCli:
             assert not out.exists()
             assert json.loads(printed)["stages"]["validate"]
 
+    def test_index_past_exact_floats_exit_one(self, tmp_path, capsys):
+        # past 2^53 float indices repeat, and z^2 read as canonical
+        path = write_config(tmp_path, '[equation]\nr = "z^2"\nq = "1"\nalpha = 1\nsigma = 1\n'
+                            "form = delay\nzeta0 = 100000000000000000\n")
+        for command in ("validate", "classify", "check"):
+            assert main([command, "--config", path, "--quiet"]) == 1
+            assert "config error: |zeta0| and sigma must be at most 2^52" in capsys.readouterr().err
+
+    def test_stages_run_in_the_order_given(self, ex2_config):
+        report = run_stages(parse_config(ex2_config), ("check", "validate"))
+        assert list(report["stages"]) == ["check", "validate"]
+
     def test_missing_config_exit_one(self):
         assert main(["validate", "--config", "/nonexistent.ini", "--quiet"]) == 1
 
@@ -902,6 +914,9 @@ FUZZ_Q = ("1", "1/z", "1-z", "0", "1/(z-3)", "pow(10, z*100)")
 @example(r="1e-308*z^1.01", q="1", alpha="1", form=("delay", 1), zeta0=1, init=None)
 @example(r="0.6*10^(z-309)", q="1", alpha="1", form=("delay_plus_one", 1), zeta0=1, init=None)
 @example(r="0.59*10^(z-309)", q="1", alpha="1", form=("delay", 1), zeta0=2, init=None)
+# indices past exact floats: a config error, not an OverflowError
+@example(r="z^2", q="1", alpha="1", form=("delay", 1), zeta0=10**19, init=None)
+@example(r="z^2", q="1", alpha="1", form=("delay", 10**19), zeta0=1, init="1, 1, 1")
 def test_cli_never_exits_three(r, q, alpha, form, zeta0, init):
     """Every failure stays inside the OscDelayError hierarchy: exit 0, 1 or 2; every
     report written (exit 0 or 2) is valid JSON."""

@@ -57,6 +57,16 @@ class TestModel:
                 zeta0=0,
             )
 
+    @pytest.mark.parametrize("zeta0, sigma", [(2 ** 52 + 1, 0), (-2 ** 52 - 1, 0), (1, 2 ** 52 + 1)])
+    def test_indices_past_exact_floats_rejected(self, zeta0, sigma):
+        # past 2^53, float indices repeat: the trend screen would see no decrease
+        with pytest.raises(ValueError, match=r"at most 2\^52"):
+            make_eq("z^2", RationalExponent(1, 1), zeta0=zeta0, sigma=sigma)
+
+    def test_indices_within_exact_floats_still_sum(self):
+        eq = make_eq("z^2", RationalExponent(1, 1), zeta0=10 ** 15, sigma=2 ** 52)
+        assert theta(eq, eq.zeta0).value == 1.0000000000000003e-15
+
     def test_delayed_index(self):
         eq = example_equation(3)
         assert eq.delayed_index(10) == 10 - 2 + 1
@@ -126,6 +136,13 @@ class TestTheta:
 
     def test_example3_closed_form(self):
         assert theta(example_equation(3), 4).value == pytest.approx(0.25, abs=1e-12)
+
+    @pytest.mark.parametrize("n, exact", [(2, lambda z: 1 / (z - 1)), (3, lambda z: 1 / z)])
+    def test_numeric_sum_under_a_closed_form_is_the_precise_one(self, n, exact):
+        # both published theta telescope; the table under them is the one full pass
+        eq = example_equation(n)
+        for z in range(eq.zeta0, 201):
+            assert abs(_table(eq).lookup(z)[0].value - exact(z)) <= 1e-12
 
     def test_example1_geometric(self):
         assert theta(example_equation(1), 1).value == pytest.approx(1.0, abs=1e-12)
@@ -405,8 +422,7 @@ class TestTableSharing:
                                                         (DelayForm.MINUS_SIGMA, 2),
                                                         (DelayForm.MINUS_SIGMA_PLUS_ONE, 1)))),
                              min_size=2, max_size=2, unique=True))
-    def test_table_depends_only_on_r_alpha_zeta0_and_closed_form_presence(
-            self, case, zeta0, closed, variants):
+    def test_table_depends_only_on_r_alpha_zeta0(self, case, zeta0, closed, variants):
         r_text, alpha, closed_text = case
         cf = Sequence.from_expression(closed_text) if closed else None
         a, b = (make_eq(r_text, alpha, zeta0=zeta0, q_text=q, sigma=sigma, theta_cf=cf, form=form)
@@ -417,6 +433,12 @@ class TestTableSharing:
         for z in (zeta0, zeta0 - 3, _table(a).end + 10):
             assert theta(a, z) == theta(b, z)
             assert theta_extended(a, z) == theta_extended(b, z)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_closed_form_presence_does_not_split_the_table(self, n):
+        with_cf = example_equation(n)
+        without = replace(with_cf, theta_closed_form=None)
+        assert _table(with_cf) is _table(without)
 
     def test_equal_equation_compared_with_the_store_once(self, monkeypatch):
         a, b = make_eq("3^z", RationalExponent(1, 1)), make_eq("3^z", RationalExponent(1, 1))
@@ -623,10 +645,10 @@ class TestFloatRange:
                  (1_500_000, "0x1.65ea0cf4b0bd0p-21")],
         1: [(1, "0x1.0000000000000p+0"), (50, "0x1.ffffffffffff7p-50"),
             (200, "0x1.fffffffffffdap-200")],
-        2: [(2, "0x1.fffffffcd9e55p-1"), (50, "0x1.4e5e0a0e2cfd4p-6"),
-            (200, "0x1.49539ca81fac5p-8")],
-        3: [(1, "0x1.00000001930ffp+0"), (50, "0x1.47ae14dfa541fp-6"),
-            (200, "0x1.47ae160df130dp-8")],
+        2: [(2, "0x1.fffffffffee68p-1"), (50, "0x1.4e5e0a72cd23fp-6"),
+            (200, "0x1.49539e3aa0472p-8")],
+        3: [(1, "0x1.00000000008ccp+0"), (50, "0x1.47ae147b04779p-6"),
+            (200, "0x1.47ae147b6e075p-8")],
     }
 
     @pytest.mark.parametrize("which", ["poly", 1, 2, 3])

@@ -1,5 +1,6 @@
 """Tests for the coefficient expression language."""
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -121,6 +122,17 @@ class TestParse:
         with pytest.raises(ParseError) as exc_info:
             parse_expression("z + ")
         assert exc_info.value.position == 4
+
+    @pytest.mark.parametrize("text, error, message", [
+        ("z @ 3", LexError, "lex error at offset 2: unrecognized character '@'"),
+        ("z + ", ParseError, "parse error at offset 4: expected a number, 'z', '-' or '('"),
+    ])
+    def test_position_errors_survive_pickling(self, text, error, message):
+        with pytest.raises(error) as exc_info:
+            parse_expression(text)
+        copy = pickle.loads(pickle.dumps(exc_info.value))
+        assert type(copy) is error
+        assert (copy.position, str(copy)) == (exc_info.value.position, message)
 
     def test_deep_nesting_rejected_cleanly(self):
         text = "(" * 5000 + "z" + ")" * 5000
