@@ -71,8 +71,6 @@ def run_stages(cfg: RunConfig, stages) -> dict:
                         record_error(f"check:{cid}", exc)
                 report["stages"]["check"] = {"verdicts": verdicts}
             elif stage == "transform":
-                if eq.delay_form.value != "delay_plus_one" or eq.alpha.value < 1:
-                    continue
                 horizon = cfg.check.horizon if cfg.check else 200
                 ceq = to_canonical(eq, horizon)
                 zs = list(range(eq.zeta0, eq.zeta0 + min(horizon, 50)))

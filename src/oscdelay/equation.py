@@ -44,6 +44,7 @@ class FormClass(enum.Enum):
 # is added.  Otherwise summation stops, uncertified, after a block of zeros or at
 # MAX_TERMS.  Terms are judged divergent when a block's minimum is not TREND_TOL below the last.
 TAIL_TOL = 1e-12
+CLOSED_FORM_RTOL = 1e-9  # a registered closed form's band around theta, times max(1, |form|)
 MAX_TERMS = 1_000_000
 BLOCK = 65536
 # The decay tests shared by the tail sums and the criteria's divergence probe.
@@ -319,31 +320,25 @@ def _table(eq: HalfLinearEquation) -> _TailTable:
 def theta(eq: HalfLinearEquation, zeta: int) -> TailSumResult:
     """Tail sum theta(zeta) = sum_{s=zeta}^{inf} r(s)^(-1/alpha), from one table per equation.
 
-    A registered closed form is checked against the table: past the truncation
-    index it must lie in [partial sum, tail_bound]; before it, match a certified
-    or power-law value; otherwise only the partial sum, a lower bound, can check
-    it and it is reported uncertified.  Raises NonConvergentError when the terms
-    fail the convergence screen, and StageError when the closed form disagrees.
+    A registered closed form is returned, certified, only where it lies within
+    CLOSED_FORM_RTOL * max(1, |form|) of a certified or power-law value of the
+    table.  Raises NonConvergentError when the terms fail the convergence screen,
+    and StageError when the table cannot check the closed form or it disagrees.
     """
     zeta = int(zeta)
     if zeta < eq.zeta0:
         return theta_extended(eq, zeta)
-    numeric, lower = _table(eq).lookup(zeta)
+    numeric = _table(eq).lookup(zeta)[0]
     if eq.theta_closed_form is None:
         return numeric
     value = eq.theta_closed_form(zeta)
-    if numeric.certified and zeta > numeric.truncation_index:
-        upper = numeric.tail_bound
-    elif numeric.certified or numeric.method == "poly_tail":
-        lower = upper = numeric.value
-    else:
-        upper = math.inf
-    tol = 1e-3 * max(1.0, abs(value))
-    if not lower - tol <= value <= upper + tol:
+    if not (numeric.certified or numeric.method == "poly_tail"):
+        raise StageError(f"registered closed form for theta({zeta}) cannot be checked: "
+                         f"the numeric tail sum ended with method {numeric.method}")
+    tol = CLOSED_FORM_RTOL * max(1.0, abs(value))
+    if not abs(value - numeric.value) <= tol:
         raise StageError(f"registered closed form for theta({zeta}) = {value} lies outside "
-                         f"[{lower}, {upper}] from the numeric tail sum")
-    if upper == math.inf:
-        return TailSumResult(value, zeta, None, False, "closed_form_unverified")
+                         f"[{numeric.value - tol}, {numeric.value + tol}] from the numeric tail sum")
     return TailSumResult(value, zeta, 0.0, True, "closed_form")
 
 
@@ -366,7 +361,7 @@ def tail_shortfall(eq: HalfLinearEquation) -> Optional[str]:
     """None when the paper's condition sum r^(-1/alpha) < inf is established: theta(zeta0)
     is certified, or is a power-law tail estimate (uncertified, but accurate enough for
     the quantities built on theta).  Otherwise the method of theta(zeta0), which falls
-    short.  NonConvergentError and a disagreeing closed form's StageError propagate."""
+    short.  NonConvergentError and a registered closed form's StageError propagate."""
     head = theta(eq, eq.zeta0)
     return None if head.certified or head.method == "poly_tail" else head.method
 

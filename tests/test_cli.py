@@ -722,12 +722,28 @@ class TestCli:
 
     @pytest.mark.parametrize("command", ["check", "classify", "transform"])
     def test_disagreeing_closed_form_exit_two(self, tmp_path, command):
-        path = write_config(tmp_path, EXAMPLE3_INI.replace('"1/z"', '"2/z"')
-                            .replace("criteria = Lem21", "criteria = all"))
-        out = tmp_path / "r.json"
-        assert main([command, "--config", path, "--out", str(out), "--quiet"]) == 2
-        errors = json.loads(out.read_text())["errors"]
-        assert errors and all("lies outside" in e["error"] for e in errors)
+        # the last two are within 1e-3 of theta(1) = 1, far outside the 1e-9 band
+        for form in ("2/z", "1.0005/z", "1/z + 5e-4"):
+            path = write_config(tmp_path, EXAMPLE3_INI.replace('"1/z"', f'"{form}"')
+                                .replace("criteria = Lem21", "criteria = all"))
+            out = tmp_path / "r.json"
+            assert main([command, "--config", path, "--out", str(out), "--quiet"]) == 2
+            data = json.loads(out.read_text())
+            assert data["errors"] and all("lies outside" in e["error"] for e in data["errors"])
+            assert "classify" not in data["stages"]
+
+    @pytest.mark.parametrize("ini, error", [
+        (EXAMPLE2_INI, "the transform applies to the z - sigma + 1 delay form"),
+        (EXAMPLE3_INI.replace("alpha = 5/3", "alpha = 1/3").replace('theta_closed_form = "1/z"\n', ""),
+         "the transform requires alpha >= 1, got 1/3"),
+    ], ids=["delay-form", "alpha-one-third"])
+    def test_transform_outside_its_domain_exit_two(self, tmp_path, ini, error):
+        out = tmp_path / "t.json"
+        assert main(["transform", "--config", write_config(tmp_path, ini), "--out", str(out),
+                     "--quiet"]) == 2
+        data = json.loads(out.read_text())
+        assert data["errors"] == [{"stage": "transform", "error": error}]
+        assert "transform" not in data["stages"]
 
     def test_simulate_quotient_overflow_exit_zero(self, tmp_path):
         # y / r(z+1) overflows long before r = 2^(-z) reaches zero

@@ -2,6 +2,7 @@
 import gc
 import math
 import pickle
+import re
 import weakref
 from dataclasses import replace
 
@@ -483,30 +484,64 @@ class TestClosedFormCertification:
     """A closed form is certified only when a numeric check actually ran."""
 
     def test_unverifiable_closed_form_not_certified(self):
-        # terms s^(-1.01): the cross-check stops at max_terms, far from the tail
+        # terms s^(-1.01): the tail pass stops at max_terms, so nothing can check the form
         eq = make_eq("z^(101/100)", RationalExponent(1, 1),
                      theta_cf=Sequence.from_expression("12345"))
-        res = theta(eq, 1)
-        assert res.value == 12345.0
-        assert not res.certified
-        assert res.method == "closed_form_unverified"
-        assert classify_form(eq) is FormClass.INCONCLUSIVE
+        msg = re.escape("registered closed form for theta(1) cannot be checked: "
+                        "the numeric tail sum ended with method max_terms")
+        with pytest.raises(StageError, match=msg):
+            theta(eq, 1)
+        with pytest.raises(StageError, match=msg):
+            classify_form(eq)
 
     def test_closed_form_below_partial_sum_rejected(self):
-        # the partial sum of positive terms is a certified lower bound
+        # a form below the partial sum is refused too: the table that cannot confirm it decides nothing
         eq = make_eq("z^(101/100)", RationalExponent(1, 1),
                      theta_cf=Sequence.from_expression("1"))
-        with pytest.raises(StageError, match="outside"):
+        with pytest.raises(StageError, match="cannot be checked"):
             theta(eq, 1)
 
+    def test_exact_form_on_a_max_terms_tail_rejected(self):
+        # terms 1/sqrt(z) - 1/sqrt(z+1) telescope to 1/sqrt(z), but decay like z^(-3/2) too
+        # slowly to reach TAIL_TOL within MAX_TERMS
+        eq = make_eq("(1/z^(1/2)-1/(z+1)^(1/2))^(-1)", RationalExponent(1, 1),
+                     theta_cf=Sequence.from_expression("1/z^(1/2)"))
+        assert _table(eq).lookup(1)[0].method == "max_terms"
+        with pytest.raises(StageError, match=r"theta\(1\) cannot be checked: .* method max_terms$"):
+            theta(eq, 1)
+
+    def test_band_is_one_part_in_1e9(self):
+        # the README equation; its numeric theta(1) is within 1e-12 of 1
+        def eq(form):
+            return make_eq("(z*(z+1))^(5/3)", RationalExponent(5, 3), sigma=2,
+                           form=DelayForm.MINUS_SIGMA_PLUS_ONE, theta_cf=Sequence.from_expression(form))
+        assert theta(eq("1/z + 5e-10"), 1).method == "closed_form"
+        with pytest.raises(StageError, match=r"theta\(1\) = 1.000000002 lies outside \[0.99999999"):
+            theta(eq("1/z + 2e-9"), 1)
+
     def test_past_truncation_checked_against_tail_bound(self):
-        # 2^(-z) is truncated near 30; theta(100) must lie in [0, tail_bound]
+        # 2^(-z) is truncated near 30; theta(100), about 2^-99, is far from the form's 0.5
         eq = make_eq("2^(z/3)", RationalExponent(1, 3),
                      theta_cf=Sequence.from_expression("0.5"))
         with pytest.raises(StageError):
             theta(eq, 100)
         good = theta(example_equation(1), 100)
         assert good.certified and good.method == "closed_form"
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.floats(0.0, 3.0, exclude_min=True),
+       st.sampled_from([RationalExponent(1, 3), RationalExponent(1, 1), RationalExponent(5, 3)]),
+       st.integers(1, 5))
+def test_telescoping_closed_form_passes_the_band(c, alpha, zeta0):
+    """r^(-1/alpha) = 1/(z+c) - 1/(z+c+1) sums to 1/(z+c): an exact form is certified
+    at every index of [zeta0, zeta0 + 200], so the band is wide enough."""
+    eq = make_eq(f"((z+{c!r})*(z+{c!r}+1))^({alpha})", alpha, zeta0=zeta0,
+                 theta_cf=Sequence.from_expression(f"1/(z+{c!r})"))
+    for z in range(zeta0, zeta0 + 201):
+        res = theta(eq, z)
+        assert res.certified and res.method == "closed_form"
+        assert res.value == eq.theta_closed_form(z)
 
 
 @st.composite

@@ -1,12 +1,14 @@
-"""Tests for the built-in worked-example reproductions and the README's library example."""
+"""Tests for the built-in worked-example reproductions and the README's library example and config."""
 import contextlib
 import io
+import json
 import pathlib
 import re
 
 import pytest
 
 from oscdelay import FormClass, example_equation, reproduce_example, theta
+from oscdelay.cli import main
 from oscdelay.equation import _TailTable, _table, _tail_table
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -124,3 +126,20 @@ def test_readme_library_example():
             assert [float(v) for v in got.split()] == pytest.approx([float(v) for v in want], abs=1e-12)
         else:
             assert got.split() == want
+
+
+@pytest.mark.parametrize("command", ["validate", "classify", "simulate", "check", "transform"])
+def test_readme_config_runs_clean(tmp_path, command):
+    """Each command on the README's INI config exits 0 with no errors, and its
+    closed form passes the band: classify answers non_canonical from it."""
+    block = re.search(r"## Command line\n.*?```ini\n(.*?)```", README.read_text(), re.S).group(1)
+    config, out = tmp_path / "eq.ini", tmp_path / "report.json"
+    config.write_text(block)
+    assert main([command, "--config", str(config), "--out", str(out), "--quiet"]) == 0
+    report = json.loads(out.read_text())
+    assert report["errors"] == []
+    assert command in report["stages"]
+    if command == "classify":
+        stage = report["stages"]["classify"]
+        assert stage["form"] == "non_canonical"
+        assert stage["theta_at_start"]["method"] == "closed_form"
