@@ -63,6 +63,8 @@ class DivergenceAssessment:
 def divergence_probe(terms, start_index: int = 1) -> DivergenceAssessment:
     """Assess sum(terms) for divergence from a finite sample of non-negative terms.
 
+    The sample ends before its first non-finite term: an overflowed or NaN term
+    witnesses nothing, so the finite prefix is judged as any sample is.
     Convergence is suggested by the tail sums' tests: the geometric-ratio
     certificate on the trailing terms, else a power-law fit over the trailing
     half with exponent at least P_CONVERGE.
@@ -70,20 +72,9 @@ def divergence_probe(terms, start_index: int = 1) -> DivergenceAssessment:
     t = np.asarray(terms, dtype=float)
     if (t < 0).any():  # NaN compares false: it is no negative term
         raise ValueError("divergence probe requires non-negative terms")
-
     finite = np.isfinite(t)
-    if not bool(finite.all()):
-        # the first non-finite term decides: +inf overflowed, so the partial
-        # sums grow without bound; a NaN says nothing about growth
-        onset = int(np.argmax(~finite))
-        partial = float(np.sum(t[:onset]))
-        if np.isnan(t[onset]):
-            return DivergenceAssessment(ProbeStatus.UNDECIDED, last_partial=partial)
-        return DivergenceAssessment(
-            ProbeStatus.CERTIFIED_DIVERGES,
-            last_partial=partial,
-            witness_onset=start_index + onset,
-        )
+    if not finite.all():
+        t = t[:int(np.argmax(~finite))]
 
     n = t.size
     partials = np.cumsum(t)
@@ -278,9 +269,8 @@ def _theta_column(eq: HalfLinearEquation, start: int, n: int) -> np.ndarray:
 
 @np.errstate(over="ignore", invalid="ignore")
 def _weighted(w: np.ndarray, th: np.ndarray, p: float) -> np.ndarray:
-    """w * th^p: 0 where w = 0 (not 0 * inf = NaN), NaN where it overflows from a finite th."""
-    term = np.multiply(w, th ** p, out=w.copy(), where=w != 0)
-    return np.where(np.isinf(term) & np.isfinite(th), np.nan, term)
+    """w * th^p: 0 where w = 0 (not 0 * inf = NaN); an overflow is +inf."""
+    return np.multiply(w, th ** p, out=w.copy(), where=w != 0)
 
 
 def _root_series(eq: HalfLinearEquation, z: np.ndarray, weights: np.ndarray) -> np.ndarray:

@@ -69,6 +69,11 @@ class TailSumResult:
         if self.certified and (self.tail_bound is None or self.tail_bound < 0):
             raise ValueError("certified results need a finite non-negative tail_bound")
 
+    def _establishes_finite(self) -> bool:
+        """The paper's condition sum r^(-1/alpha) < inf: a certified sum, or a power-law
+        tail estimate (uncertified, but accurate enough for the quantities built on theta)."""
+        return self.certified or self.method == "poly_tail"
+
 
 @dataclass(frozen=True)
 class HalfLinearEquation:
@@ -224,7 +229,7 @@ class _TailTable:
         """(the terms on [s, s + m), 0 where r is infinite; the first such offset, or m)."""
         t = _inv_r_alpha(self.r, self.alpha, np.arange(s, s + m, dtype=float))
         if np.isinf(t).any():
-            raise NonConvergentError(f"tail terms overflow near index {s}: series looks divergent")
+            raise DomainError(f"r^(-1/alpha) not finite at index {s + int(np.argmax(np.isinf(t)))}")
         inf_r = np.isnan(t)
         t[inf_r] = 0.0
         return t, int(np.argmax(inf_r)) if inf_r.any() else m
@@ -323,7 +328,8 @@ def theta(eq: HalfLinearEquation, zeta: int) -> TailSumResult:
     A registered closed form is returned, certified, only where it lies within
     CLOSED_FORM_RTOL * max(1, |form|) of a certified or power-law value of the
     table.  Raises NonConvergentError when the terms fail the convergence screen,
-    and StageError when the table cannot check the closed form or it disagrees.
+    DomainError where a term or theta passes the float range, and StageError when
+    the table cannot check the closed form or it disagrees.
     """
     zeta = int(zeta)
     if zeta < eq.zeta0:
@@ -332,7 +338,7 @@ def theta(eq: HalfLinearEquation, zeta: int) -> TailSumResult:
     if eq.theta_closed_form is None:
         return numeric
     value = eq.theta_closed_form(zeta)
-    if not (numeric.certified or numeric.method == "poly_tail"):
+    if not numeric._establishes_finite():
         raise StageError(f"registered closed form for theta({zeta}) cannot be checked: "
                          f"the numeric tail sum ended with method {numeric.method}")
     tol = CLOSED_FORM_RTOL * max(1.0, abs(value))
@@ -358,12 +364,11 @@ def theta_extended(eq: HalfLinearEquation, zeta: int) -> TailSumResult:
 
 
 def tail_shortfall(eq: HalfLinearEquation) -> Optional[str]:
-    """None when the paper's condition sum r^(-1/alpha) < inf is established: theta(zeta0)
-    is certified, or is a power-law tail estimate (uncertified, but accurate enough for
-    the quantities built on theta).  Otherwise the method of theta(zeta0), which falls
-    short.  NonConvergentError and a registered closed form's StageError propagate."""
+    """None when theta(zeta0) establishes the paper's condition sum r^(-1/alpha) < inf;
+    otherwise its method, which falls short.  NonConvergentError, a DomainError past
+    the float range and a registered closed form's StageError propagate."""
     head = theta(eq, eq.zeta0)
-    return None if head.certified or head.method == "poly_tail" else head.method
+    return None if head._establishes_finite() else head.method
 
 
 def classify_form(eq: HalfLinearEquation) -> FormClass:
@@ -371,8 +376,9 @@ def classify_form(eq: HalfLinearEquation) -> FormClass:
 
     Canonical is declared only on a divergence witness (terms bounded away
     from zero on a trailing window); non-canonical only when the tail sum
-    certifies finite.  Polynomially-decaying tails without a registered
-    closed form stay inconclusive.
+    certifies finite, stricter than tail_shortfall's poly_tail reading: power-law
+    tails without a registered closed form stay inconclusive.  A term or theta
+    past the float range is a DomainError, never a form.
     """
     try:
         res = theta(eq, eq.zeta0)

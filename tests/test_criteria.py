@@ -76,9 +76,21 @@ class TestDivergenceProbe:
         probe = divergence_probe([1.0, 2.0])
         assert probe.status is ProbeStatus.UNDECIDED
 
-    def test_overflowed_term_certifies(self):
+    def test_overflowed_term_ends_the_sample(self):
+        # an overflowed term is finite but unknown: it witnesses nothing
         probe = divergence_probe([1.0, 2.0, math.inf, 1.0])
-        assert probe.status is ProbeStatus.CERTIFIED_DIVERGES
+        assert probe.status is ProbeStatus.UNDECIDED
+        assert probe.last_partial == 3.0 and probe.witness_onset is None
+
+    # any tail after the first non-finite term, negative terms aside
+    TAIL = st.one_of(st.floats(min_value=0.0), st.just(math.nan))
+
+    @settings(max_examples=200, deadline=None)
+    @given(prefix=st.lists(st.floats(min_value=0.0, allow_infinity=False), max_size=40),
+           bad=st.sampled_from([math.inf, math.nan]), tail=st.lists(TAIL, max_size=10),
+           start=st.integers(-5, 5))
+    def test_non_finite_term_only_ends_the_sample(self, prefix, bad, tail, start):
+        assert divergence_probe(prefix + [bad] + tail, start) == divergence_probe(prefix, start)
 
     @pytest.mark.parametrize("p, n", [(4, 30), (6, 60), (10, 20)])
     def test_polynomial_terms_get_no_geometric_bound(self, p, n):
@@ -94,11 +106,11 @@ class TestDivergenceProbe:
         assert probe.tail_bound >= math.fsum(2.0 ** -s for s in range(120, 1200))
 
     def test_nan_term_undecided(self):
-        # only +inf is an overflow; a NaN term, when it comes first, says nothing
+        # a NaN ends the sample as +inf does: what follows it is not read
         probe = divergence_probe([1.0, math.nan, 0.5, math.inf] + [1.0] * 20)
         assert probe.status is ProbeStatus.UNDECIDED
         assert probe.last_partial == 1.0
-        assert divergence_probe([1.0, math.inf, math.nan]).status is ProbeStatus.CERTIFIED_DIVERGES
+        assert divergence_probe([1.0, math.inf, math.nan]).status is ProbeStatus.UNDECIDED
 
     @pytest.mark.parametrize("scale, p, status", [
         (1e-12, 0.5, ProbeStatus.CONVERGES_SUGGESTED),  # the last half adds at most CONVERGED_FRAC
@@ -124,6 +136,13 @@ class TestThm21:
         v = crit_thm21(eq_with_q("0"), 100)
         assert v.status is VerdictStatus.NUMERICALLY_FAILS
         assert all(row.term == 0.0 for row in v.evidence)
+
+    def test_witness_before_the_overflow_certifies(self):
+        # terms (z - 1) * 1e307 are finite to z = 18: the witness window on that
+        # prefix starts at 18 - 8 + 1, and the overflowed terms after it add nothing
+        v = crit_thm21(eq_with_q("1e7", r_text="1e-300", alpha=(1, 1)), 200)
+        assert v.status is VerdictStatus.CERTIFIED_HOLDS
+        assert v.probe.witness_onset == 11 and math.isinf(v.evidence[18].term)
 
     def test_inner_sum_recurrence_exact(self):
         eq = example_equation(1, 2.0)
@@ -259,8 +278,8 @@ class TestFramework:
 class TestZeroWeight:
     """A zero weight (q, or Thm23's empty sum at zeta0) gives a zero term where theta^p
     overflows to inf, as Thm22A's skipped shifts and to_canonical do, not 0 * inf = NaN.
-    A non-zero weight times an overflowed theta^p is NaN: the term is finite, and an
-    overflowed +inf would read as divergence."""
+    A non-zero weight times an overflowed theta^p is +inf: the term is finite but
+    unknown, and the probe judges only the terms before it."""
 
     # theta(1) is about 5e186, so theta^(5/3) overflows near zeta0; with r = 1e-200*2^z,
     # theta(2)^2 overflows. Both series converge geometrically.
@@ -269,12 +288,12 @@ class TestZeroWeight:
 
     def test_thm22b_zero_q_before_an_overflowed_term(self):
         v = crit_thm22b(eq_with_q("z-1", **self.HUGE_THETA_SQUARED), 200)
-        assert v.evidence[0].term == 0.0 and math.isnan(v.evidence[1].term)
+        assert v.evidence[0].term == 0.0 and math.isinf(v.evidence[1].term)
         assert v.status is VerdictStatus.INCONCLUSIVE
 
     def test_thm22a_zero_q_before_an_overflowed_weight(self):
         v = crit_thm22a(eq_with_q("z-1", **self.HUGE_THETA), 200)
-        assert v.evidence[1].term == 0.0 and math.isnan(v.evidence[2].term)
+        assert v.evidence[1].term == 0.0 and math.isinf(v.evidence[2].term)
         assert v.status is VerdictStatus.INCONCLUSIVE
 
     @pytest.mark.parametrize("cid,config", [(THM22A, "HUGE_THETA"), (THM22B, "HUGE_THETA"),
@@ -282,7 +301,6 @@ class TestZeroWeight:
     @pytest.mark.parametrize("q_text", ["1", "1e-300"])
     def test_overflowed_product_is_not_divergence(self, cid, config, q_text):
         v = evaluate_criterion(cid, eq_with_q(q_text, **getattr(self, config)), 200)
-        assert not any(math.isinf(row.term) for row in v.evidence)
         assert v.status is VerdictStatus.INCONCLUSIVE
 
     @pytest.mark.parametrize("cid", [THM22A, THM22B, THM23])

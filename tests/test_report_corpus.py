@@ -1,0 +1,132 @@
+"""A corpus of configs whose reports are pinned in outline: for each of validate,
+classify, check and transform, the exit code, the violated hypotheses, the
+`classify` form, each verdict status and each error's stage.
+
+The last five configs sit at the edge of the float range, where a term
+overflows; an overflowed term is never a divergence witness there.
+"""
+import json
+import pathlib
+import re
+
+import pytest
+
+from oscdelay.cli import main
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+COMMANDS = ("validate", "classify", "check", "transform")
+
+
+def ini(r, q, alpha, sigma, form, zeta0=1, closed_form=None, horizon=200):
+    text = (f'[equation]\nr = "{r}"\nq = "{q}"\nalpha = {alpha}\nsigma = {sigma}\n'
+            f"form = {form}\nzeta0 = {zeta0}\n")
+    if closed_form:
+        text += f'theta_closed_form = "{closed_form}"\n'
+    return text + f"\n[check]\ncriteria = all\nhorizon = {horizon}\n"
+
+
+def readme_ini():
+    return re.search(r"## Command line\n.*?```ini\n(.*?)```", README.read_text(), re.S).group(1)
+
+
+CONFIGS = {
+    "readme": readme_ini,
+    "bench-family": lambda: ini("(z*(z+1.7))^(5/3)", "1.9*(z^2-1)*z^(2/3)", "5/3", 2,
+                                "delay_plus_one"),
+    "delay-form": lambda: ini("(z*(z-1))^(1/3)", "z^(4/3)", "1/3", 1, "delay", zeta0=2,
+                              closed_form="1/(z-1)"),
+    "r-z": lambda: ini("z", "1", 1, 1, "delay_plus_one"),
+    "r-z-minus-5": lambda: ini("z-5", "1", 1, 1, "delay_plus_one"),
+    "r-z^(3/2)-form-1/z": lambda: ini("z^(3/2)", "1", 1, 1, "delay_plus_one", closed_form="1/z"),
+    "r-2^z-sigma-3": lambda: ini("2^z", "1", 1, 3, "delay_plus_one"),
+    # Thm22A terms overflow from z = 3, though each is finite and the series converges
+    "1e-200*2^z": lambda: ini("1e-200*2^z", "z-1", 1, 1, "delay_plus_one"),
+    # Thm21 terms overflow at z = 2..4, where r is subnormal, then fall like 10^(-0.6z)
+    "10^(z-312)": lambda: ini("10^(z-312)", "1", "5/3", 1, "delay_plus_one"),
+    # example 1 scaled by 2^(-660): r^(-1/alpha) = 2^(1980 - z) overflows at zeta0
+    "example1-2^(-660)": lambda: ini("2^(z/3)*2^(-660)", "2*2^z*2^(-660)", "1/3", 1, "delay"),
+    # a divergent Thm21 series whose second term overflows: one finite term decides nothing
+    "1e-300-q-1e10": lambda: ini("1e-300", "1e10", 1, 1, "delay"),
+    "example1-horizon-1000": lambda: ini("2^(z/3)", "2.0*2^z", "1/3", 1, "delay",
+                                         closed_form="2^(1-z)", horizon=1000),
+}
+
+CH, NS, NF, IN = "certified_holds", "numerically_suggested", "numerically_fails", "inconclusive"
+
+
+def verdicts(thm21, thm22a, thm22b, lem21, thm23):
+    return f"Thm21={thm21} Thm22A={thm22a} Thm22B={thm22b} Lem21={lem21} Thm23={thm23}"
+
+
+THETA_ERRORS = "error:check:Thm22A error:check:Thm22B error:check:Thm23"
+
+EXPECTED = {
+    "readme": ("0", "0 non_canonical", f"0 {verdicts(CH, NS, CH, CH, NS)}",
+               "0 CanonicalSumQ=certified_holds"),
+    "bench-family": ("0", "0 inconclusive", f"0 {verdicts(CH, NS, CH, CH, NS)}",
+                     "0 CanonicalSumQ=certified_holds"),
+    "delay-form": ("0", "0 non_canonical", f"0 {verdicts(CH, CH, CH, CH, NS)}",
+                   "2 error:transform"),
+    "r-z": ("0", "0 inconclusive", f"0 {verdicts(CH, IN, IN, CH, IN)}", "2 error:transform"),
+    "r-z-minus-5": ("0 H1@1", "2 H1@1 error:classify",
+                    "2 H1@1 error:check:Thm21 error:check:Thm22A error:check:Thm22B "
+                    "error:check:Lem21 error:check:Thm23", "2 H1@1 error:transform"),
+    "r-z^(3/2)-form-1/z": ("0", "2 error:classify", f"2 Thm21={NS} Lem21={CH} {THETA_ERRORS}",
+                           "2 error:transform"),
+    "r-2^z-sigma-3": ("0", "0 non_canonical", f"0 {verdicts(NF, NF, NF, CH, NF)}",
+                      "0 CanonicalSumQ=numerically_fails"),
+    # Thm22A was certified_holds on the overflowed terms
+    "1e-200*2^z": ("0", "0 non_canonical", f"0 {verdicts(NF, IN, IN, CH, NS)}",
+                   "2 error:transform"),
+    # Thm21 was certified_holds on the overflowed terms
+    "10^(z-312)": ("0", "0 non_canonical", f"0 {verdicts(IN, IN, IN, CH, NS)}",
+                   "2 error:transform"),
+    # classify was canonical: the tail pass read the overflow as divergence
+    "example1-2^(-660)": ("0", "2 error:classify", f"2 Thm21={CH} Lem21={NF} {THETA_ERRORS}",
+                          "2 error:transform"),
+    # Thm21 was certified_holds; a true divergence, lost until terms carry log magnitudes
+    "1e-300-q-1e10": ("0", "0 canonical", f"2 Thm21={IN} Lem21={CH} {THETA_ERRORS}",
+                      "2 error:transform"),
+    "example1-horizon-1000": ("0", "0 non_canonical", f"0 {verdicts(CH, CH, NF, CH, NS)}",
+                              "2 error:transform"),
+}
+
+
+def outline(code: int, report: dict) -> str:
+    stages, words = report["stages"], [str(code)]
+    words += [f"{v['hypothesis']}@{v['index']}" for v in stages["validate"]["violations"]]
+    if "classify" in stages:
+        words.append(stages["classify"]["form"])
+    words += [f"{v['criterion']}={v['status']}" for v in stages.get("check", {}).get("verdicts", ())]
+    if "transform" in stages:
+        words.append(f"CanonicalSumQ={stages['transform']['sumq_verdict']['status']}")
+    words += [f"error:{e['stage']}" for e in report["errors"]]
+    return " ".join(words)
+
+
+def run(tmp_path, name: str, command: str) -> tuple:
+    config, out = tmp_path / "eq.ini", tmp_path / f"{command}.json"
+    config.write_text(CONFIGS[name]())
+    code = main([command, "--config", str(config), "--out", str(out), "--quiet"])
+    return code, json.loads(out.read_text())
+
+
+@pytest.mark.parametrize("name", list(CONFIGS))
+def test_report_outline(tmp_path, name):
+    got = tuple(outline(*run(tmp_path, name, command)) for command in COMMANDS)
+    assert got == EXPECTED[name]
+
+
+def test_witness_before_the_overflow(tmp_path):
+    # example 1's Thm21 terms overflow from z = 511: the witness is found on the finite prefix
+    _, report = run(tmp_path, "example1-horizon-1000", "check")
+    thm21 = report["stages"]["check"]["verdicts"][0]
+    assert (thm21["criterion"], thm21["status"]) == ("Thm21", CH)
+    assert thm21["probe"]["witness_onset"] == 385
+
+
+def test_overflowed_tail_term_names_its_index(tmp_path):
+    # the tail pass refuses the term 2^1979 as it refuses a theta past the float range
+    code, report = run(tmp_path, "example1-2^(-660)", "classify")
+    assert code == 2 and "classify" not in report["stages"]
+    assert report["errors"] == [{"stage": "classify", "error": "r^(-1/alpha) not finite at index 1"}]

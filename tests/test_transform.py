@@ -2,6 +2,8 @@
 import pickle
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from oscdelay import (
     DelayForm,
@@ -18,6 +20,7 @@ from oscdelay import (
 )
 from oscdelay.criteria import VerdictStatus
 from oscdelay.errors import DomainError, StageError
+from oscdelay.solver import InitialData, StatusKind, iterate, residual_pointwise
 from oscdelay.transform import canonical_residual_pointwise
 
 ALTERNATING = Sequence.from_table(-5, [(-1.0) ** z for z in range(-5, 200)])
@@ -270,3 +273,43 @@ class TestCanonicalSumQ:
         )
         with pytest.raises(StageError, match=r"^q_tilde not evaluable at 51: index 51 outside table table\[1\.\.50\]$"):
             crit_canonical_sumq(ceq, 100)
+
+
+POLYNOMIAL_R = ("z*(z+1)", "z*(z+1.7)", "(z+1)*(z+2)", "(z+0.5)*(z+2.5)")
+EXPONENTIAL_R = ("3^z", "2^z*(z+1)")
+
+
+class TestAlphaOneIdentity:
+    """At alpha = 1 the transform is exact: x solves the equation exactly when
+    u = x / theta solves the comparison equation, since theta(z) - theta(z+1) = 1/r(z)
+    gives D(rt D u)(z) + qt(z) u(d(z)) = theta(z+1) (D(r D x)(z) + q(z) x(d(z))).
+    to_canonical's equation is the model equation in u itself.  The identity checks
+    theta's differences, the transform, iterate and the residual against each other;
+    it does not see theta's level."""
+
+    HORIZON = 150
+
+    @settings(max_examples=40, deadline=None)
+    @given(r_text=st.sampled_from(POLYNOMIAL_R + EXPONENTIAL_R),
+           q_text=st.sampled_from(("0.3", "2*z^(-1/2)", "0.05", "1")),
+           sigma=st.integers(1, 3),
+           init=st.lists(st.floats(-1.0, 1.0), min_size=5, max_size=5))
+    def test_comparison_residual_of_x_over_theta(self, r_text, q_text, sigma, init):
+        values = init[:sigma + 2]
+        assume(any(values))
+        eq = plus_one_eq(q_text, r_text=r_text, sigma=sigma, zeta0=4)  # r > 0 from zeta0 - sigma
+        h = self.HORIZON
+        traj = iterate(eq, InitialData.for_equation(eq, values), eq.zeta0 + h + 2)
+        assert traj.status.kind is StatusKind.COMPLETED
+        lo = traj.start_index
+        u = [x / theta_extended(eq, lo + i).value for i, x in enumerate(traj.x)]
+        ceq, u_seq = to_canonical(eq, h + 5), Sequence.from_table(lo, u)
+        res = residual_pointwise(ceq, u_seq, lo + sigma + 1, eq.zeta0 + h)
+        if r_text in POLYNOMIAL_R:
+            assert max(abs(v) for _, v in res) <= 1e-13 * max(map(abs, u))
+            return
+        # u grows like r: each index is measured against its largest residual term
+        for z, v in res:
+            terms = (ceq.r(z + 1) * (u_seq(z + 2) - u_seq(z + 1)), ceq.r(z) * (u_seq(z + 1) - u_seq(z)),
+                     ceq.q(z) * u_seq(ceq.delayed_index(z)))
+            assert abs(v) <= 1e-13 * max(map(abs, terms)), z
