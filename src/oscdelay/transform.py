@@ -1,24 +1,27 @@
 """Comparison transform to a canonical-form linear delay equation.
 
-A non-canonical equation in the z - sigma + 1 delay form with alpha >= 1 is
-mapped to the canonical comparison equation
+A non-canonical equation with alpha >= 1 in the z - sigma + 1 delay form, or
+with alpha = 1 in either form, is mapped to the canonical comparison equation:
+the model equation with alpha = 1, the same delayed index d(z), and
 
-    D(rt(z) * D x(z-1)) + qt(z) * x(z - sigma) = 0
+    rt(z) = theta(z) theta(z+1) r^(1/alpha)(z),
+    qt(z) = (1/alpha) theta(z+1) theta^(alpha-1)(z) theta(d(z)) q(z).
 
-with rt(z) = theta(z) theta(z+1) r^(1/alpha)(z) and
-qt(z) = (1/alpha) theta(z+1) theta^(alpha-1)(z) theta(z-sigma+1) q(z).
-Written in y(z) = x(z-1) it is the model equation with r = rt, q = qt,
-alpha = 1 and the z - sigma + 1 delay form, and it is built as one.
-Oscillation of the comparison equation implies oscillation of the original;
-the test applied here is divergence of sum(qt).
+In the z - sigma + 1 form it is D(rt(z) D x(z-1)) + qt(z) x(z - sigma) = 0
+written in y(z) = x(z-1).  At alpha = 1 it is exact: x solves the equation
+exactly when x / theta solves the comparison equation.  Oscillation of the
+comparison equation implies oscillation of the original; the test applied
+here is divergence of sum(qt).
 """
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
-from .criteria import CANONICAL_SUM_Q, CriterionVerdict, _series_verdict, _theta_column
+from .criteria import (CANONICAL_SUM_Q, CriterionVerdict, _series_verdict, _theta_column,
+                       _valid_indices)
 from .equation import DelayForm, HalfLinearEquation, tail_shortfall, theta_extended
 from .errors import DomainError, StageError
 from .power import RationalExponent
@@ -26,48 +29,48 @@ from .sequences import Sequence
 from .solver import residual_pointwise
 
 
+def _coefficient(name: str, z: int, formula) -> float:
+    """formula() at z, inf past the float range; a StageError where not evaluable or not finite."""
+    try:
+        value = formula()
+    except OverflowError:
+        value = math.inf
+    except DomainError as exc:
+        raise StageError(f"{name} not evaluable at {z}: {exc}") from exc
+    if not math.isfinite(value):
+        raise StageError(f"{name} not evaluable at {z}: {name} is not finite at index {z}")
+    return value
+
+
 def to_canonical(eq: HalfLinearEquation, horizon: int) -> HalfLinearEquation:
-    """Build the canonical comparison equation in y(z) = x(z-1), with rt and qt
-    tabulated on [zeta0, zeta0 + horizon]; theta must certify finite.  The first
-    index where rt or qt is not evaluable or not finite is a StageError."""
-    if eq.delay_form is not DelayForm.MINUS_SIGMA_PLUS_ONE:
+    """The comparison equation, with rt and qt tabulated on [zeta0, zeta0 + max(horizon, 8)],
+    the window _valid_indices checks; theta must certify finite.  The first index
+    where rt or qt is not evaluable or not finite is a StageError."""
+    if eq.delay_form is DelayForm.MINUS_SIGMA and eq.alpha.value != 1:
         raise StageError("the transform applies to the z - sigma + 1 delay form")
     if eq.alpha.value < 1:
         raise StageError(f"the transform requires alpha >= 1, got {eq.alpha}")
     if tail_shortfall(eq) is not None:
         raise StageError("theta could not be certified finite; transform unavailable")
 
+    zs = range(eq.zeta0, eq.zeta0 + max(horizon, 8) + 1)
+    th = _theta_column(eq, eq.zeta0, len(zs) + 1).tolist()
     inv_alpha, power = eq.alpha.den / eq.alpha.num, eq.alpha.value - 1.0
-    th = _theta_column(eq, eq.zeta0, horizon + 2).tolist()
-    columns: dict = {"r_tilde": [], "q_tilde": []}
+
+    def q_tilde(i: int, z: int) -> float:
+        if (qv := eq.q(z)) == 0.0:
+            return 0.0  # needs no theta at a delayed index the coefficients never weight
+        th_delayed = theta_extended(eq, eq.delayed_index(z)).value
+        return inv_alpha * th[i + 1] * qv * th[i] ** power * th_delayed
+
     # the coefficient is multiplied in before the second theta factor: a product
     # of two small thetas can underflow where rt or qt is a normal float
-    for i, z in enumerate(range(eq.zeta0, eq.zeta0 + horizon + 1)):
-        for name, column in columns.items():
-            try:
-                if name == "r_tilde":
-                    value = th[i] * eq.r(z) ** inv_alpha * th[i + 1]
-                elif (qv := eq.q(z)) == 0.0:
-                    value = 0.0  # needs no theta at a shifted index the coefficients never weight
-                else:
-                    th_shift = theta_extended(eq, z - eq.sigma + 1).value
-                    value = inv_alpha * th[i + 1] * qv * th[i] ** power * th_shift
-            except OverflowError:  # a Python float power beyond float range
-                value = math.inf
-            except DomainError as exc:
-                raise StageError(f"{name} not evaluable at {z}: {exc}") from exc
-            if not math.isfinite(value):
-                raise StageError(f"{name} not evaluable at {z}: {name} is not finite at index {z}")
-            column.append(value)
-
-    return HalfLinearEquation(
-        r=Sequence.from_table(eq.zeta0, columns["r_tilde"]),
-        q=Sequence.from_table(eq.zeta0, columns["q_tilde"]),
-        alpha=RationalExponent(1, 1),
-        sigma=eq.sigma,
-        delay_form=DelayForm.MINUS_SIGMA_PLUS_ONE,
-        zeta0=eq.zeta0,
-    )
+    rt, qt = [], []
+    for i, z in enumerate(zs):
+        rt.append(_coefficient("r_tilde", z, lambda: th[i] * eq.r(z) ** inv_alpha * th[i + 1]))
+        qt.append(_coefficient("q_tilde", z, lambda: q_tilde(i, z)))
+    return replace(eq, r=Sequence.from_table(eq.zeta0, rt), q=Sequence.from_table(eq.zeta0, qt),
+                   alpha=RationalExponent(1, 1), theta_closed_form=None)
 
 
 def canonical_residual_pointwise(
@@ -88,24 +91,11 @@ def canonical_residual(ceq: HalfLinearEquation, candidate: Sequence, frm: int, t
 
 
 def crit_canonical_sumq(ceq: HalfLinearEquation, horizon: int) -> CriterionVerdict:
-    """Divergence test on sum(qt): when it diverges, the comparison equation
-    oscillates and so does the original delay equation.  A negative qt term is
-    a StageError, as a negative q is for the criteria."""
-    z = np.arange(ceq.zeta0, ceq.zeta0 + horizon)
-    term = ceq.q.eval_array(z)
-    if not np.isfinite(term).all():
-        bad = int(z[np.argmax(~np.isfinite(term))])
-        try:
-            ceq.q(bad)
-        except DomainError as exc:
-            raise StageError(f"q_tilde not evaluable at {bad}: {exc}") from exc
-    negative = term < 0
-    if negative.any():
-        i = int(np.argmax(negative))
-        raise StageError(
-            f"q_tilde({ceq.zeta0 + i}) = {term[i]} < 0: the sum test needs non-negative terms")
+    """Lem21's series on the comparison equation, under the criteria's hypothesis
+    check: when sum(qt) diverges, the comparison equation oscillates and so does
+    the original delay equation."""
     return _series_verdict(
         CANONICAL_SUM_Q,
         "the canonical comparison equation oscillates, hence so does the original",
-        ceq.zeta0, term,
+        ceq.zeta0, ceq.q.eval_array(_valid_indices(ceq, horizon)),
     )

@@ -793,7 +793,7 @@ class TestCli:
         assert holds["Thm21"] and holds["Thm23"]
 
     def test_negative_q_transform_exit_two(self, tmp_path):
-        # q = 1 - z < 0 from z = 2 on gives q_tilde(2) < 0, which the sum test refuses
+        # q = 1 - z < 0 from z = 2 on gives q_tilde(2) < 0, which the hypothesis check refuses
         path = write_config(tmp_path, EXAMPLE3_INI.replace('"(z*(z+1))^(5/3)"', '"2^z"')
                             .replace('"4*(z^2-1)*z^(2/3)/3"', '"1-z"')
                             .replace("alpha = 5/3", "alpha = 1")
@@ -802,7 +802,7 @@ class TestCli:
         assert main(["transform", "--config", path, "--out", str(out), "--quiet"]) == 2
         errors = json.loads(out.read_text())["errors"]
         assert errors == [{"stage": "transform",
-                           "error": "q_tilde(2) = -0.25 < 0: the sum test needs non-negative terms"}]
+                           "error": "hypothesis H2 violated: q(2) = -0.25 < 0"}]
 
     def test_classify_infinite_r_exit_two(self, tmp_path):
         # r(5) = 10^500 is inf: the tail pass fails where validate reports H1

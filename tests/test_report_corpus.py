@@ -2,8 +2,10 @@
 classify, check and transform, the exit code, the violated hypotheses, the
 `classify` form, each verdict status and each error's stage.
 
-The last five configs sit at the edge of the float range, where a term
-overflows; an overflowed term is never a divergence witness there.
+Five configs, from "1e-200*2^z" to "example1-horizon-1000", sit at the edge of
+the float range, where a term overflows; an overflowed term is never a
+divergence witness there.  tools/report_corpus.py reads CONFIGS to write every
+report of the corpus in full.
 """
 import json
 import pathlib
@@ -49,6 +51,24 @@ CONFIGS = {
     "1e-300-q-1e10": lambda: ini("1e-300", "1e10", 1, 1, "delay"),
     "example1-horizon-1000": lambda: ini("2^(z/3)", "2.0*2^z", "1/3", 1, "delay",
                                          closed_form="2^(1-z)", horizon=1000),
+    "example1": lambda: ini("2^(z/3)", "2.0*2^z", "1/3", 1, "delay", closed_form="2^(1-z)"),
+    # a closed form 5e-4 off theta(1) = 1, and one with a pole at zeta0
+    "readme-form-1.0005/z": lambda: readme_ini().replace('"1/z"', '"1.0005/z"'),
+    "readme-form-pole": lambda: readme_ini().replace('"1/z"', '"1/(z-1)"'),
+    "r-2^z-sigma-4": lambda: ini("2^z", "1", 1, 4, "delay_plus_one"),
+    "sigma-5-delay": lambda: ini("(z*(z+1))^(5/3)", "z^(2/3)", "5/3", 5, "delay", zeta0=6),
+    "10^z": lambda: ini("10^z", "10^z", 1, 1, "delay_plus_one"),
+    "zero-q": lambda: ini("z*(z+1)", "0", 1, 1, "delay_plus_one"),
+    "negative-q": lambda: ini("2^z", "1-z", 1, 2, "delay_plus_one"),
+    "alpha-1/3-plus-one": lambda: ini("2^z", "1", "1/3", 1, "delay_plus_one"),
+    # theta(0) needs r(0) = 0 > 0
+    "shifted-theta-below-domain": lambda: ini("z*(z+1)", "1", 1, 2, "delay_plus_one"),
+    # theta(1) = 4.9e13, and its power alpha - 1 = 24 passes the float range
+    "theta-power-overflows": lambda: ini("(1e-12*1.0204^z)^25", "1", 25, 1, "delay_plus_one"),
+    # the delay form at alpha = 1
+    "r-z-q-1/z-delay": lambda: ini("z", "1/z", 1, 1, "delay"),
+    "r-z-minus-5-delay": lambda: ini("z-5", "1", 1, 1, "delay"),
+    "euler-delay-sigma-2": lambda: ini("z*(z+1)", "0.3", 1, 2, "delay", zeta0=3),
 }
 
 CH, NS, NF, IN = "certified_holds", "numerically_suggested", "numerically_fails", "inconclusive"
@@ -89,6 +109,35 @@ EXPECTED = {
                       "2 error:transform"),
     "example1-horizon-1000": ("0", "0 non_canonical", f"0 {verdicts(CH, CH, NF, CH, NS)}",
                               "2 error:transform"),
+    "example1": ("0", "0 non_canonical", f"0 {verdicts(CH, CH, NF, CH, NS)}", "2 error:transform"),
+    "readme-form-1.0005/z": ("0", "2 error:classify", f"2 Thm21={CH} Lem21={CH} {THETA_ERRORS}",
+                             "2 error:transform"),
+    "readme-form-pole": ("0", "2 error:classify", f"2 Thm21={CH} Lem21={CH} {THETA_ERRORS}",
+                         "2 error:transform"),
+    "r-2^z-sigma-4": ("0", "0 non_canonical", f"0 {verdicts(NF, NF, NF, CH, NF)}",
+                      "0 CanonicalSumQ=numerically_fails"),
+    "sigma-5-delay": ("0", "0 inconclusive", f"0 {verdicts(NS, NF, NF, CH, NF)}", "2 error:transform"),
+    "10^z": ("0", "0 non_canonical", f"0 {verdicts(CH, NF, NF, CH, NF)}",
+             "0 CanonicalSumQ=numerically_fails"),
+    "zero-q": ("0 H2@None", "0 H2@None inconclusive", f"0 H2@None {verdicts(NF, NF, NF, NF, NF)}",
+               "0 H2@None CanonicalSumQ=numerically_fails"),
+    "negative-q": ("0 H2@2", "0 H2@2 non_canonical",
+                   "2 H2@2 error:check:Thm21 error:check:Thm22A error:check:Thm22B "
+                   "error:check:Lem21 error:check:Thm23", "2 H2@2 error:transform"),
+    "alpha-1/3-plus-one": ("0", "0 non_canonical", f"0 {verdicts(NF, NF, NF, CH, NF)}",
+                           "2 error:transform"),
+    "shifted-theta-below-domain": ("0", "0 inconclusive", f"0 {verdicts(NS, NF, NF, CH, NF)}",
+                                   "2 error:transform"),
+    "theta-power-overflows": ("0", "0 non_canonical", f"0 {verdicts(NF, IN, IN, CH, NS)}",
+                              "2 error:transform"),
+    "r-z-q-1/z-delay": ("0", "0 inconclusive", f"0 {verdicts(NS, IN, IN, NS, IN)}",
+                        "2 error:transform"),
+    "r-z-minus-5-delay": ("0 H1@1", "2 H1@1 error:classify",
+                          "2 H1@1 error:check:Thm21 error:check:Thm22A error:check:Thm22B "
+                          "error:check:Lem21 error:check:Thm23", "2 H1@1 error:transform"),
+    # transform exited 2: "the transform applies to the z - sigma + 1 delay form"
+    "euler-delay-sigma-2": ("0", "0 inconclusive", f"0 {verdicts(NS, NF, NF, CH, NF)}",
+                            "0 CanonicalSumQ=numerically_fails"),
 }
 
 
@@ -104,10 +153,10 @@ def outline(code: int, report: dict) -> str:
     return " ".join(words)
 
 
-def run(tmp_path, name: str, command: str) -> tuple:
+def run(tmp_path, name: str, command: str, *extra: str) -> tuple:
     config, out = tmp_path / "eq.ini", tmp_path / f"{command}.json"
     config.write_text(CONFIGS[name]())
-    code = main([command, "--config", str(config), "--out", str(out), "--quiet"])
+    code = main([command, "--config", str(config), "--out", str(out), "--quiet", *extra])
     return code, json.loads(out.read_text())
 
 
@@ -130,3 +179,35 @@ def test_overflowed_tail_term_names_its_index(tmp_path):
     code, report = run(tmp_path, "example1-2^(-660)", "classify")
     assert code == 2 and "classify" not in report["stages"]
     assert report["errors"] == [{"stage": "classify", "error": "r^(-1/alpha) not finite at index 1"}]
+
+
+@pytest.mark.parametrize("name, error", [
+    # the first two said "the transform applies to the z - sigma + 1 delay form" until
+    # the delay form was transformed at alpha = 1
+    ("r-z-q-1/z-delay", "theta could not be certified finite; transform unavailable"),
+    ("r-z-minus-5-delay", "r(1) is not positive"),
+    ("delay-form", "the transform applies to the z - sigma + 1 delay form"),  # alpha = 1/3
+    # the comparison equation goes through the criteria's hypothesis check
+    ("negative-q", "hypothesis H2 violated: q(2) = -0.25 < 0"),
+])
+def test_transform_error_text(tmp_path, name, error):
+    code, report = run(tmp_path, name, "transform")
+    assert (code, report["errors"]) == (2, [{"stage": "transform", "error": error}])
+
+
+def test_delay_form_at_alpha_one_transforms(tmp_path):
+    # theta = 1/z, so rt = 1 and qt(z) = theta(z+1) theta(z-2) 0.3 = 0.3/((z+1)(z-2))
+    code, report = run(tmp_path, "euler-delay-sigma-2", "transform")
+    stage = report["stages"]["transform"]
+    assert code == 0 and stage["sumq_verdict"]["status"] == NF
+    for (z, rt), (_, qt) in zip(stage["r_tilde_samples"], stage["q_tilde_samples"]):
+        assert rt == pytest.approx(1.0, rel=1e-9)
+        assert qt == pytest.approx(0.3 / ((z + 1) * (z - 2)), rel=1e-9)
+
+
+def test_transform_at_horizon_seven(tmp_path):
+    # the tables reach zeta0 + 8, the window the hypothesis check reads; the sum reads 7 terms
+    code, report = run(tmp_path, "readme", "transform", "--horizon", "7")
+    stage = report["stages"]["transform"]
+    assert code == 0 and len(stage["r_tilde_samples"]) == 7
+    assert stage["sumq_verdict"]["status"] == IN and len(stage["sumq_verdict"]["evidence"]) == 7
