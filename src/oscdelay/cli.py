@@ -13,7 +13,7 @@ import traceback
 from dataclasses import replace
 
 from . import criteria
-from .config import CheckConfig, OutputConfig, RunConfig, parse_config, parse_criteria
+from .config import OutputConfig, RunConfig, parse_config, parse_criteria
 from .equation import classify_form, theta, validate
 from .errors import ConfigError, OscDelayError, StageError
 from .examples import reproduce_example
@@ -33,8 +33,7 @@ def run_stages(cfg: RunConfig, stages) -> dict:
     for stage in stages:
         try:
             if stage == "validate":
-                horizon = cfg.check.horizon if cfg.check else 100
-                report["stages"]["validate"] = validate(eq, eq.zeta0 + horizon)
+                report["stages"]["validate"] = validate(eq, eq.zeta0 + cfg.check.horizon)
             elif stage == "classify":
                 # classify_form reads the table theta(eq, zeta0) uses, and a tail
                 # that fails the convergence screen is canonical
@@ -45,7 +44,7 @@ def run_stages(cfg: RunConfig, stages) -> dict:
                 }
             elif stage == "simulate":
                 if cfg.simulate is None:
-                    continue
+                    raise ConfigError("simulate needs a [simulate] section")
                 traj = iterate(eq, cfg.simulate.init, eq.zeta0 + cfg.simulate.horizon)
                 classification = None
                 if len(traj.x) >= len(traj.x) // 5 + 8:
@@ -61,8 +60,6 @@ def run_stages(cfg: RunConfig, stages) -> dict:
                     ],
                 }
             elif stage == "check":
-                if cfg.check is None:
-                    continue
                 verdicts = []
                 for cid in cfg.check.criteria:
                     try:
@@ -71,7 +68,7 @@ def run_stages(cfg: RunConfig, stages) -> dict:
                         record_error(f"check:{cid}", exc)
                 report["stages"]["check"] = {"verdicts": verdicts}
             elif stage == "transform":
-                horizon = cfg.check.horizon if cfg.check else 200
+                horizon = cfg.check.horizon
                 ceq = to_canonical(eq, horizon)
                 zs = list(range(eq.zeta0, eq.zeta0 + min(horizon, 50)))
                 report["stages"]["transform"] = {
@@ -139,10 +136,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     check, simulate = cfg.check, cfg.simulate
     if getattr(args, "criterion", None) is not None:  # only the check command has it
-        ids = parse_criteria(args.criterion)
-        check = replace(check or CheckConfig(criteria=ids), criteria=ids)
+        check = replace(check, criteria=parse_criteria(args.criterion))
     if args.horizon is not None:
-        check = replace(check or CheckConfig(criteria=criteria.CRITERION_IDS), horizon=args.horizon)
+        check = replace(check, horizon=args.horizon)
         simulate = simulate and replace(simulate, horizon=args.horizon)
     output = OutputConfig(format=args.format or cfg.output.format, path=args.out or cfg.output.path)
     return replace(cfg, check=check, simulate=simulate, output=output)
@@ -177,6 +173,8 @@ def main(argv=None) -> int:
 
         cfg = parse_config(args.config)
         cfg = _apply_overrides(cfg, args)
+        if args.command == "simulate" and cfg.simulate is None:  # before any stage runs
+            raise ConfigError("simulate needs a [simulate] section")
         report = run_stages(cfg, _COMMAND_STAGES[args.command])
         fmt = cfg.output.format
         _emit(report, fmt, cfg.output.path, args.quiet)

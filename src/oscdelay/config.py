@@ -55,7 +55,8 @@ class SimulateConfig:
 
 @dataclass(frozen=True)
 class CheckConfig:
-    criteria: tuple
+    """The criteria and the horizon every stage reads: [zeta0, zeta0 + horizon]."""
+    criteria: tuple = criteria.CRITERION_IDS
     horizon: int = 200
 
     def __post_init__(self):
@@ -73,7 +74,7 @@ class OutputConfig:
 class RunConfig:
     equation: HalfLinearEquation
     simulate: Optional[SimulateConfig] = None
-    check: Optional[CheckConfig] = None
+    check: CheckConfig = field(default_factory=CheckConfig)
     output: OutputConfig = field(default_factory=OutputConfig)
 
     def build_equation(self) -> HalfLinearEquation:
@@ -99,11 +100,7 @@ class RunConfig:
                 "horizon": self.simulate.horizon,
                 "tol": self.simulate.tol,
             }
-        if self.check:
-            out["check"] = {
-                "criteria": list(self.check.criteria),
-                "horizon": self.check.horizon,
-            }
+        out["check"] = {"criteria": list(self.check.criteria), "horizon": self.check.horizon}
         out["output"] = {"format": self.output.format, "path": self.output.path}
         return out
 
@@ -187,11 +184,11 @@ def parse_config(path: str) -> RunConfig:
         simulate = SimulateConfig(init=init, horizon=_get(sim, "horizon", int),
                                   tol=_get(sim, "tol", float, ZERO_TOL))
 
-    check = None
+    check = CheckConfig()
     if "check" in parser:
         chk = parser["check"]
         check = CheckConfig(criteria=parse_criteria(_get(chk, "criteria", str)),
-                            horizon=_get(chk, "horizon", int, 200))
+                            horizon=_get(chk, "horizon", int, check.horizon))
 
     output = OutputConfig()
     if "output" in parser:

@@ -217,8 +217,8 @@ _VERDICT_OF_PROBE = {
 
 def _valid_indices(eq: HalfLinearEquation, horizon: int) -> np.ndarray:
     """The index column [zeta0, zeta0 + horizon), once the hypotheses hold on
-    [zeta0, zeta0 + max(horizon, 8)]; so r > 0 and r, q are finite on it."""
-    report = validate(eq, eq.zeta0 + max(horizon, 8))
+    [zeta0, zeta0 + horizon]; so r > 0 and r, q are finite on it."""
+    report = validate(eq, eq.zeta0 + horizon)
     # an identically-zero q (violation without an offending index) is allowed
     # through: the evaluators then report all-zero terms as a failing verdict
     hard = [v for v in report.violations if v.index is not None]

@@ -43,17 +43,17 @@ def _coefficient(name: str, z: int, formula) -> float:
 
 
 def to_canonical(eq: HalfLinearEquation, horizon: int) -> HalfLinearEquation:
-    """The comparison equation, with rt and qt tabulated on [zeta0, zeta0 + max(horizon, 8)],
+    """The comparison equation, with rt and qt tabulated on [zeta0, zeta0 + horizon],
     the window _valid_indices checks; theta must certify finite.  The first index
     where rt or qt is not evaluable or not finite is a StageError."""
-    if eq.delay_form is DelayForm.MINUS_SIGMA and eq.alpha.value != 1:
-        raise StageError("the transform applies to the z - sigma + 1 delay form")
     if eq.alpha.value < 1:
         raise StageError(f"the transform requires alpha >= 1, got {eq.alpha}")
+    if eq.delay_form is DelayForm.MINUS_SIGMA and eq.alpha.value != 1:
+        raise StageError(f"the transform applies to the delay form only at alpha = 1, got {eq.alpha}")
     if tail_shortfall(eq) is not None:
         raise StageError("theta could not be certified finite; transform unavailable")
 
-    zs = range(eq.zeta0, eq.zeta0 + max(horizon, 8) + 1)
+    zs = range(eq.zeta0, eq.zeta0 + horizon + 1)
     th = _theta_column(eq, eq.zeta0, len(zs) + 1).tolist()
     inv_alpha, power = eq.alpha.den / eq.alpha.num, eq.alpha.value - 1.0
 
@@ -77,7 +77,11 @@ def canonical_residual_pointwise(
     ceq: HalfLinearEquation, candidate: Sequence, frm: int, to: int
 ) -> list[tuple[int, float]]:
     """Pointwise rt(z+1)(x(z+1)-x(z)) - rt(z)(x(z)-x(z-1)) + qt(z) x(z-sigma): the model
-    equation's left-hand side at y(z) = x(z-1), from one table of x on [frm - sigma, to + 1]."""
+    equation's left-hand side at y(z) = x(z-1), from one table of x on [frm - sigma, to + 1].
+    That is the comparison equation of the z - sigma + 1 form; the delay form is refused."""
+    if ceq.delay_form is DelayForm.MINUS_SIGMA:
+        raise StageError("the comparison residual in y(z) = x(z-1) applies to the "
+                         "z - sigma + 1 delay form, not the delay form")
     zs = np.arange(frm - ceq.sigma, to + 2)
     x = candidate.eval_array(zs)
     if not np.isfinite(x).all():

@@ -733,7 +733,7 @@ class TestCli:
             assert "classify" not in data["stages"]
 
     @pytest.mark.parametrize("ini, error", [
-        (EXAMPLE2_INI, "the transform applies to the z - sigma + 1 delay form"),
+        (EXAMPLE2_INI, "the transform requires alpha >= 1, got 1/3"),
         (EXAMPLE3_INI.replace("alpha = 5/3", "alpha = 1/3").replace('theta_closed_form = "1/z"\n', ""),
          "the transform requires alpha >= 1, got 1/3"),
     ], ids=["delay-form", "alpha-one-third"])
@@ -777,6 +777,36 @@ class TestCli:
         verdicts = data["stages"]["check"]["verdicts"]
         assert [v["criterion"] for v in verdicts] == list(CRITERION_IDS)
         assert all(len(v["evidence"]) == 30 for v in verdicts)
+
+    def test_check_without_check_section_runs_every_criterion_at_200(self, tmp_path):
+        path = write_config(tmp_path, EXAMPLE3_INI.split("[check]")[0])
+        out = tmp_path / "chk.json"
+        assert main(["check", "--config", path, "--out", str(out), "--quiet"]) == 0
+        data = json.loads(out.read_text())
+        assert data["config"]["check"] == {"criteria": list(CRITERION_IDS), "horizon": 200}
+        verdicts = data["stages"]["check"]["verdicts"]
+        assert [v["criterion"] for v in verdicts] == list(CRITERION_IDS)
+        assert all(len(v["evidence"]) == 200 for v in verdicts)
+
+    @pytest.mark.parametrize("command", ["validate", "simulate", "check", "transform"])
+    def test_validate_stage_without_check_section_reads_the_default_horizon(self, tmp_path, command):
+        # one horizon for every stage: zeta0 + 200, as [check]'s default
+        path = write_config(tmp_path, EXAMPLE3_INI.split("[check]")[0])
+        out = tmp_path / "v.json"
+        assert main([command, "--config", path, "--out", str(out), "--quiet"]) == 0
+        assert json.loads(out.read_text())["stages"]["validate"]["horizon"] == 1 + 200
+
+    def test_simulate_without_simulate_section_exit_one(self, ex2_config, tmp_path, capsys):
+        out = tmp_path / "sim.json"
+        assert main(["simulate", "--config", ex2_config, "--out", str(out), "--quiet"]) == 1
+        assert capsys.readouterr().err == "config error: simulate needs a [simulate] section\n"
+        assert not out.exists()
+
+    def test_simulate_stage_without_section_is_recorded(self, ex2_config):
+        report = run_stages(parse_config(ex2_config), ("validate", "simulate"))
+        assert report["errors"] == [{"stage": "simulate",
+                                     "error": "simulate needs a [simulate] section"}]
+        assert list(report["stages"]) == ["validate"]
 
     def test_example_subcommand(self, tmp_path, capsys):
         out = tmp_path / "ex3.json"

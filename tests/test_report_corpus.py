@@ -1,6 +1,7 @@
 """A corpus of configs whose reports are pinned in outline: for each of validate,
 classify, check and transform, the exit code, the violated hypotheses, the
-`classify` form, each verdict status and each error's stage.
+`classify` form, each verdict status and each error's stage; and for simulate,
+on the configs with a [simulate] section, its status and trajectory class.
 
 Five configs, from "1e-200*2^z" to "example1-horizon-1000", sit at the edge of
 the float range, where a term overflows; an overflowed term is never a
@@ -69,6 +70,8 @@ CONFIGS = {
     "r-z-q-1/z-delay": lambda: ini("z", "1/z", 1, 1, "delay"),
     "r-z-minus-5-delay": lambda: ini("z-5", "1", 1, 1, "delay"),
     "euler-delay-sigma-2": lambda: ini("z*(z+1)", "0.3", 1, 2, "delay", zeta0=3),
+    # no [check] and no [simulate]: every stage reads [check]'s defaults
+    "readme-equation-only": lambda: readme_ini().split("[simulate]")[0],
 }
 
 CH, NS, NF, IN = "certified_holds", "numerically_suggested", "numerically_fails", "inconclusive"
@@ -138,6 +141,8 @@ EXPECTED = {
     # transform exited 2: "the transform applies to the z - sigma + 1 delay form"
     "euler-delay-sigma-2": ("0", "0 inconclusive", f"0 {verdicts(NS, NF, NF, CH, NF)}",
                             "0 CanonicalSumQ=numerically_fails"),
+    "readme-equation-only": ("0", "0 non_canonical", f"0 {verdicts(CH, NS, CH, CH, NS)}",
+                             "0 CanonicalSumQ=certified_holds"),
 }
 
 
@@ -149,6 +154,10 @@ def outline(code: int, report: dict) -> str:
     words += [f"{v['criterion']}={v['status']}" for v in stages.get("check", {}).get("verdicts", ())]
     if "transform" in stages:
         words.append(f"CanonicalSumQ={stages['transform']['sumq_verdict']['status']}")
+    if "simulate" in stages:
+        simulate = stages["simulate"]
+        words.append(simulate["status"]["kind"])
+        words.append((simulate["classification"] or {"kind": "unclassified"})["kind"])
     words += [f"error:{e['stage']}" for e in report["errors"]]
     return " ".join(words)
 
@@ -164,6 +173,22 @@ def run(tmp_path, name: str, command: str, *extra: str) -> tuple:
 def test_report_outline(tmp_path, name):
     got = tuple(outline(*run(tmp_path, name, command)) for command in COMMANDS)
     assert got == EXPECTED[name]
+
+
+# the configs with a [simulate] section, and the outline of their simulate report
+SIMULATE_EXPECTED = {
+    "readme": "0 completed oscillatory_witness",
+    # simulate reads no theta: the closed form is checked by the stages that read it
+    "readme-form-1.0005/z": "0 completed oscillatory_witness",
+    "readme-form-pole": "0 completed oscillatory_witness",
+}
+
+
+def test_simulate_outline(tmp_path):
+    simulated = [name for name, build in CONFIGS.items() if "[simulate]" in build()]
+    assert simulated == list(SIMULATE_EXPECTED)
+    for name in simulated:
+        assert outline(*run(tmp_path, name, "simulate")) == SIMULATE_EXPECTED[name]
 
 
 def test_witness_before_the_overflow(tmp_path):
@@ -186,7 +211,10 @@ def test_overflowed_tail_term_names_its_index(tmp_path):
     # the delay form was transformed at alpha = 1
     ("r-z-q-1/z-delay", "theta could not be certified finite; transform unavailable"),
     ("r-z-minus-5-delay", "r(1) is not positive"),
-    ("delay-form", "the transform applies to the z - sigma + 1 delay form"),  # alpha = 1/3
+    # both said "the transform applies to the z - sigma + 1 delay form" until the
+    # alpha condition was checked first and the delay form's refusal named alpha
+    ("delay-form", "the transform requires alpha >= 1, got 1/3"),
+    ("sigma-5-delay", "the transform applies to the delay form only at alpha = 1, got 5/3"),
     # the comparison equation goes through the criteria's hypothesis check
     ("negative-q", "hypothesis H2 violated: q(2) = -0.25 < 0"),
 ])
@@ -206,7 +234,7 @@ def test_delay_form_at_alpha_one_transforms(tmp_path):
 
 
 def test_transform_at_horizon_seven(tmp_path):
-    # the tables reach zeta0 + 8, the window the hypothesis check reads; the sum reads 7 terms
+    # the tables reach zeta0 + 7, the window the hypothesis check reads; the sum reads 7 terms
     code, report = run(tmp_path, "readme", "transform", "--horizon", "7")
     stage = report["stages"]["transform"]
     assert code == 0 and len(stage["r_tilde_samples"]) == 7

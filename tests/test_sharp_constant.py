@@ -7,12 +7,17 @@ real iff lambda <= 1/4: the discrete Kneser constant (Hooker and Patula 1981).  
 bounded delay changes only lower-order terms.  So below 1/4 some solution does
 not oscillate, and no criterion concluding "every solution oscillates" may hold.
 """
+import importlib.util
+import math
+import pathlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oscdelay import DelayForm, HalfLinearEquation, RationalExponent, Sequence, to_canonical
-from oscdelay.criteria import THM22A, THM22B, THM23, evaluate_criterion
+from oscdelay.criteria import (CANONICAL_SUM_Q, LEM21, THM21, THM22A, THM22B, THM23, THM23_MARGIN,
+                               evaluate_criterion)
 from oscdelay.transform import crit_canonical_sumq
 
 HORIZON = 200
@@ -47,3 +52,28 @@ def test_thm23_claims_oscillation_well_above_it(sigma, form):
     # Thm23's v(z) tends to lambda on this family, so it fires only past lambda = 1
     by_id = {v.criterion: v for v in oscillation_verdicts(euler_family(2.0, sigma, form))}
     assert by_id[THM23].holds
+
+
+def load_sharpness_tool():
+    path = pathlib.Path(__file__).resolve().parents[1] / "tools" / "sharpness.py"
+    spec = importlib.util.spec_from_file_location("sharpness", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_sharpness_table():
+    tool = load_sharpness_tool()
+    # Thm23's v(z) = lambda (z - zeta0) / z peaks at the horizon's last index, zeta0 + 199
+    zeta0 = tool.SIGMA + 1
+    thm23 = (zeta0 + 199) / 199 * (1 + THM23_MARGIN)
+    for form in DelayForm:
+        assert tool.threshold(THM23, form) == pytest.approx(thm23, rel=1e-6)
+        # their series converge for every lambda on this family
+        for criterion in (THM22A, THM22B, CANONICAL_SUM_Q):
+            assert tool.threshold(criterion, form) == math.inf
+        # they conclude less than oscillation, and hold for every lambda > 0
+        for criterion in (THM21, LEM21):
+            assert tool.threshold(criterion, form) == 0.0
+    row = next(line for line in tool.table().splitlines() if line.startswith(f"| {THM23} |"))
+    assert row.count(f"| {thm23:.5g} (4.04 × 1/4) ") == 2

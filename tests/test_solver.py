@@ -1,6 +1,7 @@
 """Tests for forward iteration, classification, residuals and the
 positive-solution inequality monitor."""
 import math
+import random
 from unittest import mock
 
 import pytest
@@ -722,3 +723,36 @@ class TestLemma22Check:
         with pytest.raises(ValueError):
             lemma22_check(eq, traj)
 
+
+# the six delay_plus_one families of ROADMAP item 6: (r, q, alpha, sigma), zeta0 1
+LEMMA22_FAMILIES = [
+    ("(z*(z+1))^(5/3)", "0.01*z^(2/3)", (5, 3), 1),
+    ("(z*(z+1))^(5/3)", "0.01*z^(2/3)", (5, 3), 3),
+    ("(z*(z+1.7))^(5/3)", "0.001*z^(2/3)", (5, 3), 2),
+    ("(z*(z+1))^3", "0.01*z^2", (3, 1), 1),
+    ("(z*(z+1))^(7/5)", "0.01*z^(2/5)", (7, 5), 1),
+    ("(z*(z+1))^(5/3)", "z^(-3)", (5, 3), 1),
+]
+
+
+def test_lemma22_holds_from_the_classified_onset():
+    """Counted from classify_trajectory's `since`, no eventually positive trajectory
+    violates Lemma 2.2's bound: 20 initial vectors per family, uniform in [-1, 1],
+    from one random.Random(1) stream in the order listed, to index 2000.  (Before
+    `since`, transients do violate it: 40 of the 59 eventually positive ones.)"""
+    rng = random.Random(1)
+    positive, violating = 0, []
+    for r, q, alpha, sigma in LEMMA22_FAMILIES:
+        eq = HalfLinearEquation(r=Sequence.from_expression(r), q=Sequence.from_expression(q),
+                                alpha=RationalExponent(*alpha), sigma=sigma,
+                                delay_form=DelayForm.MINUS_SIGMA_PLUS_ONE, zeta0=1)
+        for _ in range(20):
+            init = [rng.uniform(-1.0, 1.0) for _ in range(sigma + 2)]
+            traj = iterate(eq, InitialData.for_equation(eq, init), 2000)
+            cls = classify_trajectory(traj)
+            if cls.kind is not TrajectoryKind.EVENTUALLY_POSITIVE:
+                continue
+            positive += 1
+            violating += [(r, sigma, z) for z, _, _ in lemma22_check(eq, traj) if z >= cls.since]
+    assert positive >= 50
+    assert violating == []

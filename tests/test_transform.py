@@ -1,5 +1,6 @@
 """Tests for the canonical comparison transform."""
 import pickle
+import re
 
 import pytest
 from hypothesis import assume, given, settings
@@ -20,7 +21,7 @@ from oscdelay import (
 )
 from oscdelay.criteria import VerdictStatus
 from oscdelay.errors import DomainError, StageError
-from oscdelay.solver import InitialData, StatusKind, iterate, residual_pointwise
+from oscdelay.solver import InitialData, StatusKind, iterate, residual, residual_pointwise
 from oscdelay.transform import canonical_residual_pointwise
 
 ALTERNATING = Sequence.from_table(-5, [(-1.0) ** z for z in range(-5, 200)])
@@ -132,6 +133,17 @@ class TestToCanonical:
         with pytest.raises(StageError):
             to_canonical(eq, 100)
 
+    @pytest.mark.parametrize("alpha, message", [
+        ((1, 3), "the transform requires alpha >= 1, got 1/3"),
+        ((5, 3), "the transform applies to the delay form only at alpha = 1, got 5/3"),
+    ], ids=["alpha-1/3", "alpha-5/3"])
+    def test_delay_form_refusal_names_alpha(self, alpha, message):
+        eq = HalfLinearEquation(r=Sequence.from_expression("(z*(z+1))^(5/3)"),
+                                q=Sequence.from_expression("1"), alpha=RationalExponent(*alpha),
+                                sigma=1, delay_form=DelayForm.MINUS_SIGMA, zeta0=2)
+        with pytest.raises(StageError, match=f"^{re.escape(message)}$"):
+            to_canonical(eq, 100)
+
     def test_uncertified_theta_rejected(self):
         # r^(-1/alpha) = 1/z diverges: no certified finite tail sum exists
         from oscdelay.errors import NonConvergentError
@@ -160,6 +172,20 @@ class TestCanonicalResidual:
         )
         const = Sequence.from_expression("2.5")
         assert canonical_residual(ceq, const, 3, 50) == 0.0
+
+    def test_delay_form_refused(self):
+        # to_canonical's delay-form equation is the model equation in u = x / theta itself;
+        # the residual in y(z) = x(z-1) would read x at z - sigma, below u's table
+        eq = HalfLinearEquation(r=Sequence.from_expression("z*(z+1)"), q=Sequence.from_expression("0.3"),
+                                alpha=RationalExponent(1, 1), sigma=2,
+                                delay_form=DelayForm.MINUS_SIGMA, zeta0=3)
+        traj = iterate(eq, InitialData.for_equation(eq, [1.0, 0.5, -0.2, 0.7]), 155)
+        lo = traj.start_index
+        u = Sequence.from_table(lo, [x / theta_extended(eq, lo + i).value for i, x in enumerate(traj.x)])
+        ceq = to_canonical(eq, 155)
+        assert residual(ceq, u, 3, 147) <= 1e-13 * max(abs(u(z)) for z in range(lo, 155))
+        with pytest.raises(StageError, match="z - sigma \\+ 1 delay form, not the delay form"):
+            canonical_residual(ceq, u, 4, 150)
 
     def test_four_fifths_mismatch_value(self):
         # with the computed constant 4/5 the alternating candidate misses by
