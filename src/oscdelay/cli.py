@@ -13,13 +13,21 @@ import traceback
 from dataclasses import replace
 
 from . import criteria
-from .config import OutputConfig, RunConfig, parse_config, parse_criteria
+from .config import CheckConfig, OutputConfig, RunConfig, parse_config, parse_criteria
 from .equation import classify_form, theta, validate
 from .errors import ConfigError, OscDelayError, StageError
 from .examples import reproduce_example
 from .report import new_report, render
 from .solver import classify_trajectory, iterate
 from .transform import crit_canonical_sumq, to_canonical
+
+
+def _require_simulate(cfg: RunConfig) -> None:
+    """ConfigError unless the simulate stage can run: it needs initial data and two steps."""
+    if cfg.simulate is None:
+        raise ConfigError("simulate needs a [simulate] section")
+    if cfg.check.horizon < 2:
+        raise ConfigError(f"simulate horizon must be at least 2, got {cfg.check.horizon}")
 
 
 def run_stages(cfg: RunConfig, stages) -> dict:
@@ -43,12 +51,11 @@ def run_stages(cfg: RunConfig, stages) -> dict:
                     "theta_at_start": None if form.value == "canonical" else theta(eq, eq.zeta0),
                 }
             elif stage == "simulate":
-                if cfg.simulate is None:
-                    raise ConfigError("simulate needs a [simulate] section")
-                traj = iterate(eq, cfg.simulate.init, eq.zeta0 + cfg.simulate.horizon)
+                _require_simulate(cfg)
+                traj = iterate(eq, cfg.simulate, eq.zeta0 + cfg.check.horizon)
                 classification = None
                 if len(traj.x) >= len(traj.x) // 5 + 8:
-                    classification = classify_trajectory(traj, tol=cfg.simulate.tol)
+                    classification = classify_trajectory(traj)
                 step = max(1, len(traj.x) // 256)
                 report["stages"]["simulate"] = {
                     "status": traj.status,
@@ -86,8 +93,11 @@ def run_stages(cfg: RunConfig, stages) -> dict:
 def _emit(report: dict, fmt: str, out_path, quiet: bool) -> None:
     text = render(report, fmt)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write report {out_path!r}: {exc}") from exc
         if not quiet:
             print(f"report written to {out_path}")
     elif not quiet:
@@ -134,14 +144,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    check, simulate = cfg.check, cfg.simulate
+    check = cfg.check
     if getattr(args, "criterion", None) is not None:  # only the check command has it
         check = replace(check, criteria=parse_criteria(args.criterion))
     if args.horizon is not None:
         check = replace(check, horizon=args.horizon)
-        simulate = simulate and replace(simulate, horizon=args.horizon)
     output = OutputConfig(format=args.format or cfg.output.format, path=args.out or cfg.output.path)
-    return replace(cfg, check=check, simulate=simulate, output=output)
+    return replace(cfg, check=check, output=output)
 
 
 _COMMAND_STAGES = {
@@ -162,7 +171,7 @@ def main(argv=None) -> int:
             if not math.isfinite(args.lambda0):
                 raise ConfigError(f"--lambda0 must be finite, got {args.lambda0}")
             example = reproduce_example(args.number, lambda0=args.lambda0,
-                                        horizon=args.horizon or 200)
+                                        horizon=args.horizon or CheckConfig.horizon)
             report = new_report({"example": args.number, "lambda0": args.lambda0})
             report["stages"]["example"] = example
             report["verdicts"] = example.pop("verdicts")
@@ -173,8 +182,11 @@ def main(argv=None) -> int:
 
         cfg = parse_config(args.config)
         cfg = _apply_overrides(cfg, args)
-        if args.command == "simulate" and cfg.simulate is None:  # before any stage runs
-            raise ConfigError("simulate needs a [simulate] section")
+        # CSV rows are verdict evidence; refused before any stage runs, nothing is written
+        if cfg.output.format == "csv" and args.command not in ("check", "transform"):
+            raise ConfigError(f"{args.command} writes no CSV rows; check, transform and example do")
+        if args.command == "simulate":
+            _require_simulate(cfg)
         report = run_stages(cfg, _COMMAND_STAGES[args.command])
         fmt = cfg.output.format
         _emit(report, fmt, cfg.output.path, args.quiet)

@@ -14,8 +14,6 @@ Expressions are quoted strings in the package's expression language, e.g.
 
     [simulate]
     init = 1, 0.5, 0.25
-    horizon = 60
-    tol = 1e-6
 
     [check]
     criteria = all
@@ -28,7 +26,6 @@ Expressions are quoted strings in the package's expression language, e.g.
 from __future__ import annotations
 
 import configparser
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -41,23 +38,10 @@ from .solver import ZERO_TOL, InitialData
 
 
 @dataclass(frozen=True)
-class SimulateConfig:
-    init: InitialData
-    horizon: int
-    tol: float = ZERO_TOL
-
-    def __post_init__(self):
-        if self.horizon < 2:
-            raise ConfigError(f"simulate horizon must be at least 2, got {self.horizon}")
-        if not 0 <= self.tol < math.inf:
-            raise ConfigError(f"simulate tol must be finite and non-negative, got {self.tol}")
-
-
-@dataclass(frozen=True)
 class CheckConfig:
     """The criteria and the horizon every stage reads: [zeta0, zeta0 + horizon]."""
+    horizon: int = criteria.HORIZON
     criteria: tuple = criteria.CRITERION_IDS
-    horizon: int = 200
 
     def __post_init__(self):
         if self.horizon < 1:
@@ -73,7 +57,7 @@ class OutputConfig:
 @dataclass(frozen=True)
 class RunConfig:
     equation: HalfLinearEquation
-    simulate: Optional[SimulateConfig] = None
+    simulate: Optional[InitialData] = None  # the [simulate] init
     check: CheckConfig = field(default_factory=CheckConfig)
     output: OutputConfig = field(default_factory=OutputConfig)
 
@@ -95,11 +79,7 @@ class RunConfig:
         if eq.theta_closed_form is not None:
             out["equation"]["theta_closed_form"] = eq.theta_closed_form.name
         if self.simulate:
-            out["simulate"] = {
-                "init": list(self.simulate.init.values),
-                "horizon": self.simulate.horizon,
-                "tol": self.simulate.tol,
-            }
+            out["simulate"] = {"init": list(self.simulate.values)}
         out["check"] = {"criteria": list(self.check.criteria), "horizon": self.check.horizon}
         out["output"] = {"format": self.output.format, "path": self.output.path}
         return out
@@ -142,7 +122,7 @@ def parse_config(path: str) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             parser.read_file(handle, source=path)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config {path!r}: {exc}") from exc
@@ -176,13 +156,16 @@ def parse_config(path: str) -> RunConfig:
     simulate = None
     if "simulate" in parser:
         sim = parser["simulate"]
+        moved = {"horizon": "every stage reads the run's one horizon, [check] horizon or --horizon",
+                 "tol": f"simulate classifies at the fixed tolerance solver.ZERO_TOL = {ZERO_TOL:g}"}
+        for key in moved:
+            if key in sim:
+                raise ConfigError(f"[simulate] {key} is no longer read: {moved[key]}")
         values = [v for v in _get(sim, "init", str).split(",") if v.strip()]
         try:
-            init = InitialData.for_equation(equation, values)
+            simulate = InitialData.for_equation(equation, values)
         except ValueError as exc:
             raise ConfigError(f"bad init list: {exc}") from exc
-        simulate = SimulateConfig(init=init, horizon=_get(sim, "horizon", int),
-                                  tol=_get(sim, "tol", float, ZERO_TOL))
 
     check = CheckConfig()
     if "check" in parser:

@@ -29,6 +29,7 @@ THM23 = "Thm23"
 CANONICAL_SUM_Q = "CanonicalSumQ"
 
 CRITERION_IDS = (THM21, THM22A, THM22B, LEM21, THM23)
+HORIZON = 200  # a run that sets no horizon reads [zeta0, zeta0 + HORIZON]
 
 
 class ProbeStatus(enum.Enum):

@@ -65,7 +65,7 @@ def _row(quantity: str, claimed, computed, flag: Optional[str] = None) -> dict:
     return row
 
 
-def reproduce_example(n: int, lambda0: float = 2.0, horizon: int = 200) -> dict:
+def reproduce_example(n: int, lambda0: float = 2.0, horizon: int = criteria.HORIZON) -> dict:
     """Run the stages the worked example exercises and tabulate claimed vs computed."""
     eq = example_equation(n, lambda0)
     report: dict = {
@@ -78,7 +78,7 @@ def reproduce_example(n: int, lambda0: float = 2.0, horizon: int = 200) -> dict:
             "form": eq.delay_form.value,
             "zeta0": eq.zeta0,
         },
-        "validation": validate(eq, eq.zeta0 + 50),
+        "validation": validate(eq, eq.zeta0 + horizon),
         "form_class": classify_form(eq),
         "comparison": [],
         "verdicts": [],

@@ -51,7 +51,6 @@ theta_closed_form = "1/z"
 
 [simulate]
 init = 1.0, 0.9, 0.8, 0.7
-horizon = 40
 
 [check]
 criteria = Lem21
@@ -681,10 +680,10 @@ class TestCli:
         (["transform", "--horizon", "-3"], EXAMPLE3_INI),
         (["simulate", "--horizon", "1"], EXAMPLE3_INI),
         (["check"], EXAMPLE3_INI.replace("horizon = 120", "horizon = 0")),
-        (["simulate"], EXAMPLE3_INI.replace("horizon = 40", "horizon = 1")),
+        (["simulate"], EXAMPLE3_INI.replace("init = 1.0, 0.9, 0.8, 0.7", "init = 1.0, 0.9, 0.8, 0.7\nhorizon = 1")),
         (["simulate"], EXAMPLE3_INI.replace("init = 1.0, 0.9, 0.8, 0.7", "init = 0, 0, 0, 0")),
         (["check"], EXAMPLE3_INI.replace("horizon = 120", "horizon = abc")),
-        (["simulate"], EXAMPLE3_INI.replace("horizon = 40", "horizon = 40\ntol = abc")),
+        (["simulate"], EXAMPLE3_INI.replace("init = 1.0, 0.9, 0.8, 0.7", "init = 1.0, 0.9, 0.8, 0.7\ntol = abc")),
         (["example", "1", "--horizon", "-1"], None),
         (["example", "2", "--horizon", "0"], None),
         (["check"], EXAMPLE3_INI.replace("sigma = 2", "sigma = -1")),
@@ -692,9 +691,9 @@ class TestCli:
         (["simulate"], EXAMPLE3_INI.replace("init = 1.0, 0.9, 0.8, 0.7", "init = nan, 1, 1, 1")),
         (["simulate"], EXAMPLE3_INI.replace("init = 1.0, 0.9, 0.8, 0.7", "init = 1, inf, 1, 1")),
         (["classify"], EXAMPLE3_INI.replace('"1/z"', '"1/"')),
-        (["simulate"], EXAMPLE3_INI.replace("horizon = 40", "horizon = 40\ntol = nan")),
-        (["simulate"], EXAMPLE3_INI.replace("horizon = 40", "horizon = 40\ntol = inf")),
-        (["simulate"], EXAMPLE3_INI.replace("horizon = 40", "horizon = 40\ntol = -1e-8")),
+        (["simulate"], EXAMPLE3_INI.replace("init = 1.0, 0.9, 0.8, 0.7", "init = 1.0, 0.9, 0.8, 0.7\ntol = nan")),
+        (["simulate"], EXAMPLE3_INI.replace("init = 1.0, 0.9, 0.8, 0.7", "init = 1.0, 0.9, 0.8, 0.7\ntol = inf")),
+        (["simulate"], EXAMPLE3_INI.replace("init = 1.0, 0.9, 0.8, 0.7", "init = 1.0, 0.9, 0.8, 0.7\ntol = -1e-8")),
         (["example", "1", "--lambda0", "nan"], None),
         (["example", "1", "--lambda0", "inf"], None),
         *[(["check"], text) for text, _ in STRUCTURE_ERRORS],
@@ -751,18 +750,19 @@ class TestCli:
                             .replace('"z^(4/3)"', '"1"').replace("alpha = 1/3", "alpha = 1")
                             .replace("zeta0 = 2", "zeta0 = 1")
                             .replace('theta_closed_form = "1/(z-1)"\n', "")
-                            .replace("[check]", "[simulate]\ninit = 1, 0.5, 0.25\nhorizon = 1100\n\n[check]"))
+                            .replace("[check]", "[simulate]\ninit = 1, 0.5, 0.25\n\n[check]"))
         out = tmp_path / "sim.json"
-        assert main(["simulate", "--config", path, "--out", str(out), "--quiet"]) == 0
+        argv = ["simulate", "--config", path, "--horizon", "1100", "--out", str(out), "--quiet"]
+        assert main(argv) == 0
         assert json.loads(out.read_text())["stages"]["simulate"]["status"]["kind"] == "overflowed"
 
     def test_simulate_first_difference_overflow_exit_zero(self, tmp_path):
         # x(2) - x(1) = 2e308 overflows before the first step
         path = write_config(tmp_path, '[equation]\nr = "1"\nq = "1"\nalpha = 1\nsigma = 1\n'
-                            "form = delay\nzeta0 = 1\n\n[simulate]\ninit = 0, -1e308, 1e308\n"
-                            "horizon = 30\n")
+                            "form = delay\nzeta0 = 1\n\n[simulate]\ninit = 0, -1e308, 1e308\n")
         out = tmp_path / "sim.json"
-        assert main(["simulate", "--config", path, "--out", str(out), "--quiet"]) == 0
+        argv = ["simulate", "--config", path, "--horizon", "30", "--out", str(out), "--quiet"]
+        assert main(argv) == 0
         sim = json.loads(out.read_text())["stages"]["simulate"]
         assert sim["status"] == {"kind": "overflowed", "at": 1}
         assert sim["end_index"] == 2
@@ -807,6 +807,87 @@ class TestCli:
         assert report["errors"] == [{"stage": "simulate",
                                      "error": "simulate needs a [simulate] section"}]
         assert list(report["stages"]) == ["validate"]
+
+    @pytest.mark.parametrize("key, value, home", [
+        ("horizon", "40", "every stage reads the run's one horizon, [check] horizon or --horizon"),
+        ("tol", "1e-6", "simulate classifies at the fixed tolerance solver.ZERO_TOL = 1e-08"),
+    ], ids=["horizon", "tol"])
+    @pytest.mark.parametrize("command", ["validate", "simulate"])
+    def test_removed_simulate_key_exit_one(self, tmp_path, capsys, command, key, value, home):
+        path = write_config(tmp_path, EXAMPLE3_INI.replace("init = 1.0, 0.9, 0.8, 0.7",
+                                                           f"init = 1.0, 0.9, 0.8, 0.7\n{key} = {value}"))
+        out = tmp_path / "r.json"
+        assert main([command, "--config", path, "--out", str(out), "--quiet"]) == 1
+        assert capsys.readouterr().err == f"config error: [simulate] {key} is no longer read: {home}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["validate", "classify", "check", "transform"])
+    def test_horizon_one_with_simulate_section_exit_zero(self, ex3_config, tmp_path, command):
+        # only simulate needs two steps; the other commands read horizon 1 as given
+        out = tmp_path / "r.json"
+        argv = [command, "--config", ex3_config, "--horizon", "1", "--out", str(out), "--quiet"]
+        assert main(argv) == 0
+        assert json.loads(out.read_text())["stages"]["validate"]["horizon"] == 1 + 1
+
+    def test_simulate_at_check_horizon_one_exit_one(self, tmp_path, capsys):
+        path = write_config(tmp_path, EXAMPLE3_INI.replace("horizon = 120", "horizon = 1"))
+        out = tmp_path / "sim.json"
+        assert main(["simulate", "--config", path, "--out", str(out), "--quiet"]) == 1
+        assert capsys.readouterr().err == "config error: simulate horizon must be at least 2, got 1\n"
+        assert not out.exists()
+        report = run_stages(parse_config(path), ("validate", "simulate"))
+        assert report["errors"] == [{"stage": "simulate",
+                                     "error": "simulate horizon must be at least 2, got 1"}]
+
+    def test_simulate_iterates_to_the_run_horizon(self, ex3_config, tmp_path):
+        # [check] horizon = 120: simulate iterates to, and validates, [1, 121]
+        out = tmp_path / "sim.json"
+        assert main(["simulate", "--config", ex3_config, "--out", str(out), "--quiet"]) == 0
+        data = json.loads(out.read_text())
+        assert data["config"]["simulate"] == {"init": [1.0, 0.9, 0.8, 0.7]}
+        assert data["stages"]["validate"]["horizon"] == data["stages"]["simulate"]["end_index"] == 121
+
+    @pytest.mark.parametrize("command", ["validate", "classify", "simulate"])
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_csv_without_rows_exit_one(self, ex3_config, tmp_path, capsys, command, via):
+        # only verdict evidence has CSV rows: a header alone would drop the stage's result
+        path = ex3_config
+        extra = ["--format", "csv"]
+        if via == "config":
+            path, extra = write_config(tmp_path, EXAMPLE3_INI + "\n[output]\nformat = csv\n"), []
+        out = tmp_path / "r.csv"
+        assert main([command, "--config", path, *extra, "--out", str(out), "--quiet"]) == 1
+        assert capsys.readouterr().err == (f"config error: {command} writes no CSV rows; "
+                                           "check, transform and example do\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["example", "2"], ["validate"]], ids=["example", "validate"])
+    def test_unwritable_out_exit_one(self, ex2_config, tmp_path, capsys, argv):
+        out = str(tmp_path / "missing" / "x.json")
+        if argv[0] == "validate":
+            argv = argv + ["--config", ex2_config]
+        assert main(argv + ["--out", out, "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write report {out!r}: ") and "Traceback" not in err
+
+    def test_undecodable_config_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "run.ini"
+        path.write_bytes(EXAMPLE2_INI.encode().replace(b"z^(4/3)", b"z^(4/3)\xff"))
+        assert main(["validate", "--config", str(path), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read config {str(path)!r}: 'utf-8' codec can't decode")
+
+    def test_example_stage_error_exit_two(self, tmp_path, capsys):
+        # example reports no per-stage errors: its StageError ends the run, and no report is written
+        out = tmp_path / "ex1.json"
+        assert main(["example", "1", "--lambda0", "-1", "--out", str(out), "--quiet"]) == 2
+        assert capsys.readouterr().err == "stage error: hypothesis H2 violated: q(1) = -2.0 < 0\n"
+        assert not out.exists()
+
+    def test_example_validates_its_horizon(self, tmp_path):
+        out = tmp_path / "ex1.json"
+        assert main(["example", "1", "--horizon", "300", "--out", str(out), "--quiet"]) == 0
+        assert json.loads(out.read_text())["stages"]["example"]["validation"]["horizon"] == 301
 
     def test_example_subcommand(self, tmp_path, capsys):
         out = tmp_path / "ex3.json"
@@ -969,8 +1050,8 @@ def test_cli_never_exits_three(r, q, alpha, form, zeta0, init):
     kind, sigma = form
     init = init or ", ".join(["1"] * (sigma + 2))
     text = (f'[equation]\nr = "{r}"\nq = "{q}"\nalpha = {alpha}\nsigma = {sigma}\n'
-            f"form = {kind}\nzeta0 = {zeta0}\n\n[simulate]\ninit = {init}\n"
-            "horizon = 30\n\n[check]\ncriteria = all\nhorizon = 30\n")
+            f"form = {kind}\nzeta0 = {zeta0}\n\n[simulate]\ninit = {init}\n\n"
+            "[check]\ncriteria = all\nhorizon = 30\n")
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "run.ini")
         with open(path, "w", encoding="utf-8") as handle:

@@ -1,7 +1,8 @@
 """A corpus of configs whose reports are pinned in outline: for each of validate,
 classify, check and transform, the exit code, the violated hypotheses, the
 `classify` form, each verdict status and each error's stage; and for simulate,
-on the configs with a [simulate] section, its status and trajectory class.
+on the configs with a [simulate] section, its status and trajectory class at
+the run's horizon and at --horizon 7 and 1000.
 
 Five configs, from "1e-200*2^z" to "example1-horizon-1000", sit at the edge of
 the float range, where a term overflows; an overflowed term is never a
@@ -176,11 +177,14 @@ def test_report_outline(tmp_path, name):
 
 
 # the configs with a [simulate] section, and the outline of their simulate report
+# at the run's horizon, at --horizon 7 and at --horizon 1000
+SIMULATE_HORIZONS = ((), ("--horizon", "7"), ("--horizon", "1000"))
+WITNESS = "0 completed oscillatory_witness"
 SIMULATE_EXPECTED = {
-    "readme": "0 completed oscillatory_witness",
+    "readme": (WITNESS,) * 3,
     # simulate reads no theta: the closed form is checked by the stages that read it
-    "readme-form-1.0005/z": "0 completed oscillatory_witness",
-    "readme-form-pole": "0 completed oscillatory_witness",
+    "readme-form-1.0005/z": (WITNESS,) * 3,
+    "readme-form-pole": (WITNESS,) * 3,
 }
 
 
@@ -188,7 +192,8 @@ def test_simulate_outline(tmp_path):
     simulated = [name for name, build in CONFIGS.items() if "[simulate]" in build()]
     assert simulated == list(SIMULATE_EXPECTED)
     for name in simulated:
-        assert outline(*run(tmp_path, name, "simulate")) == SIMULATE_EXPECTED[name]
+        got = tuple(outline(*run(tmp_path, name, "simulate", *extra)) for extra in SIMULATE_HORIZONS)
+        assert got == SIMULATE_EXPECTED[name]
 
 
 def test_witness_before_the_overflow(tmp_path):

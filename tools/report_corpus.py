@@ -4,9 +4,9 @@
 
 The configs are those of tests/test_report_corpus.py.  On each it runs validate,
 classify, check and transform in JSON and CSV, and check and transform in JSON at
---horizon 7 and 1000; on each with a [simulate] section, simulate in JSON and CSV.
-It then runs example 1..3 in JSON and CSV, in JSON at
---horizon 1000, and example 1 at --lambda0 0.01.  Each report goes to its own file
+--horizon 7 and 1000; on each with a [simulate] section, simulate in JSON and CSV,
+and in JSON at --horizon 7 and 1000.  It then runs example 1..3 in JSON and CSV,
+in JSON at --horizon 1000, and example 1 at --lambda0 0.01.  Each report goes to its own file
 in OUTDIR, without its generated_at line and with the exit code as a last line.
 Run it once per tree, then `diff -r` the two directories.
 """
@@ -47,6 +47,9 @@ def runs(configs: dict) -> list:
         if "[simulate]" in build():
             for fmt in ("json", "csv"):
                 out.append((f"{stem}.simulate.{fmt}", build, ["simulate", "--format", fmt]))
+            for horizon in ("7", "1000"):
+                out.append((f"{stem}.simulate.h{horizon}.json", build,
+                            ["simulate", "--format", "json", "--horizon", horizon]))
     for n in ("1", "2", "3"):
         for fmt in ("json", "csv"):
             out.append((f"example{n}.{fmt}", None, ["example", n, "--format", fmt]))
