@@ -20,6 +20,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import expr
 from .errors import DomainError, NonConvergentError, StageError
 from .power import RationalExponent
 from .sequences import Sequence
@@ -55,6 +56,7 @@ TREND_TOL = 1e-3        # a running minimum must fall by this fraction, or the t
 # tail sums only
 POLY_MIN_EXPONENT = 1.05  # fitted exponent above which a power-law remainder is estimated
 FIT_WINDOW = 64           # trailing terms the power-law fit reads
+WIDE_FIT_SPAN = 1e-6      # below this share of the stop index, the fit reads [stop, 2 stop] instead
 
 
 @dataclass(frozen=True)
@@ -106,9 +108,38 @@ class HalfLinearEquation:
         return zeta - self.sigma + 1
 
 
+def _fused_power(r: Sequence, alpha: RationalExponent) -> Optional[tuple]:
+    """(B, e, lo, hi) when r is B^(a/b) with a literal ratio a/b != 0: r^(-1/alpha) is
+    B^e, e = -(a/b)/alpha rounded once, and a term t in [lo, hi] is normal and keeps
+    r = t^(-alpha) in [2^-1021, 2^1022], normal floats; None otherwise."""
+    node = r.ast
+    power = isinstance(node, expr.Binary) and node.op == "^"
+    ratio = expr._literal_ratio(node.right) if power else None
+    if ratio is None or ratio[0] == 0:
+        return None
+    (a, b), m, n = ratio, alpha.num, alpha.den
+    # integer edges, clamped before the power: 2.0 ** (1021 * 3) overflows at alpha 1/3
+    lo = math.ldexp(1.0, max(-1022, -(1022 * n // m)))
+    hi = math.ldexp(1.0, min(1023, 1021 * n // m))
+    return Sequence(ast=node.left), -(a * n) / (b * m), lo, hi
+
+
 def _inv_r_alpha(r: Sequence, alpha: RationalExponent, s: np.ndarray) -> np.ndarray:
     """r(s)^(-1/alpha), NaN where r is infinite; raises DomainError unless r > 0,
-    the scalar call's error where r is NaN."""
+    the scalar call's error where r is NaN.
+
+    Where _fused_power applies, a term is the one power B^e where B > 0 and the
+    term lies in its band; every other term, and each error, is the two-step
+    column's, (r's column)^(-1/alpha)."""
+    fused = _fused_power(r, alpha)
+    if fused is not None:
+        base, e, lo, hi = fused
+        b = base.eval_array(s)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            t = b ** e
+        ok = (b > 0) & (t >= lo) & (t <= hi)
+        if ok.all():
+            return t
     rv = r.eval_array(s)
     if rv.size and not np.all(rv > 0):
         i = int(np.argmax(~(rv > 0)))
@@ -117,9 +148,9 @@ def _inv_r_alpha(r: Sequence, alpha: RationalExponent, s: np.ndarray) -> np.ndar
             r(bad)  # raises as the scalar call does
         raise DomainError(f"r({bad}) is not positive")
     with np.errstate(over="ignore"):
-        t = rv ** (-alpha.den / alpha.num)
-    t[np.isinf(rv)] = np.nan
-    return t
+        two = rv ** (-alpha.den / alpha.num)
+    two[np.isinf(rv)] = np.nan
+    return two if fused is None else np.where(ok, t, two)
 
 
 @np.errstate(over="ignore")  # a sum past the float range is +inf, then a DomainError
@@ -242,11 +273,26 @@ class _TailTable:
             bound = TAIL_TOL if hist[-1] == 0.0 else float(hist[-1]) * rho / (1.0 - rho)
             return (stop - 1, bound, True, "geometric",
                     lambda s_last, t_last: t_last * rho / (1.0 - rho))
-        p = _fit_power_exponent(np.arange(stop - hist.size, stop, dtype=float), hist)
+        p = _fit_power_exponent(*self._fit_sample(hist, stop))
         if p is not None and p > POLY_MIN_EXPONENT and hist[-1] > 0:
             return (stop - 1, None, False, "poly_tail",
                     lambda s_last, t_last: _poly_tail_estimate(s_last, t_last, p))
         return None
+
+    def _fit_sample(self, hist: np.ndarray, stop: int) -> tuple:
+        """(indices, terms) the power-law fit reads: hist, the terms before stop; or, where
+        hist spans under WIDE_FIT_SPAN of stop and so nearly one ln s, the terms at
+        FIT_WINDOW points over [stop, 2 stop] when all are finite and positive, each
+        scaled by the first so that the logarithms keep their digits."""
+        if hist.size < WIDE_FIT_SPAN * stop:
+            wide = np.linspace(stop, 2.0 * stop, FIT_WINDOW)
+            try:
+                t = _inv_r_alpha(self.r, self.alpha, wide)
+            except DomainError:  # r need not evaluate past the scan
+                t = None
+            if t is not None and np.all((t > 0) & (t < math.inf)):
+                return wide / stop, t / t[0]
+        return np.arange(stop - hist.size, stop, dtype=float), hist
 
     @np.errstate(over="ignore")  # a block sum past float range is +inf; the trend screen judges the terms
     def _scan(self, sums: list) -> tuple:

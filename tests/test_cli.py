@@ -994,9 +994,10 @@ class TestCli:
 
 def test_tail_terms_summed_once_per_equation(tmp_path, monkeypatch):
     """check then transform evaluate each tail term about once: the one tail
-    pass (1 M terms) is shared, not repeated for each of the 201 indices."""
+    pass (1 M terms) is shared, not repeated for each of the 201 indices, and
+    it runs through the counted function."""
     from oscdelay import equation
-    from oscdelay.equation import _tail_table
+    from oscdelay.equation import MAX_TERMS, _tail_table
 
     points = []
     original = equation._inv_r_alpha
@@ -1011,7 +1012,7 @@ def test_tail_terms_summed_once_per_equation(tmp_path, monkeypatch):
     for command in ("check", "transform"):
         out = tmp_path / f"{command}.json"
         assert main([command, "--config", path, "--out", str(out), "--quiet"]) == 0
-    assert sum(points) <= 1_100_000
+    assert MAX_TERMS <= sum(points) <= 1_100_000
 
 
 # coefficients that are negative, zero, overflowing or have a pole somewhere; the

@@ -6,6 +6,7 @@ import re
 import weakref
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -24,8 +25,8 @@ from oscdelay import (
     theta_extended,
     validate,
 )
-from oscdelay.equation import (BLOCK, MAX_TERMS, ValidationReport, Violation, _geometric_ratio,
-                               _inv_r_alpha, _suffix_sums, _table, _tail_table)
+from oscdelay.equation import (BLOCK, MAX_TERMS, ValidationReport, Violation, _fused_power,
+                               _geometric_ratio, _inv_r_alpha, _suffix_sums, _table, _tail_table)
 from oscdelay.errors import DivisionByZero, DomainError, NonConvergentError, StageError
 
 
@@ -675,15 +676,15 @@ class TestFloatRange:
 
     # float.hex of the numeric theta, from the tail table each equation reads
     PINNED = {
-        "poly": [(1, "0x1.9dd0ed333268fp-1"), (2, "0x1.c05f7b95cd1dcp-2"),
-                 (200, "0x1.471bdd495cf5ep-8"), (70000, "0x1.df58bebc0458ap-17"),
-                 (1_500_000, "0x1.65ea0cf4b0bd0p-21")],
+        "poly": [(1, "0x1.9dd0ed3332690p-1"), (2, "0x1.c05f7b95cd1dcp-2"),
+                 (200, "0x1.471bdd495cf5fp-8"), (70000, "0x1.df58bebc0488cp-17"),
+                 (1_500_000, "0x1.65ea0cf4b2b4fp-21")],
         1: [(1, "0x1.0000000000000p+0"), (50, "0x1.ffffffffffff7p-50"),
             (200, "0x1.fffffffffffdap-200")],
-        2: [(2, "0x1.fffffffffee68p-1"), (50, "0x1.4e5e0a72cd23fp-6"),
-            (200, "0x1.49539e3aa0472p-8")],
-        3: [(1, "0x1.00000000008ccp+0"), (50, "0x1.47ae147b04779p-6"),
-            (200, "0x1.47ae147b6e075p-8")],
+        2: [(2, "0x1.fffffffffee68p-1"), (50, "0x1.4e5e0a72cd23ep-6"),
+            (200, "0x1.49539e3aa047ep-8")],
+        3: [(1, "0x1.00000000008ccp+0"), (50, "0x1.47ae147b04778p-6"),
+            (200, "0x1.47ae147b6e071p-8")],
     }
 
     @pytest.mark.parametrize("which", ["poly", 1, 2, 3])
@@ -695,3 +696,127 @@ class TestFloatRange:
             eq = example_equation(which)
         got = [(z, _table(eq).lookup(z)[0].value.hex()) for z, _ in self.PINNED[which]]
         assert got == self.PINNED[which]
+
+
+def two_step(r, alpha, s):
+    """r^(-1/alpha) as r's column and then a second power, NaN where r is infinite:
+    the reference the fused power must reproduce, each error included."""
+    rv = r.eval_array(s)
+    if not np.all(rv > 0):
+        i = int(np.argmax(~(rv > 0)))
+        if np.isnan(rv[i]):
+            r(int(s[i]))
+        raise DomainError(f"r({int(s[i])}) is not positive")
+    with np.errstate(over="ignore"):
+        t = rv ** (-alpha.den / alpha.num)
+    t[np.isinf(rv)] = np.nan
+    return t
+
+
+def outcome(call):
+    """(exception type, message) of call, or its value."""
+    try:
+        return call()
+    except (DomainError, NonConvergentError) as exc:
+        return type(exc), str(exc)
+
+
+ALPHAS = (RationalExponent(1, 3), RationalExponent(1, 1), RationalExponent(5, 3),
+          RationalExponent(3, 1))
+
+
+class TestFusedPower:
+    """r = B^(a/b) with a literal ratio: each term is the one power B^e where B > 0
+    and r is surely a normal float, and the two-step column's everywhere else."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(c=st.tuples(st.floats(0.1, 10), st.floats(0, 10), st.floats(0, 10)),
+           a=st.integers(-7, 7).filter(bool), b=st.integers(1, 5),
+           alpha=st.sampled_from(ALPHAS), lo=st.integers(1, 10 ** 6))
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_agrees_with_the_two_step_column(self, c, a, b, alpha, lo):
+        ratio = f"({a}/{b})" if a > 0 else f"(-({-a}/{b}))"  # -1/1 is (-1)/1: no literal ratio
+        r = Sequence.from_expression(f"({c[0]!r}+{c[1]!r}*z+{c[2]!r}*z^2)^{ratio}")
+        assert _fused_power(r, alpha) is not None
+        s = np.arange(lo, lo + 64, dtype=float)
+        got, want = _inv_r_alpha(r, alpha, s), two_step(r, alpha, s)
+        # each side rounds its exponents to doubles, which moves a term t by up to
+        # |ln t| * 2^-53 relative apiece, and each power adds up to an ulp
+        assert np.all(np.abs(got - want) <= 2.0 ** -52 * (1.5 * np.abs(np.log(want)) + 6) * want)
+
+    @pytest.mark.parametrize("r_text, alpha", [
+        ("(z-3)^(2/3)", RationalExponent(1, 1)),      # a negative base under an even ratio
+        ("(z-3.5)^(2/3)", RationalExponent(1, 3)),    # the same, where B^e = B^-2 is positive
+        ("(z-2)^(-1)", RationalExponent(1, 1)),       # a pole at 2
+        ("(1e300*z)^(5/3)", RationalExponent(5, 3)),  # r overflows
+        ("(1e184*z)^(5/3)", RationalExponent(5, 3)),  # r overflows from 7 on, terms at 1-3 in the band
+        ("(1e-300*z)^(5/3)", RationalExponent(5, 3)),  # r underflows to 0
+        ("(1e-40*z)^3", RationalExponent(1, 3)),      # r is normal, t = r^-3 overflows
+    ], ids=["negative-even", "negative-even-integer-e", "pole", "r-overflows", "r-overflows-later", "r-underflows",
+            "t-overflows"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_edges_behave_as_the_two_step_column(self, r_text, alpha, monkeypatch):
+        from oscdelay import equation
+
+        r = Sequence.from_expression(r_text)
+        assert _fused_power(r, alpha) is not None
+        for lo in (1, 2):
+            s = np.arange(lo, lo + 12, dtype=float)
+            got, want = outcome(lambda: _inv_r_alpha(r, alpha, s)), outcome(lambda: two_step(r, alpha, s))
+            if isinstance(want, tuple):
+                assert got == want
+            else:
+                np.testing.assert_allclose(got, want, rtol=1e-14)  # NaN and inf where want has them
+        # theta's error, or its value, as the two-step column gives it
+        results = []
+        for inv in (equation._inv_r_alpha, two_step):
+            monkeypatch.setattr(equation, "_inv_r_alpha", inv)
+            _tail_table.cache_clear()
+            results.append([outcome(lambda: theta(make_eq(r_text, alpha, zeta0=z0), z0).value)
+                            for z0 in (1, 2)])
+        assert results[0] == results[1]
+        assert all(isinstance(res, tuple) for res in results[0])
+
+    def test_band_edges_at_alpha_one_third(self):
+        # 2.0 ** (1021 * 3) overflows; the edges clamp to the normal floats
+        _, e, lo, hi = _fused_power(Sequence.from_expression("(z*(z-1))^(1/3)"), RationalExponent(1, 3))
+        assert (e, lo, hi) == (-1.0, 2.0 ** -1022, 2.0 ** 1023)
+
+    @pytest.mark.parametrize("r_text", ["2^(z/3)", "z^2+1", "(z^2)^0", "pow(z, 2)"])
+    def test_other_r_keep_the_two_step_column(self, r_text):
+        assert _fused_power(Sequence.from_expression(r_text), RationalExponent(1, 1)) is None
+
+
+class TestWidePowerFit:
+    """At a large zeta0 the last FIT_WINDOW terms span too little of ln s to fit
+    their exponent; the fit reads [stop, 2 stop] instead, and theta(zeta0) meets
+    the exact sum."""
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("zeta0", [10 ** 8, 10 ** 10, 10 ** 12, 10 ** 15])
+    def test_pure_powers_meet_the_hurwitz_zeta(self, p, zeta0):
+        got = theta(make_eq(f"z^{p}", RationalExponent(1, 1), zeta0=zeta0), zeta0)
+        with mpmath.workdps(40):
+            want = mpmath.zeta(p, zeta0)
+            assert got.method == "poly_tail"
+            assert abs(got.value - want) <= 1e-14 * want
+
+    @pytest.mark.parametrize("c", ["1", "1.7"])
+    @pytest.mark.parametrize("zeta0", [10 ** 12, 10 ** 15])
+    def test_benchmark_r_meets_its_exact_sum(self, c, zeta0):
+        got = theta(make_eq(f"(z*(z+{c}))^(5/3)", RationalExponent(5, 3), zeta0=zeta0), zeta0)
+        with mpmath.workdps(40):
+            # sum_{s>=z} 1/(s(s+c)) = (psi(z+c) - psi(z))/c, which telescopes to 1/z at c = 1
+            want = (mpmath.digamma(zeta0 + mpmath.mpf(c)) - mpmath.digamma(zeta0)) / mpmath.mpf(c)
+            assert got.method == "poly_tail"
+            assert abs(got.value - want) <= 1e-12 * want
+
+    def test_unevaluable_wide_sample_keeps_the_trailing_window(self, monkeypatch):
+        # r turns negative at 1.5e8, inside [stop, 2 stop]: the fit reads the last terms
+        from oscdelay import equation
+
+        eq = make_eq("z^5*(1.5e8-z)", RationalExponent(1, 1), zeta0=10 ** 8)
+        got = theta(eq, eq.zeta0)
+        monkeypatch.setattr(equation, "WIDE_FIT_SPAN", 0.0)
+        _tail_table.cache_clear()
+        assert theta(replace(eq), eq.zeta0) == got
