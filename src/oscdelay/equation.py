@@ -15,6 +15,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -42,7 +43,11 @@ class FormClass(enum.Enum):
 # certificate (_geometric_ratio) holds on the terms summed, with
 # tail_bound = term * rho / (1 - rho).  When it fails but the terms decay like a
 # power s^(-p) with p > POLY_MIN_EXPONENT, an uncertified power-law tail estimate
-# is added.  Otherwise summation stops, uncertified, after a block of zeros or at
+# is added: the sum of the terms' expansion in 1/s (expr.expansion, EXPANSION_ORDER
+# powers past the leading one) where it holds past the block, else of C*s^(-p) with
+# the fitted p.  An expansion whose local exponents all pass POLY_MIN_EXPONENT past
+# the first block, with a term at most TAIL_TOL by MAX_TERMS, ends the pass there.
+# Otherwise summation stops, uncertified, after a block of zeros or at
 # MAX_TERMS.  Terms are judged divergent when a block's minimum is not TREND_TOL below the last.
 TAIL_TOL = 1e-12
 CLOSED_FORM_RTOL = 1e-9  # a registered closed form's band around theta, times max(1, |form|)
@@ -57,6 +62,7 @@ TREND_TOL = 1e-3        # a running minimum must fall by this fraction, or the t
 POLY_MIN_EXPONENT = 1.05  # fitted exponent above which a power-law remainder is estimated
 FIT_WINDOW = 64           # trailing terms the power-law fit reads
 WIDE_FIT_SPAN = 1e-6      # below this share of the stop index, the fit reads [stop, 2 stop] instead
+EXPANSION_ORDER = 8       # powers of 1/s the expansion remainder sums; the next one bounds what it omits
 
 
 @dataclass(frozen=True)
@@ -248,6 +254,9 @@ class _TailTable:
 
     def __init__(self, r: Sequence, alpha: RationalExponent, zeta0: int):
         self.r, self.alpha, self.zeta0 = r, alpha, zeta0
+        # the terms r^(-1/alpha) as s^p (c0 + c1/s + ...), and one more power to bound the rest
+        power = expr.Unary("-", expr.Binary("/", *map(expr.Literal, (float(alpha.den), float(alpha.num)))))
+        self._series = expr.expansion(expr.Binary("^", r.ast, power), EXPANSION_ORDER + 1)
         sums: list = []
         *self.meta, self.remainder = self._scan(sums)
         self.after = [_fsum(sums[k + 1:]) for k in range(len(sums))]
@@ -275,7 +284,8 @@ class _TailTable:
                     lambda s_last, t_last: t_last * rho / (1.0 - rho))
         p = _fit_power_exponent(*self._fit_sample(hist, stop))
         if p is not None and p > POLY_MIN_EXPONENT and hist[-1] > 0:
-            return (stop - 1, None, False, "poly_tail",
+            found = self._expansion()
+            return (stop - 1, None, False, "poly_tail", found[1] if found else
                     lambda s_last, t_last: _poly_tail_estimate(s_last, t_last, p))
         return None
 
@@ -327,7 +337,56 @@ class _TailTable:
                 raise NonConvergentError(
                     f"tail terms not decreasing near index {s}: series looks divergent")
             prev_min = block_min
+            # the first block's terms meet r's expansion: it sums the rest, as the later
+            # blocks' power-law fit would, when their local exponents all pass it
+            if s == z0 and (found := self._expansion()) and found[0] > POLY_MIN_EXPONENT \
+                    and self._stops_by_max_terms():
+                return self.end, None, False, "poly_tail", found[1]
         return self.end, None, False, "max_terms", lambda s_last, t_last: 0.0
+
+    def _expansion(self) -> Optional[tuple]:
+        """(exponent floor, remainder) when the term's expansion in 1/s,
+        t(s) = C s^-q (1 + a_1/s + ... + a_K/s^K) with K = EXPANSION_ORDER, holds past
+        the block ending at self.end; None otherwise.  It needs q > POLY_MIN_EXPONENT
+        and, at N = self.end + 1,
+
+        - |a_(K+1)| N^-(K+1), the first term left out, below 2^-52;
+        - sum |a_j| N^-j below 1/2, so no base changes sign past N;
+        - the expansion at N - 1 within 2^-40 relative of the pass's own term there,
+          a normal float.
+
+        Every local exponent -d ln t / d ln s past N is then at least the floor
+        q - 2 sum j |a_j| N^-j.  The remainder past s_last sums the expansion one
+        power of s at a time with _poly_tail_estimate's formula, scaled to the term
+        t_last at s_last.
+        """
+        if self._series is None or not self._t_end >= sys.float_info.min:
+            return None
+        (pn, pd), c = self._series
+        q, j, n = -pn / pd, np.arange(EXPANSION_ORDER + 2.0), self.end + 1.0
+        if not q > POLY_MIN_EXPONENT:  # a power-law fit may pass where the sum diverges
+            return None
+        a = np.array(c) / c[0]
+        w = np.abs(a) * n ** -j
+        if not (w[-1] < 2.0 ** -52 and w[1:-1].sum() < 0.5):
+            return None
+        level = math.log(c[0]) - q * math.log(n - 1.0) + math.log(a @ (n - 1.0) ** -j)
+        if not abs(level - math.log(self._t_end)) <= 2.0 ** -40:
+            return None
+        a, j = a[:-1], j[:-1]
+
+        def remainder(s_last: float, t_last: float) -> float:
+            w = a * s_last ** -j
+            return t_last * float(w @ _poly_tail_estimate(s_last, 1.0, q + j)) / float(w.sum())
+        return q - 2.0 * float((j * w[:-1]).sum()), remainder
+
+    def _stops_by_max_terms(self) -> bool:
+        """Whether the term at zeta0 + MAX_TERMS - 1 is finite and at most TAIL_TOL."""
+        try:
+            t = _inv_r_alpha(self.r, self.alpha, np.array([self.zeta0 + MAX_TERMS - 1.0]))
+        except DomainError:
+            return False
+        return bool(t[0] <= TAIL_TOL)  # NaN where r is infinite
 
     def lookup(self, zeta: int) -> tuple:
         """(theta(zeta) for zeta >= zeta0, the partial sum in it: a certified lower bound)."""

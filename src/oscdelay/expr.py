@@ -7,7 +7,8 @@ Coefficient sequences are written as expressions in one variable z, e.g.
 
 Note that unary minus binds tighter than ^, so "-z^2" parses as (-z)^2.
 Exponentiation requires a positive base unless the exponent is a literal
-integer or a literal ratio of odd integers; odd/odd ratios use sign-preserving
+integer or a literal ratio of odd integers (either integer may carry a minus
+sign: -1/3 is the ratio -(1/3)); odd/odd ratios use sign-preserving
 semantics (see :func:`oscdelay.power.signed_pow`).  The builtin
 spow(x, m, n) applies the sign-preserving power unconditionally;
 pow(x, y) is the general positive-base power.
@@ -220,27 +221,127 @@ def parse_expression(text: str) -> Ast:
     return node
 
 
-def _literal_ratio(node: Ast):
-    """Return (a, b) for a literal integer or literal integer ratio exponent, else None."""
-    neg = False
-    if isinstance(node, Unary) and node.op == "-":
-        neg = True
-        node = node.child
+def _literal_int(node: Ast):
+    """The integer of a literal integer, negated or not, else None."""
+    neg = isinstance(node, Unary) and node.op == "-"
+    node = node.child if neg else node
     if isinstance(node, Literal) and node.value.is_integer():
-        a = int(node.value)
-        return (-a if neg else a, 1)
-    if (
-        isinstance(node, Binary)
-        and node.op == "/"
-        and isinstance(node.left, Literal)
-        and isinstance(node.right, Literal)
-        and node.left.value.is_integer()
-        and node.right.value.is_integer()
-        and node.right.value != 0
-    ):
-        a, b = int(node.left.value), int(node.right.value)
-        return (-a if neg else a, b)
+        return -int(node.value) if neg else int(node.value)
     return None
+
+
+def _literal_ratio(node: Ast):
+    """Return (a, b) for a literal integer or literal integer ratio exponent, else None.
+    Either integer may carry a minus sign: -1/3 parses as (-1)/3."""
+    neg = isinstance(node, Unary) and node.op == "-" and isinstance(node.child, Binary)
+    if neg:
+        node = node.child
+    a = _literal_int(node)
+    if a is not None:
+        return (a, 1)
+    if isinstance(node, Binary) and node.op == "/":
+        a, b = _literal_int(node.left), _literal_int(node.right)
+        if a is not None and b:
+            return (-a if neg else a, b)
+    return None
+
+
+def _pair(num: int, den: int) -> tuple:
+    """num/den in lowest terms, den > 0 given."""
+    g = math.gcd(num, den)
+    return num // g, den // g
+
+
+_ZERO = (0, 1), []  # an exact zero: no coefficients
+
+
+def _checked(p: tuple, c: list):
+    """(p, c) when c[0] is nonzero and every coefficient finite, else None."""
+    return (p, c) if c and c[0] and all(map(math.isfinite, c)) else None
+
+
+def _series_add(a: tuple, b: tuple):
+    (pa, ca), (pb, cb) = a, b
+    if not (ca and cb):
+        return a if ca else b
+    gap = _pair(pa[0] * pb[1] - pb[0] * pa[1], pa[1] * pb[1])
+    if gap[1] != 1:
+        return None
+    d = gap[0]
+    if d < 0:
+        (pa, ca), cb, d = b, ca, -d
+    c = [ca[j] + (cb[j - d] if j >= d else 0.0) for j in range(min(len(ca), d + len(cb)))]
+    lead = next((j for j, x in enumerate(c) if x), len(c))  # cancelled powers drop out
+    return _checked(_pair(pa[0] - lead * pa[1], pa[1]), c[lead:])
+
+
+def _series_mul(a: tuple, b: tuple):
+    (pa, ca), (pb, cb) = a, b
+    if not (ca and cb):
+        return _ZERO
+    c = [sum(ca[i] * cb[j - i] for i in range(j + 1)) for j in range(min(len(ca), len(cb)))]
+    return _checked(_pair(pa[0] * pb[1] + pb[0] * pa[1], pa[1] * pb[1]), c)
+
+
+def _series_pow(a: tuple, num: int, den: int):
+    """a^(num/den); a fractional power needs a positive leading coefficient."""
+    (p, c), (num, den) = a, _pair(num, den) if den > 0 else _pair(-num, -den)
+    if not c:
+        return _ZERO if num > 0 else None
+    if den != 1 and c[0] < 0:
+        return None
+    e = num / den
+    u, w = [x / c[0] for x in c], [1.0]
+    for m in range(1, len(c)):  # J. C. P. Miller's recurrence for (1 + u)^e
+        w.append(sum(((e + 1.0) * k - m) * u[k] * w[m - k] for k in range(1, m + 1)) / m)
+    lead = _fpow(c[0], num if den == 1 else e)
+    return _checked(_pair(p[0] * num, p[1] * den), [lead * x for x in w])
+
+
+def _series(node: Ast, n: int):
+    """(p, c) with node = s^p (c[0] + c[1]/s + ...) as s -> inf, up to the len(c) <= n
+    coefficients known, or _ZERO; None outside expansion's class."""
+    if isinstance(node, Literal):
+        return _checked((0, 1), [node.value] + [0.0] * (n - 1)) if node.value else _ZERO
+    if isinstance(node, Var):
+        return (1, 1), [1.0] + [0.0] * (n - 1)
+    if isinstance(node, Unary):
+        a = _series(node.child, n)
+        return a and (a[0], [-x for x in a[1]])
+    if not isinstance(node, Binary):
+        return None
+    if node.op == "^":
+        ratio = _literal_ratio(node.right)
+        a = _series(node.left, n) if ratio else None
+        return a and _series_pow(a, *ratio)
+    a, b = _series(node.left, n), _series(node.right, n)
+    if a is None or b is None:
+        return None
+    if node.op == "*":
+        return _series_mul(a, b)
+    if node.op == "/":
+        b = _series_pow(b, -1, 1)
+        return b and _series_mul(a, b)
+    return _series_add(a, b if node.op == "+" else (b[0], [-x for x in b[1]]))
+
+
+def expansion(ast: Ast, k: int):
+    """The asymptotic expansion of ast in 1/s: (p, (c0, ..., ck)) with
+    ast(s) = s^p (c0 + c1/s + ... + ck/s^k) + O(s^(p-k-1)) as s -> inf, p an exact
+    integer pair (num, den) and c0 > 0.
+
+    ast is built from z, literals, + - * /, unary minus and ^ with a literal integer
+    or ratio exponent (_literal_ratio).  None for any other node (an exponential, a
+    call), for summands whose exponents differ by a non-integer, a zero r or a
+    cancellation of every computed coefficient, a fractional power of a negative
+    leading coefficient, a coefficient past the float range, or c0 < 0.  A literal 0
+    is an exact zero, so z^2 + 0*z is z^2.
+    Coefficients are computed to order 2k + 1, so cancelled leading powers leave k + 1.
+    """
+    found = _series(ast, 2 * (k + 1))
+    if found is None or len(found[1]) <= k or found[1][0] < 0:
+        return None
+    return found[0], tuple(found[1][:k + 1])
 
 
 def _fpow(x, e):

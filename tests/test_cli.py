@@ -17,6 +17,7 @@ from oscdelay.cli import build_parser, main, run_stages
 from oscdelay.config import parse_config, parse_criteria
 from oscdelay.criteria import (CRITERION_IDS, CriterionVerdict, Evidence, EvidenceRow, VerdictStatus,
                                evaluate_criterion)
+from oscdelay.equation import BLOCK, MAX_TERMS
 from oscdelay.errors import ConfigError
 from oscdelay.report import (_csv_cell, _csv_number, _json_string, _one_level, _verdicts, fmt_float,
                              new_report, to_csv, to_json)
@@ -992,12 +993,10 @@ class TestCli:
         assert data["errors"] == []
 
 
-def test_tail_terms_summed_once_per_equation(tmp_path, monkeypatch):
-    """check then transform evaluate each tail term about once: the one tail
-    pass (1 M terms) is shared, not repeated for each of the 201 indices, and
-    it runs through the counted function."""
+def _tail_points(tmp_path, monkeypatch, ini, transform_exit=0) -> int:
+    """The tail-term points check then transform evaluate through _inv_r_alpha."""
     from oscdelay import equation
-    from oscdelay.equation import MAX_TERMS, _tail_table
+    from oscdelay.equation import _tail_table
 
     points = []
     original = equation._inv_r_alpha
@@ -1008,11 +1007,25 @@ def test_tail_terms_summed_once_per_equation(tmp_path, monkeypatch):
 
     monkeypatch.setattr(equation, "_inv_r_alpha", counting)
     _tail_table.cache_clear()
-    path = write_config(tmp_path, POLY_INI)
-    for command in ("check", "transform"):
+    path = write_config(tmp_path, ini)
+    for command, code in (("check", 0), ("transform", transform_exit)):
         out = tmp_path / f"{command}.json"
-        assert main([command, "--config", path, "--out", str(out), "--quiet"]) == 0
-    assert MAX_TERMS <= sum(points) <= 1_100_000
+        assert main([command, "--config", path, "--out", str(out), "--quiet"]) == code
+    return sum(points)
+
+
+def test_tail_terms_summed_once_per_equation(tmp_path, monkeypatch):
+    """check then transform evaluate each tail term about once: the one tail
+    pass is shared, not repeated for each of the 201 indices, and it runs through
+    the counted function.  r's expansion in 1/s sums all past the first block."""
+    assert BLOCK <= _tail_points(tmp_path, monkeypatch, POLY_INI) <= BLOCK + 1_000
+
+
+def test_tail_without_an_expansion_sums_every_block(tmp_path, monkeypatch):
+    # an exponential leaves r without an expansion: 1 M terms, ending at
+    # max_terms, which the transform refuses
+    ini = POLY_INI.replace("(z*(z+1.7))^(5/3)", "z^2*(2+2^(-z))")
+    assert MAX_TERMS <= _tail_points(tmp_path, monkeypatch, ini, transform_exit=2) <= 1_100_000
 
 
 # coefficients that are negative, zero, overflowing or have a pole somewhere; the

@@ -26,7 +26,8 @@ from oscdelay import (
     validate,
 )
 from oscdelay.equation import (BLOCK, MAX_TERMS, ValidationReport, Violation, _fused_power,
-                               _geometric_ratio, _inv_r_alpha, _suffix_sums, _table, _tail_table)
+                               _geometric_ratio, _inv_r_alpha, _suffix_sums, _table, _tail_table,
+                               _TailTable)
 from oscdelay.errors import DivisionByZero, DomainError, NonConvergentError, StageError
 
 
@@ -676,15 +677,15 @@ class TestFloatRange:
 
     # float.hex of the numeric theta, from the tail table each equation reads
     PINNED = {
-        "poly": [(1, "0x1.9dd0ed3332690p-1"), (2, "0x1.c05f7b95cd1dcp-2"),
-                 (200, "0x1.471bdd495cf5fp-8"), (70000, "0x1.df58bebc0488cp-17"),
-                 (1_500_000, "0x1.65ea0cf4b2b4fp-21")],
+        "poly": [(1, "0x1.9dd0ed33308a7p-1"), (2, "0x1.c05f7b95c960bp-2"),
+                 (200, "0x1.471bdd486db15p-8"), (70000, "0x1.df58bcdd7b4b2p-17"),
+                 (1_500_000, "0x1.65e9f2960aa17p-21")],
         1: [(1, "0x1.0000000000000p+0"), (50, "0x1.ffffffffffff7p-50"),
             (200, "0x1.fffffffffffdap-200")],
-        2: [(2, "0x1.fffffffffee68p-1"), (50, "0x1.4e5e0a72cd23ep-6"),
-            (200, "0x1.49539e3aa047ep-8")],
-        3: [(1, "0x1.00000000008ccp+0"), (50, "0x1.47ae147b04778p-6"),
-            (200, "0x1.47ae147b6e071p-8")],
+        2: [(2, "0x1.0000000000000p+0"), (50, "0x1.4e5e0a72f0539p-6"),
+            (200, "0x1.49539e3b2d067p-8")],
+        3: [(1, "0x1.0000000000000p+0"), (50, "0x1.47ae147ae147bp-6"),
+            (200, "0x1.47ae147ae147bp-8")],
     }
 
     @pytest.mark.parametrize("which", ["poly", 1, 2, 3])
@@ -735,8 +736,7 @@ class TestFusedPower:
            alpha=st.sampled_from(ALPHAS), lo=st.integers(1, 10 ** 6))
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_agrees_with_the_two_step_column(self, c, a, b, alpha, lo):
-        ratio = f"({a}/{b})" if a > 0 else f"(-({-a}/{b}))"  # -1/1 is (-1)/1: no literal ratio
-        r = Sequence.from_expression(f"({c[0]!r}+{c[1]!r}*z+{c[2]!r}*z^2)^{ratio}")
+        r = Sequence.from_expression(f"({c[0]!r}+{c[1]!r}*z+{c[2]!r}*z^2)^({a}/{b})")  # -1/3 is (-1)/3
         assert _fused_power(r, alpha) is not None
         s = np.arange(lo, lo + 64, dtype=float)
         got, want = _inv_r_alpha(r, alpha, s), two_step(r, alpha, s)
@@ -782,6 +782,12 @@ class TestFusedPower:
         _, e, lo, hi = _fused_power(Sequence.from_expression("(z*(z-1))^(1/3)"), RationalExponent(1, 3))
         assert (e, lo, hi) == (-1.0, 2.0 ** -1022, 2.0 ** 1023)
 
+    @pytest.mark.parametrize("r_text, e", [("(z+1)^(-1/1)", 1.0), ("(z+1)^(1/-1)", 1.0),
+                                           ("(z+1)^(-(1/1))", 1.0), ("(z+1)^(-2/3)", 2 / 3)])
+    def test_signed_literal_ratio_fuses(self, r_text, e):
+        base, got, _, _ = _fused_power(Sequence.from_expression(r_text), RationalExponent(1, 1))
+        assert (base.ast, got) == (Sequence.from_expression("z+1").ast, e)
+
     @pytest.mark.parametrize("r_text", ["2^(z/3)", "z^2+1", "(z^2)^0", "pow(z, 2)"])
     def test_other_r_keep_the_two_step_column(self, r_text):
         assert _fused_power(Sequence.from_expression(r_text), RationalExponent(1, 1)) is None
@@ -820,3 +826,99 @@ class TestWidePowerFit:
         monkeypatch.setattr(equation, "WIDE_FIT_SPAN", 0.0)
         _tail_table.cache_clear()
         assert theta(replace(eq), eq.zeta0) == got
+
+
+def table_outcome(r_text, alpha, zeta0):
+    """(method, certified, tail_bound) of a new table's theta(zeta0), or (type, message) of its error."""
+    try:
+        head = _TailTable(Sequence.from_expression(r_text), alpha, zeta0).lookup(zeta0)[0]
+    except (DomainError, NonConvergentError) as exc:
+        return type(exc), str(exc)
+    return head.method, head.certified, head.tail_bound
+
+
+@st.composite
+def power_law_r(draw):
+    """A product or quotient of up to three (c0 + c1 z + c2 z^2)^(+-a/b)."""
+    factors = draw(st.lists(st.tuples(st.floats(0.1, 10), st.floats(0, 10), st.floats(0, 10),
+                                      st.integers(-7, 7).filter(bool), st.integers(1, 3),
+                                      st.sampled_from("*/")), min_size=1, max_size=3))
+    return "1" + "".join(f"{op}({c0!r}+{c1!r}*z+{c2!r}*z^2)^({a}/{b})" for c0, c1, c2, a, b, op in factors)
+
+
+class TestExpansionTail:
+    """Past the first block, r's expansion in 1/s sums the tail in place of the
+    other fifteen blocks: the table ends where the block-by-block pass ends, with
+    the same method, flag and bound, and theta meets the exact sum."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(r_text=power_law_r(), alpha=st.sampled_from(ALPHAS), zeta0=st.integers(1, 10 ** 4))
+    # a base with roots at 70 000 and 75 000, past the first block: r < 0 there
+    @example(r_text="(5250000000.0+-145000.0*z+1.0*z^2)^(1/1)*(0.1+0.0*z+1.0*z^2)^(1/1)",
+             alpha=RationalExponent(1, 1), zeta0=1)
+    # r overflows from about 4.2e5 on, between the first block and zeta0 + MAX_TERMS
+    @example(r_text="(1e297+0.0*z+1e297*z^2)^(1/1)", alpha=RationalExponent(1, 1), zeta0=1)
+    # terms 1e-4 z^-1.5, q in (1, 2): at most TAIL_TOL from about 2.2e5 on
+    @example(r_text="(0.0+464.0*z+0.0*z^2)^(3/2)", alpha=RationalExponent(1, 1), zeta0=1)
+    # q = 1: divergent
+    @example(r_text="(0.5+1.0*z+0.0*z^2)^(1/1)", alpha=RationalExponent(1, 1), zeta0=1)
+    # terms at most TAIL_TOL from the start of the first block
+    @example(r_text="(1.0+0.0*z+1e13*z^2)^(1/1)", alpha=RationalExponent(1, 1), zeta0=1)
+    @example(r_text="(1.0+1.7*z+1.0*z^2)^(5/3)", alpha=RationalExponent(5, 3), zeta0=1)
+    # terms 1e-13 (1/s + 20000/s^2): a fit near s = 45 reads 2, but q = 1 and the sum
+    # diverges, so the expansion gives no remainder and the fitted one stays
+    @example(r_text="1e13*(0.0+0.0*z+1.0*z^2)^(1/1)/(20000.0+1.0*z+0.0*z^2)^(1/1)",
+             alpha=RationalExponent(1, 1), zeta0=1)
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_same_ending_as_the_block_pass(self, r_text, alpha, zeta0):
+        from unittest import mock
+
+        from oscdelay import expr
+
+        new = table_outcome(r_text, alpha, zeta0)
+        with mock.patch.object(expr, "expansion", lambda ast, k: None):
+            assert table_outcome(r_text, alpha, zeta0) == new
+
+    @pytest.mark.parametrize("r_text, alpha, zeta0, end", [
+        ("(z*(z+1.7))^(5/3)", RationalExponent(5, 3), 1, BLOCK),
+        ("(1.0+0.0*z+1e13*z^2)^(1/1)", RationalExponent(1, 1), 1, BLOCK),
+        ("(0.0+464.0*z+0.0*z^2)^(3/2)", RationalExponent(1, 1), 1, BLOCK),
+        ("(1e297+0.0*z+1e297*z^2)^(1/1)", RationalExponent(1, 1), 1, BLOCK + 1),  # not past 4.2e5
+        ("(0.5+1.0*z+0.0*z^2)^(1/1)", RationalExponent(1, 1), 1, MAX_TERMS),
+        # block minima 1e-3 apart at most: the block-by-block pass called this convergent
+        # tail divergent (NonConvergentError) at its second block
+        ("0.99*z^(3/2)", RationalExponent(1, 1), 10 ** 8, 10 ** 8 + BLOCK - 1),
+    ])
+    def test_table_ends_after_the_first_block(self, r_text, alpha, zeta0, end):
+        got = _TailTable(Sequence.from_expression(r_text), alpha, zeta0).lookup(zeta0)[0]
+        assert got.truncation_index == end
+
+    FAMILY = [("(z*(z+{c}))^(5/3)", RationalExponent(5, 3), 1), ("(z*(z+{c}))^(1/3)", RationalExponent(1, 3), 1),
+              ("(z*(z+{c}))^2", RationalExponent(1, 1), 2), ("(z*(z+{c}))^6", RationalExponent(3, 1), 2)]
+
+    @pytest.mark.parametrize("r_text, alpha, order", FAMILY)
+    @pytest.mark.parametrize("c", ["0.5", "1.7", "4"])
+    @pytest.mark.parametrize("zeta0", [1, 3])
+    def test_meets_the_exact_sum(self, r_text, alpha, order, c, zeta0):
+        eq = make_eq(r_text.format(c=c), alpha, zeta0=zeta0)
+        with mpmath.workdps(40):
+            cc = mpmath.mpf(c)
+
+            def exact(z):
+                # 1/(s(s+c)) and its square, by partial fractions: digamma and trigamma
+                first = (mpmath.digamma(z + cc) - mpmath.digamma(z)) / cc
+                if order == 1:
+                    return first
+                return (mpmath.polygamma(1, z) + mpmath.polygamma(1, z + cc) - 2 * first) / cc ** 2
+            for z in (zeta0, 200, 20_000, 70_000):
+                got, want = theta(eq, z), exact(mpmath.mpf(z))
+                assert got.method == "poly_tail"
+                assert abs(got.value - want) <= 1e-12 * want, z
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_pure_powers_meet_the_hurwitz_zeta(self, p):
+        eq = make_eq(f"z^{p}", RationalExponent(1, 1))
+        with mpmath.workdps(40):
+            for z in (1, 200, 20_000, 70_000):
+                want = mpmath.zeta(p, z)
+                assert abs(theta(eq, z).value - want) <= 1e-12 * want, z

@@ -18,6 +18,7 @@ from oscdelay.expr import (
     Var,
     eval_at,
     eval_values,
+    expansion,
     parse_expression,
     tokenize,
 )
@@ -192,6 +193,71 @@ class TestEval:
             vec = eval_values(ast, zs)
             scal = np.array([eval_at(ast, z) for z in zs])
             assert np.allclose(vec, scal, rtol=1e-15, atol=0.0), text
+
+
+    @pytest.mark.parametrize("minus, grouped", [
+        ("(z-5)^(-1/3)", "(z-5)^(-(1/3))"), ("(z-5)^(1/-3)", "(z-5)^(-(1/3))"),
+        ("(z-5)^(-2/3)", "(z-5)^(-(2/3))"), ("z^(-3/5)", "z^(-(3/5))"), ("(z-3)^(-1/1)", "(z-3)^(-1)"),
+    ])
+    def test_signed_literal_ratio_is_the_negated_ratio(self, minus, grouped):
+        # -1/3 parses as (-1)/3: it is the literal ratio -(1/3), with its sign rules
+        a, b = parse_expression(minus), parse_expression(grouped)
+        for z in (-7, 1, 4, 9, 1e6):
+            assert _outcome(eval_at, a, z) == _outcome(eval_at, b, z), z
+        zs = np.array([1.0, 2.0, 4.0, 9.0, 1e6])
+        got, want = _outcome(eval_values, a, zs), _outcome(eval_values, b, zs)
+        assert got[0] == want[0] and (got[0] == "error" and got[1:] == want[1:]
+                                      or np.array_equal(got[1], want[1], equal_nan=True))
+
+    def test_signed_literal_ratio_keeps_odd_sign(self):
+        assert eval_at(parse_expression("(z-5)^(-1/3)"), 1) == -(4.0 ** (-1 / 3))
+
+
+def _expansion_value(found, s):
+    (num, den), c = found
+    return s ** (num / den) * sum(cj * s ** -j for j, cj in enumerate(c))
+
+
+class TestExpansion:
+    """expansion(ast, k): ast(s) = s^p (c0 + c1/s + ... + ck/s^k) + O(s^(p-k-1))."""
+
+    @pytest.mark.parametrize("text, want", [
+        ("z", ((1, 1), (1.0, 0.0, 0.0))),
+        ("(z+1)^2-z^2", ((1, 1), (2.0, 1.0, 0.0))),   # a cancelled leading power: 2z + 1, never z^2
+        ("0*z+z^2", ((2, 1), (1.0, 0.0, 0.0))),       # a literal 0 is an exact zero
+        ("1/(z*(z+4))", ((-2, 1), (1.0, -4.0, 16.0))),
+        ("(z-5)^(-1/3)", ((-1, 3), (1.0, 5 / 3, 50 / 9))),
+        ("(z^2)^0", ((0, 1), (1.0, 0.0, 0.0))),
+        ("(-z)^2", ((2, 1), (1.0, 0.0, 0.0))),
+        ("z^(3/6)", ((1, 2), (1.0, 0.0, 0.0))),
+    ])
+    def test_goldens(self, text, want):
+        (p, c), (wp, wc) = expansion(parse_expression(text), 2), want
+        assert p == wp and c == pytest.approx(wc, rel=1e-15, abs=1e-15)
+
+    @pytest.mark.parametrize("text", [
+        "2^z", "z^z", "pow(z, 2)", "spow(z, 1, 3)",     # an exponential, a call
+        "z^(1/2)+z",                                     # summands a non-integer power apart
+        "z-z+1", "z^60-z^60+z^2", "0", "0*z",            # every computed coefficient cancels; zero
+        "(-z)^(1/3)", "-z", "1-z^2",                     # a negative leading coefficient
+        "(1e200*z)^2",                                   # a coefficient past the float range
+        "z/(z-z)",
+    ])
+    def test_outside_the_class(self, text):
+        assert expansion(parse_expression(text), 4) is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.floats(0.1, 10), st.floats(-10, 10), st.floats(0.1, 10),
+                              st.integers(-7, 7), st.integers(1, 3), st.sampled_from("*/")),
+                    min_size=1, max_size=3))
+    def test_matches_the_expression_at_large_s(self, factors):
+        text = "1" + "".join(f"{op}({c0!r}+{c1!r}*z+{c2!r}*z^2)^({a}/{b})" for c0, c1, c2, a, b, op in factors)
+        ast = parse_expression(text)
+        found = expansion(ast, 8)
+        assert found is not None and found[1][0] > 0
+        for s in (1e4, 1e5):
+            # the first term left out, c9/s^9, is below 1e-12 of c0 at these s
+            assert _expansion_value(found, s) == pytest.approx(eval_at(ast, s), rel=1e-11)
 
 
 EXPR_ALPHABET = "z0123456789+-*/^(), .spow"
@@ -451,24 +517,32 @@ class TestParserOracle:
 
 # --- The tree walker the compiled forms replaced, kept as their oracle ---------
 
+def _old_int(node):
+    if isinstance(node, Unary) and node.op == "-" and isinstance(node.child, Literal):
+        a = _old_int(node.child)
+        return None if a is None else -a
+    if isinstance(node, Literal) and node.value.is_integer():
+        return int(node.value)
+    return None
+
+
 def _old_literal_ratio(node):
+    # a literal integer may carry its own minus sign on either side of a ratio:
+    # -1/3 parses as (-1)/3, and z^(-1/3) is the odd/odd power of z^(-(1/3))
     neg = False
-    if isinstance(node, Unary) and node.op == "-":
+    if isinstance(node, Unary) and node.op == "-" and isinstance(node.child, Binary):
         neg = True
         node = node.child
-    if isinstance(node, Literal) and node.value.is_integer():
-        a = int(node.value)
-        return (-a if neg else a, 1)
+    if _old_int(node) is not None:
+        return (_old_int(node), 1)
     if (
         isinstance(node, Binary)
         and node.op == "/"
-        and isinstance(node.left, Literal)
-        and isinstance(node.right, Literal)
-        and node.left.value.is_integer()
-        and node.right.value.is_integer()
-        and node.right.value != 0
+        and _old_int(node.left) is not None
+        and _old_int(node.right) is not None
+        and _old_int(node.right) != 0
     ):
-        a, b = int(node.left.value), int(node.right.value)
+        a, b = _old_int(node.left), _old_int(node.right)
         return (-a if neg else a, b)
     return None
 

@@ -244,3 +244,34 @@ def test_transform_at_horizon_seven(tmp_path):
     stage = report["stages"]["transform"]
     assert code == 0 and len(stage["r_tilde_samples"]) == 7
     assert stage["sumq_verdict"]["status"] == IN and len(stage["sumq_verdict"]["evidence"]) == 7
+
+
+def _corpus_tool():
+    import importlib.util
+    import pathlib
+
+    path = pathlib.Path(__file__).resolve().parents[1] / "tools" / "report_corpus.py"
+    spec = importlib.util.spec_from_file_location("report_corpus", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("old, new, kinds, moves", [
+    ('{\n  "value": 0.5,\n  "method": "poly_tail"\n}\nexit 0\n',
+     '{\n  "value": 0.25,\n  "method": "poly_tail"\n}\nexit 0\n', set(), {"value": 0.5}),
+    ('{\n  "samples": [\n    1.0,\n    2.0\n  ]\n}\nexit 0\n',
+     '{\n  "samples": [\n    1.0,\n    3.0\n  ]\n}\nexit 0\n', set(), {"samples": 1 / 3}),
+    ('{\n  "status": "holds",\n  "value": 1\n}\nexit 0\n',
+     '{\n  "status": "inconclusive",\n  "value": 1\n}\nexit 2\n', {"status", "exit code"}, {}),
+    ('{\n  "method": "max_terms"\n}\nexit 0\n', '{\n  "method": "poly_tail",\n  "x": 1\n}\nexit 0\n',
+     {"method", "other text (x)"}, {}),
+    ("criterion_id,zeta,term\nThm21,1,0.5\nexit 0\n", "criterion_id,zeta,term\nThm21,1,0.75\nexit 0\n",
+     set(), {"term": 1 / 3}),
+    ("criterion_id,zeta,term\nThm21,1,0.5\nexit 0\n", "criterion_id,zeta,term\nThm22,1,0.5\nexit 0\n",
+     {"other text (criterion_id)", "other text (zeta)", "other text (term)"}, {}),
+], ids=["json-digits", "array-item", "status-and-exit", "method", "csv-digits", "csv-name"])
+def test_corpus_diff_tells_digits_from_other_moves(old, new, kinds, moves):
+    got_kinds, got_moves = _corpus_tool().compare(old, new)
+    assert got_kinds == kinds
+    assert got_moves == pytest.approx(moves)

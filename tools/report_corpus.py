@@ -8,11 +8,18 @@ classify, check and transform in JSON and CSV, and check and transform in JSON a
 and in JSON at --horizon 7 and 1000.  It then runs example 1..3 in JSON and CSV,
 in JSON at --horizon 1000, and example 1 at --lambda0 0.01.  Each report goes to its own file
 in OUTDIR, without its generated_at line and with the exit code as a last line.
-Run it once per tree, then `diff -r` the two directories.
+Run it once per tree, then compare the two directories:
+
+    python tools/report_corpus.py --diff OLD NEW
+
+lists each report that moved and whether it moved only in digits, with the largest
+relative move of each field, or in a status, flag, method, certified flag, error,
+exit code or other text; then, per config, the fields that moved in digits.
 """
 from __future__ import annotations
 
 import contextlib
+import difflib
 import importlib.util
 import io
 import os
@@ -85,7 +92,108 @@ def main(outdir: str) -> int:
     return 0
 
 
+# a number that is not part of a name such as Thm21 or h1000
+NUMBER = re.compile(r"(?<![\w.])-?(?:\d+(?:\.\d+)?(?:[eE][+-]?\d+)?|Infinity|NaN)(?![\w.])")
+KEY = re.compile(r'^\s*"(\w+)":')
+# the fields whose moves are not digits: each names its kind of move
+KINDS = {"status": "status", "holds": "status", "flags": "flag", "discrepancy_flags": "flag",
+         "method": "method", "certified": "certified flag", "error": "error", "errors": "error"}
+
+
+def _fields(lines: list) -> list:
+    """The field of each line: a JSON line's key, or the last key above it (an array
+    item); a CSV row's column names, one per cell."""
+    if lines and not lines[0].lstrip().startswith("{"):
+        header = lines[0].rstrip("\n").split(",")
+        return [header] * len(lines)
+    out, key = [], ""
+    for line in lines:
+        m = KEY.match(line)
+        key = m.group(1) if m else key
+        out.append(key)
+    return out
+
+
+def _relative(a: str, b: str) -> float:
+    x, y = float(a), float(b)
+    if x == y or (x != x and y != y):
+        return 0.0
+    scale = max(abs(x), abs(y))
+    return abs(x - y) / scale if scale != float("inf") else float("inf")
+
+
+def compare(old: str, new: str) -> tuple:
+    """(kinds of move other than digits, {field: largest relative move in digits})."""
+    a, b = old.splitlines(True), new.splitlines(True)
+    kinds, moves = set(), {}
+    if a[-1:] != b[-1:]:
+        kinds.add("exit code")
+        a, b = a[:-1], b[:-1]
+    mask = [NUMBER.sub("#", line) for line in a], [NUMBER.sub("#", line) for line in b]
+    fa, fb = _fields(a), _fields(b)
+    # digits-only moves keep every masked line: pair them without a line diff
+    ops = ([("equal", 0, len(a), 0, len(b))] if mask[0] == mask[1]
+           else difflib.SequenceMatcher(None, *mask, autojunk=False).get_opcodes())
+    for op, i1, i2, j1, j2 in ops:
+        if op == "equal":
+            for i, j in zip(range(i1, i2), range(j1, j2)):
+                xs, ys = NUMBER.findall(a[i]), NUMBER.findall(b[j])
+                cells = fa[i] if isinstance(fa[i], list) else None
+                for n, (x, y) in enumerate(zip(xs, ys)):
+                    if x != y:
+                        field = fa[i] if cells is None else _csv_column(cells, a[i], n)
+                        moves[field] = max(moves.get(field, 0.0), _relative(x, y))
+            continue
+        for field in fa[i1:i2] + fb[j1:j2]:
+            names = field if isinstance(field, list) else [field]
+            kinds.update(KINDS.get(name, f"other text ({name})") for name in names)
+    return kinds, moves
+
+
+def _csv_column(header: list, line: str, n: int) -> str:
+    """The column of the n-th number on a CSV row."""
+    cells = line.rstrip("\n").split(",")
+    numbered = [k for k, cell in enumerate(cells) if NUMBER.fullmatch(cell)]
+    k = numbered[n] if n < len(numbered) else -1
+    return header[k] if 0 <= k < len(header) else "?"
+
+
+def diff(old_dir: str, new_dir: str) -> int:
+    """Print each report that moved between two corpus directories and how; 0 when
+    none moved in more than digits."""
+    old, new = pathlib.Path(old_dir), pathlib.Path(new_dir)
+    names = sorted({p.name for p in old.iterdir()} | {p.name for p in new.iterdir()})
+    per_config: dict = {}
+    structural = 0
+    for name in names:
+        if not (old / name).exists() or not (new / name).exists():
+            print(f"{name}: only in {new_dir if (new / name).exists() else old_dir}")
+            structural += 1
+            continue
+        a, b = (old / name).read_text(), (new / name).read_text()
+        if a == b:
+            continue
+        kinds, moves = compare(a, b)
+        command = re.match(r"(.+?)\.(?:validate|classify|check|transform|simulate)\.", name)
+        config = command.group(1) if command else name.split(".")[0]
+        for field, rel in moves.items():
+            per_config.setdefault(config, {})[field] = max(per_config.get(config, {}).get(field, 0.0), rel)
+        digits = ", ".join(f"{field} {rel:.1e}" for field, rel in sorted(moves.items()))
+        if kinds:
+            structural += 1
+            print(f"{name}: {', '.join(sorted(kinds))}" + (f"; digits: {digits}" if digits else ""))
+        else:
+            print(f"{name}: digits only: {digits}")
+    print("largest relative move in digits, per config:")
+    for config, moves in sorted(per_config.items()):
+        print(f"  {config}: " + ", ".join(f"{field} {rel:.1e}" for field, rel in sorted(moves.items())))
+    print(f"{structural} reports moved in more than digits")
+    return 1 if structural else 0
+
+
 if __name__ == "__main__":
+    if len(sys.argv) == 4 and sys.argv[1] == "--diff":
+        sys.exit(diff(sys.argv[2], sys.argv[3]))
     if len(sys.argv) != 2:
         raise SystemExit(__doc__)
     sys.exit(main(sys.argv[1]))
