@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .equation import (TREND_TOL, HalfLinearEquation, _fit_power_exponent, _geometric_ratio,
-                       tail_shortfall, theta, theta_extended, validate)
+                       tail_shortfall, theta_extended, theta_window, validate)
 from .errors import DomainError, StageError
 
 # canonical criterion identifiers
@@ -264,10 +264,6 @@ def _exclusive_sum(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _theta_column(eq: HalfLinearEquation, start: int, n: int) -> np.ndarray:
-    return np.array([theta(eq, s).value for s in range(start, start + n)])
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def _weighted(w: np.ndarray, th: np.ndarray, p: float) -> np.ndarray:
     """w * th^p: 0 where w = 0 (not 0 * inf = NaN); an overflow is +inf."""
@@ -294,7 +290,12 @@ def crit_thm22a(eq: HalfLinearEquation, horizon: int) -> CriterionVerdict:
         return gated
     th = np.zeros(horizon)  # a zero weight leaves the inner sum as skipping the term would
     flags: list[str] = []
-    for i, s in enumerate((z - eq.sigma).tolist()):
+    below = min(eq.sigma, horizon)  # the reads at s - sigma < zeta0 go index by index
+    try:
+        th[below:] = theta_window(eq, eq.zeta0, horizon - below)
+    except DomainError:  # then every read does, and each that raises flags its term
+        below = horizon
+    for i, s in enumerate((z[:below] - eq.sigma).tolist()):
         try:
             th[i] = theta_extended(eq, s).value
         except DomainError:
@@ -309,7 +310,7 @@ def crit_thm22b(eq: HalfLinearEquation, horizon: int) -> CriterionVerdict:
     z = _valid_indices(eq, horizon)
     if gated := _tail_gate(THM22B, eq):
         return gated
-    th = _theta_column(eq, eq.zeta0 + 1, horizon)
+    th = theta_window(eq, eq.zeta0 + 1, horizon)
     term = _weighted(eq.q.eval_array(z), th, eq.alpha.value + 1.0)
     return _series_verdict(THM22B, "every solution oscillates", eq.zeta0, term)
 
@@ -332,7 +333,7 @@ def crit_thm23(eq: HalfLinearEquation, horizon: int) -> CriterionVerdict:
     if gated := _tail_gate(THM23, eq):
         return gated
     q_prev = np.concatenate(([0.0], q))[:horizon]  # evidence term: q(z - 1), 0 at zeta0
-    v = _weighted(_exclusive_sum(q), _theta_column(eq, eq.zeta0, horizon), eq.alpha.value)
+    v = _weighted(_exclusive_sum(q), theta_window(eq, eq.zeta0, horizon), eq.alpha.value)
     v[~np.isfinite(v)] = np.inf
 
     tail = v[horizon // 2:]

@@ -48,7 +48,8 @@ class FormClass(enum.Enum):
 # the fitted p.  An expansion whose local exponents all pass POLY_MIN_EXPONENT past
 # the first block, with a term at most TAIL_TOL by MAX_TERMS, ends the pass there.
 # Otherwise summation stops, uncertified, after a block of zeros or at
-# MAX_TERMS.  Terms are judged divergent when a block's minimum is not TREND_TOL below the last.
+# MAX_TERMS.  Terms are judged divergent when a block's minimum is not TREND_TOL below the last,
+# unless the expansion proves every local exponent past the block above POLY_MIN_EXPONENT.
 TAIL_TOL = 1e-12
 CLOSED_FORM_RTOL = 1e-9  # a registered closed form's band around theta, times max(1, |form|)
 MAX_TERMS = 1_000_000
@@ -332,16 +333,18 @@ class _TailTable:
                 return self.end, None, False, "underflow", lambda s_last, t_last: 0.0
             # past a stop, tiny terms that decay too slowly to bound: keep summing
             hist = np.concatenate([hist, t[n:]])[-keep:]
+            # r's expansion proves every local exponent past this block above POLY_MIN_EXPONENT
+            expanded = (series := self._expansion()) and series[0] > POLY_MIN_EXPONENT
             block_min = float(t.min())
-            if prev_min is not None and 0 < block_min >= (1.0 - TREND_TOL) * prev_min:
+            if not expanded and prev_min is not None \
+                    and 0 < block_min >= (1.0 - TREND_TOL) * prev_min:
                 raise NonConvergentError(
                     f"tail terms not decreasing near index {s}: series looks divergent")
             prev_min = block_min
             # the first block's terms meet r's expansion: it sums the rest, as the later
             # blocks' power-law fit would, when their local exponents all pass it
-            if s == z0 and (found := self._expansion()) and found[0] > POLY_MIN_EXPONENT \
-                    and self._stops_by_max_terms():
-                return self.end, None, False, "poly_tail", found[1]
+            if s == z0 and expanded and self._stops_by_max_terms():
+                return self.end, None, False, "poly_tail", series[1]
         return self.end, None, False, "max_terms", lambda s_last, t_last: 0.0
 
     def _expansion(self) -> Optional[tuple]:
@@ -388,8 +391,9 @@ class _TailTable:
             return False
         return bool(t[0] <= TAIL_TOL)  # NaN where r is infinite
 
-    def lookup(self, zeta: int) -> tuple:
-        """(theta(zeta) for zeta >= zeta0, the partial sum in it: a certified lower bound)."""
+    def _block(self, zeta: int) -> tuple:
+        """((suffix sums, later blocks' sum, remainder) of zeta's block, zeta's offset
+        in it), for zeta >= zeta0; the block is built at its first read."""
         z0, scanned = self.zeta0, len(self.after)
         if zeta <= self.end:
             k, i = divmod(zeta - z0, BLOCK)
@@ -401,11 +405,32 @@ class _TailTable:
             t, _ = self._terms(start, m)
             rest = self.rest if k < scanned else self.remainder(start + m - 1.0, float(t[-1]))
             self.blocks[k] = (_suffix_sums(t), self.after[k] if k < scanned else 0.0, rest)
-        suffix, after, rest = self.blocks[k]
+        return self.blocks[k], i
+
+    def lookup(self, zeta: int) -> tuple:
+        """(theta(zeta) for zeta >= zeta0, the partial sum in it: a certified lower bound).
+        The one-index window in Python floats: a one-element numpy slice takes about 20 times as long."""
+        (suffix, after, rest), i = self._block(zeta)
         lower = float(suffix[i]) + after
         if not math.isfinite(lower + rest):
             raise DomainError(f"theta({zeta}) exceeds the float range")
         return TailSumResult(lower + rest, *self.meta), lower
+
+    @np.errstate(over="ignore")  # a sum past the float range is +inf, then a DomainError
+    def window(self, lo: int, n: int) -> np.ndarray:
+        """theta on [lo, lo + n) for lo >= zeta0, one slice (suffix + after) + rest of each
+        block it meets: lookup's values and float operations, and its DomainError at the
+        first index that raises."""
+        parts, z, stop = [np.empty(0)], lo, lo + n
+        while z < stop:
+            (suffix, after, rest), i = self._block(z)
+            part = (suffix[i:i + stop - z] + after) + rest
+            bad = ~np.isfinite(part)
+            if bad.any():
+                raise DomainError(f"theta({z + int(np.argmax(bad))}) exceeds the float range")
+            parts.append(part)
+            z += part.size
+        return np.concatenate(parts)
 
 
 # tables the store keeps at once, besides those their equations hold; each
@@ -451,6 +476,27 @@ def theta(eq: HalfLinearEquation, zeta: int) -> TailSumResult:
         raise StageError(f"registered closed form for theta({zeta}) = {value} lies outside "
                          f"[{numeric.value - tol}, {numeric.value + tol}] from the numeric tail sum")
     return TailSumResult(value, zeta, 0.0, True, "closed_form")
+
+
+@np.errstate(over="ignore")  # a distance past the float range fails the band test, then raises
+def theta_window(eq: HalfLinearEquation, lo: int, n: int) -> np.ndarray:
+    """[theta(eq, z).value for z in [lo, lo + n)], lo >= zeta0, from one slice of the
+    table per block: the same values bit for bit, a closed form's from its scalar
+    calls, checked by theta's rule.  Where an index raises, the per-index calls run
+    and raise what theta raises at the first such index."""
+    zs = range(lo, lo + n)
+    table = _table(eq)
+    try:
+        numeric = table.window(lo, n)
+        if eq.theta_closed_form is None:
+            return numeric
+        values = np.array([eq.theta_closed_form(z) for z in zs], dtype=float)
+    except DomainError:
+        values = None
+    if values is not None and TailSumResult(math.nan, *table.meta)._establishes_finite() \
+            and np.all(abs(values - numeric) <= CLOSED_FORM_RTOL * np.maximum(1.0, abs(values))):
+        return values
+    return np.array([theta(eq, z).value for z in zs], dtype=float)
 
 
 def theta_extended(eq: HalfLinearEquation, zeta: int) -> TailSumResult:

@@ -308,6 +308,8 @@ def _series(node: Ast, n: int):
     if isinstance(node, Unary):
         a = _series(node.child, n)
         return a and (a[0], [-x for x in a[1]])
+    if isinstance(node, Call) and node.name == "pow":  # its positive-base power expands as ^
+        node = Binary("^", *node.args)
     if not isinstance(node, Binary):
         return None
     if node.op == "^":
@@ -330,12 +332,12 @@ def expansion(ast: Ast, k: int):
     ast(s) = s^p (c0 + c1/s + ... + ck/s^k) + O(s^(p-k-1)) as s -> inf, p an exact
     integer pair (num, den) and c0 > 0.
 
-    ast is built from z, literals, + - * /, unary minus and ^ with a literal integer
-    or ratio exponent (_literal_ratio).  None for any other node (an exponential, a
-    call), for summands whose exponents differ by a non-integer, a zero r or a
-    cancellation of every computed coefficient, a fractional power of a negative
-    leading coefficient, a coefficient past the float range, or c0 < 0.  A literal 0
-    is an exact zero, so z^2 + 0*z is z^2.
+    ast is built from z, literals, + - * /, unary minus and ^ or pow with a literal
+    integer or ratio exponent (_literal_ratio).  None for any other node (an
+    exponential, spow), for summands whose exponents differ by a non-integer, a zero
+    r or a cancellation of every computed coefficient, a fractional power of a
+    negative leading coefficient, a coefficient past the float range, or c0 < 0.  A
+    literal 0 is an exact zero, so z^2 + 0*z is z^2.
     Coefficients are computed to order 2k + 1, so cancelled leading powers leave k + 1.
     """
     found = _series(ast, 2 * (k + 1))

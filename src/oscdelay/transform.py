@@ -20,9 +20,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from .criteria import (CANONICAL_SUM_Q, CriterionVerdict, _series_verdict, _theta_column,
-                       _valid_indices)
-from .equation import DelayForm, HalfLinearEquation, tail_shortfall, theta_extended
+from .criteria import CANONICAL_SUM_Q, CriterionVerdict, _series_verdict, _valid_indices
+from .equation import DelayForm, HalfLinearEquation, tail_shortfall, theta_extended, theta_window
 from .errors import DomainError, StageError
 from .power import RationalExponent
 from .sequences import Sequence
@@ -54,7 +53,7 @@ def to_canonical(eq: HalfLinearEquation, horizon: int) -> HalfLinearEquation:
         raise StageError("theta could not be certified finite; transform unavailable")
 
     zs = range(eq.zeta0, eq.zeta0 + horizon + 1)
-    th = _theta_column(eq, eq.zeta0, len(zs) + 1).tolist()
+    th = theta_window(eq, eq.zeta0, len(zs) + 1).tolist()
     inv_alpha, power = eq.alpha.den / eq.alpha.num, eq.alpha.value - 1.0
 
     def q_tilde(i: int, z: int) -> float:

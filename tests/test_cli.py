@@ -2,6 +2,7 @@
 import json
 import math
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -1026,6 +1027,31 @@ def test_tail_without_an_expansion_sums_every_block(tmp_path, monkeypatch):
     # max_terms, which the transform refuses
     ini = POLY_INI.replace("(z*(z+1.7))^(5/3)", "z^2*(2+2^(-z))")
     assert MAX_TERMS <= _tail_points(tmp_path, monkeypatch, ini, transform_exit=2) <= 1_100_000
+
+
+def test_theta_table_read_once_per_window(tmp_path, monkeypatch):
+    """check --criterion all on the README config reads the theta table a fixed number
+    of times, whatever the horizon: each criterion's theta column is one window, not
+    one lookup per index."""
+    from oscdelay.equation import _TailTable
+
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    path = write_config(tmp_path, re.search(r"## Command line\n.*?```ini\n(.*?)```",
+                                            readme.read_text(), re.S).group(1))
+    reads = []
+    for name in ("lookup", "window"):
+        read = getattr(_TailTable, name, None)  # a table without windows reads by lookup only
+        if read is not None:
+            monkeypatch.setattr(_TailTable, name,
+                                lambda self, *args, read=read: reads.append(args) or read(self, *args))
+    counts = []
+    for horizon in ("50", "400"):
+        reads.clear()
+        out = tmp_path / "check.json"
+        assert main(["check", "--config", path, "--criterion", "all", "--horizon", horizon,
+                     "--out", str(out), "--quiet"]) == 0
+        counts.append(len(reads))
+    assert counts[0] == counts[1] <= 3 * len(CRITERION_IDS), counts
 
 
 # coefficients that are negative, zero, overflowing or have a pole somewhere; the

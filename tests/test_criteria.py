@@ -32,7 +32,7 @@ from oscdelay.criteria import (
     ProbeStatus,
     VerdictStatus,
 )
-from oscdelay.equation import tail_shortfall, theta, theta_extended
+from oscdelay.equation import BLOCK, tail_shortfall, theta, theta_extended
 from oscdelay.errors import DomainError, StageError
 from oscdelay.transform import crit_canonical_sumq, to_canonical
 
@@ -164,6 +164,24 @@ class TestThm22:
         # so the first shifted term is skipped and flagged
         v = crit_thm22a(example_equation(2), 50)
         assert any("skipped" in f for f in v.flags)
+
+    def test_22a_flags_the_reads_a_window_cannot_serve(self):
+        # r(80 000) < 0, in the block after the scanned range [1, 65 536]: theta from
+        # 65 537 on is not evaluable, so every read goes index by index and flags as before
+        eq = HalfLinearEquation(r=Sequence.from_expression("z^2*(80000-z)"),
+                                q=Sequence.from_expression("1"), alpha=RationalExponent(1, 1),
+                                sigma=1, delay_form=DelayForm.MINUS_SIGMA_PLUS_ONE, zeta0=1)
+        horizon = BLOCK + 4
+        want = []
+        for s in range(eq.zeta0 - eq.sigma, eq.zeta0 + horizon - eq.sigma):
+            try:
+                theta_extended(eq, s)
+            except DomainError:
+                want.append(f"theta({s}) not evaluable; term at s={s + eq.sigma} skipped")
+        v = crit_thm22a(eq, horizon)
+        assert list(v.flags) == want and len(want) == 4  # theta(0), and 65 537 to 65 539
+        terms = [t for t, _ in scalar_series(THM22A, eq, horizon)]
+        assert v.evidence.term == pytest.approx(terms, rel=1e-12)
 
     def test_example2_22b_certified(self):
         v = crit_thm22b(example_equation(2), 200)

@@ -25,10 +25,10 @@ from oscdelay import (
     theta_extended,
     validate,
 )
-from oscdelay.equation import (BLOCK, MAX_TERMS, ValidationReport, Violation, _fused_power,
-                               _geometric_ratio, _inv_r_alpha, _suffix_sums, _table, _tail_table,
-                               _TailTable)
-from oscdelay.errors import DivisionByZero, DomainError, NonConvergentError, StageError
+from oscdelay.equation import (BLOCK, MAX_TERMS, POLY_MIN_EXPONENT, ValidationReport, Violation,
+                               _fused_power, _geometric_ratio, _inv_r_alpha, _suffix_sums, _table,
+                               _tail_table, _TailTable, theta_window)
+from oscdelay.errors import DivisionByZero, DomainError, NonConvergentError, OscDelayError, StageError
 
 
 def make_eq(r_text, alpha, zeta0=1, q_text="1", sigma=0, theta_cf=None,
@@ -849,7 +849,8 @@ def power_law_r(draw):
 class TestExpansionTail:
     """Past the first block, r's expansion in 1/s sums the tail in place of the
     other fifteen blocks: the table ends where the block-by-block pass ends, with
-    the same method, flag and bound, and theta meets the exact sum."""
+    the same method, flag and bound, unless that pass calls divergent a tail whose
+    expansion proves it convergent; and theta meets the exact sum."""
 
     @settings(max_examples=40, deadline=None)
     @given(r_text=power_law_r(), alpha=st.sampled_from(ALPHAS), zeta0=st.integers(1, 10 ** 4))
@@ -869,6 +870,10 @@ class TestExpansionTail:
     # diverges, so the expansion gives no remainder and the fitted one stays
     @example(r_text="1e13*(0.0+0.0*z+1.0*z^2)^(1/1)/(20000.0+1.0*z+0.0*z^2)^(1/1)",
              alpha=RationalExponent(1, 1), zeta0=1)
+    # terms rising to about z = 100, then 4.7e21 z^-6: the second block's minimum is
+    # above the first's, so the block pass calls the tail divergent
+    @example(r_text="1/(1.0+0.0*z+1.0*z^2)^(5/1)/(1.0+5.0*z+0.0625*z^2)^(-6/1)",
+             alpha=RationalExponent(1, 3), zeta0=1)
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_same_ending_as_the_block_pass(self, r_text, alpha, zeta0):
         from unittest import mock
@@ -877,7 +882,14 @@ class TestExpansionTail:
 
         new = table_outcome(r_text, alpha, zeta0)
         with mock.patch.object(expr, "expansion", lambda ast, k: None):
-            assert table_outcome(r_text, alpha, zeta0) == new
+            old = table_outcome(r_text, alpha, zeta0)
+        if old[0] is NonConvergentError and new[0] is not NonConvergentError:
+            # the one departure: the trend screen's divergence, where the term's
+            # expansion proves an exponent above POLY_MIN_EXPONENT
+            (pn, pd), _ = _TailTable(Sequence.from_expression(r_text), alpha, zeta0)._series
+            assert -pn / pd > POLY_MIN_EXPONENT
+        else:
+            assert new == old
 
     @pytest.mark.parametrize("r_text, alpha, zeta0, end", [
         ("(z*(z+1.7))^(5/3)", RationalExponent(5, 3), 1, BLOCK),
@@ -892,6 +904,14 @@ class TestExpansionTail:
     def test_table_ends_after_the_first_block(self, r_text, alpha, zeta0, end):
         got = _TailTable(Sequence.from_expression(r_text), alpha, zeta0).lookup(zeta0)[0]
         assert got.truncation_index == end
+
+    def test_expansion_keeps_the_trend_screen_off_a_convergent_tail(self):
+        # terms 2 s^(-3/2): near 10^8 one block moves the minimum by 0.098 %, below
+        # TREND_TOL, and the term at zeta0 + MAX_TERMS is above TAIL_TOL, so the pass
+        # sums every block; the expansion proves the exponent, so no block is divergent
+        eq = make_eq("0.5*z^(3/2)", RationalExponent(1, 1), zeta0=10 ** 8)
+        assert classify_form(eq) is FormClass.INCONCLUSIVE
+        assert theta(eq, eq.zeta0).method == "max_terms"
 
     FAMILY = [("(z*(z+{c}))^(5/3)", RationalExponent(5, 3), 1), ("(z*(z+{c}))^(1/3)", RationalExponent(1, 3), 1),
               ("(z*(z+{c}))^2", RationalExponent(1, 1), 2), ("(z*(z+{c}))^6", RationalExponent(3, 1), 2)]
@@ -922,3 +942,104 @@ class TestExpansionTail:
             for z in (1, 200, 20_000, 70_000):
                 want = mpmath.zeta(p, z)
                 assert abs(theta(eq, z).value - want) <= 1e-12 * want, z
+
+    @pytest.mark.parametrize("c", ["0.5", "4"])
+    def test_pow_with_a_literal_exponent_expands(self, c):
+        # pow is a call, not ^, but its literal exponent gives the same expansion
+        eq = make_eq(f"pow(z*(z+{c}), 2)", RationalExponent(1, 1))
+        with mpmath.workdps(40):
+            cc = mpmath.mpf(c)
+            for z in (1, 200, 70_000):
+                zz = mpmath.mpf(z)
+                # 1/(s(s+c))^2 by partial fractions: Hurwitz zeta and digamma
+                want = ((mpmath.zeta(2, zz) + mpmath.zeta(2, zz + cc)) / cc ** 2
+                        - 2 * (mpmath.digamma(zz + cc) - mpmath.digamma(zz)) / cc ** 3)
+                assert abs(theta(eq, z).value - want) <= 1e-12 * want, z
+
+
+def window_outcome(call):
+    """The hex of each value call gives, or the (type, message) of what it raises."""
+    try:
+        return [float(v).hex() for v in call()]
+    except OscDelayError as exc:
+        return type(exc), str(exc)
+
+
+PLUS_ONE = DelayForm.MINUS_SIGMA_PLUS_ONE
+WINDOW_EQUATIONS = {
+    "bench": lambda c: make_eq(f"(z*(z+{c!r}))^(5/3)", RationalExponent(5, 3), sigma=2,
+                               form=PLUS_ONE),
+    "geometric": lambda c: make_eq(f"{c!r}*1.5^z", RationalExponent(1, 1), sigma=1),
+    # no expansion (2^(-z)): terms about 1/(2 z^2) reach TAIL_TOL in the eleventh block,
+    # so each scanned block has later blocks' sums and a power-law remainder
+    "blocks": lambda c: make_eq("z^2*(2+2^(-z))", RationalExponent(1, 1)),
+    1: lambda c: example_equation(1, c),
+    2: lambda c: example_equation(2),
+    3: lambda c: example_equation(3),
+}
+
+
+@st.composite
+def theta_windows(draw):
+    """(equation, lo, n): a window at the start of the table, across the join of its
+    first two blocks, or past the scanned range."""
+    eq = WINDOW_EQUATIONS[draw(st.sampled_from(list(WINDOW_EQUATIONS)))](draw(st.floats(0.5, 4.0)))
+    n = draw(st.sampled_from([0, 1]) | st.integers(2, 300))
+    where = draw(st.sampled_from(["start", "join", "past"]))
+    if where == "start":
+        lo = eq.zeta0 + draw(st.integers(0, 300))
+    elif where == "join":
+        lo = eq.zeta0 + BLOCK - draw(st.integers(1, 300))
+    else:
+        lo = _table(eq).end + 1 + draw(st.integers(0, 2 * BLOCK))
+    return eq, lo, n
+
+
+class TestThetaWindow:
+    """theta over a window is one slice of the table per block: the values theta
+    gives index by index, bit for bit, and where an index raises, the error the
+    per-index calls raise first."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(theta_windows())
+    @example((example_equation(3), 1, 0))
+    @example((example_equation(2), 2, 1))
+    @example((example_equation(3), BLOCK - 10, 20))       # across the first join
+    @example((example_equation(1), BLOCK + 5, 3))         # past the scanned range
+    @example((WINDOW_EQUATIONS["bench"](1.7), 2 * BLOCK - 3, 7))
+    @example((WINDOW_EQUATIONS["blocks"](1.0), 3 * BLOCK - 100, 300))  # across two joins
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_same_bits_as_theta_index_by_index(self, case):
+        eq, lo, n = case
+        want = window_outcome(lambda: [theta(eq, z).value for z in range(lo, lo + n)])
+        assert isinstance(want, list) and len(want) == n
+        got = theta_window(eq, lo, n)
+        assert got.dtype == np.float64 and window_outcome(lambda: got) == want
+
+    @pytest.mark.parametrize("r_text, alpha, closed, lo, n, first", [
+        # a closed form leaving the band at 51, one with a pole at 60, one off everywhere
+        ("(z*(z+1))^(5/3)", RationalExponent(5, 3), "1/z + 1e-6*2^(z-60)", 1, 200, "theta(51)"),
+        ("(z*(z+1))^(5/3)", RationalExponent(5, 3), "1/z + 0/(z-60)", 1, 200, "division by zero"),
+        ("(z*(z+1))^(5/3)", RationalExponent(5, 3), "2/z", 5, 20, "theta(5)"),
+        # a closed form the table cannot check: terms 8/z^2 end at max_terms, and this
+        # form lies within 7e-10 of their sum to 10^6 from 1000 on
+        ("0.5*pow(z, 0.6666666666666666)", RationalExponent(1, 3), "8/(z-0.5) - 8/1000000.5",
+         1000, 10, "theta(1000) cannot be checked"),
+        # theta(1) past the float range: in its block's suffix sum, and where the suffix
+        # sum (1.6e308) and the later blocks' (3.6e307) are finite but their sum is not
+        ("0.6*10^(z-309)", RationalExponent(1, 1), None, 1, 5, "theta(1)"),
+        ("6.7e-308*z^1.01", RationalExponent(1, 1), None, 1, 5, "theta(1)"),
+        # a form whose distance to theta(2) = 1.9e307 passes the float range
+        ("0.6*10^(z-309)", RationalExponent(1, 1), "-1.7e308", 2, 3, "theta(2)"),
+        # r is not positive at 80 000, in the block after the scanned range
+        ("z^2*(80000-z)", RationalExponent(1, 1), None, BLOCK - 6, 10, "r(80000)"),
+    ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_same_error_at_the_same_first_index(self, r_text, alpha, closed, lo, n, first):
+        eq = make_eq(r_text, alpha, sigma=1, form=PLUS_ONE,
+                     theta_cf=closed and Sequence.from_expression(closed))
+        want = window_outcome(lambda: [theta(eq, z).value for z in range(lo, lo + n)])
+        assert isinstance(want, tuple) and first in want[1]
+        assert window_outcome(lambda: theta_window(eq, lo, n)) == want
+        if closed is None:  # the table's own window, which _theta_error reads
+            assert window_outcome(lambda: _table(eq).window(lo, n)) == want

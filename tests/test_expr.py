@@ -230,13 +230,14 @@ class TestExpansion:
         ("(z^2)^0", ((0, 1), (1.0, 0.0, 0.0))),
         ("(-z)^2", ((2, 1), (1.0, 0.0, 0.0))),
         ("z^(3/6)", ((1, 2), (1.0, 0.0, 0.0))),
+        ("pow(z*(z+4), 2)", ((4, 1), (1.0, 8.0, 16.0))),  # pow with a literal exponent is ^
     ])
     def test_goldens(self, text, want):
         (p, c), (wp, wc) = expansion(parse_expression(text), 2), want
         assert p == wp and c == pytest.approx(wc, rel=1e-15, abs=1e-15)
 
     @pytest.mark.parametrize("text", [
-        "2^z", "z^z", "pow(z, 2)", "spow(z, 1, 3)",     # an exponential, a call
+        "2^z", "z^z", "pow(z, z)", "spow(z, 1, 3)",     # an exponential, a call
         "z^(1/2)+z",                                     # summands a non-integer power apart
         "z-z+1", "z^60-z^60+z^2", "0", "0*z",            # every computed coefficient cancels; zero
         "(-z)^(1/3)", "-z", "1-z^2",                     # a negative leading coefficient

@@ -73,6 +73,12 @@ CONFIGS = {
     "euler-delay-sigma-2": lambda: ini("z*(z+1)", "0.3", 1, 2, "delay", zeta0=3),
     # no [check] and no [simulate]: every stage reads [check]'s defaults
     "readme-equation-only": lambda: readme_ini().split("[simulate]")[0],
+    # block minima near 10^8 fall by less than TREND_TOL, but r's expansion proves the
+    # terms' exponent 3/2: classify was canonical
+    "r-0.5z^(3/2)-zeta0-1e8": lambda: ini("0.5*z^(3/2)", "1", 1, 1, "delay_plus_one",
+                                           zeta0=10 ** 8),
+    # pow with a literal exponent expands as ^: theta was 4.2e-4 off at z = 70 000
+    "pow-r": lambda: ini("pow(z*(z+4), 2)", "(z^2-1)*z^2", 1, 2, "delay_plus_one"),
 }
 
 CH, NS, NF, IN = "certified_holds", "numerically_suggested", "numerically_fails", "inconclusive"
@@ -144,6 +150,11 @@ EXPECTED = {
                             "0 CanonicalSumQ=numerically_fails"),
     "readme-equation-only": ("0", "0 non_canonical", f"0 {verdicts(CH, NS, CH, CH, NS)}",
                              "0 CanonicalSumQ=certified_holds"),
+    # classify was canonical, and Thm22A, Thm22B and Thm23 were errors (NonConvergentError)
+    "r-0.5z^(3/2)-zeta0-1e8": ("0", "0 inconclusive", f"0 {verdicts(CH, IN, IN, CH, IN)}",
+                               "2 error:transform"),
+    "pow-r": ("0", "0 inconclusive", f"0 {verdicts(CH, NF, NF, CH, NS)}",
+              "0 CanonicalSumQ=numerically_fails"),
 }
 
 
