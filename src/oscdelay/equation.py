@@ -491,11 +491,11 @@ def theta_window(eq: HalfLinearEquation, lo: int, n: int) -> np.ndarray:
         if eq.theta_closed_form is None:
             return numeric
         values = np.array([eq.theta_closed_form(z) for z in zs], dtype=float)
+        if TailSumResult(math.nan, *table.meta)._establishes_finite() and np.all(
+                abs(values - numeric) <= CLOSED_FORM_RTOL * np.maximum(1.0, abs(values))):
+            return values
     except DomainError:
-        values = None
-    if values is not None and TailSumResult(math.nan, *table.meta)._establishes_finite() \
-            and np.all(abs(values - numeric) <= CLOSED_FORM_RTOL * np.maximum(1.0, abs(values))):
-        return values
+        pass
     return np.array([theta(eq, z).value for z in zs], dtype=float)
 
 
