@@ -266,7 +266,7 @@ def residual_pointwise(
 
 def residual(eq: HalfLinearEquation, candidate: Sequence, frm: int, to: int) -> float:
     """Max absolute pointwise residual over [frm, to]; exact solutions give ~0."""
-    return max(np.abs(_residual_column(eq, candidate, frm, to)).tolist())
+    return float(np.abs(_residual_column(eq, candidate, frm, to)).max())
 
 
 # relative slack lemma22_check allows lhs over rhs before it reports a violation

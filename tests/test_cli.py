@@ -1,4 +1,5 @@
 """Tests for run configuration parsing, report serialization and the CLI."""
+import itertools
 import json
 import math
 import os
@@ -7,7 +8,9 @@ import re
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -20,8 +23,8 @@ from oscdelay.criteria import (CRITERION_IDS, CriterionVerdict, Evidence, Eviden
                                evaluate_criterion)
 from oscdelay.equation import BLOCK, MAX_TERMS
 from oscdelay.errors import ConfigError
-from oscdelay.report import (_csv_cell, _csv_number, _json_string, _one_level, _verdicts, fmt_float,
-                             new_report, to_csv, to_json)
+from oscdelay.report import (_block_lines, _csv_cell, _csv_number, _float_block, _json_string, _one_level,
+                             _verdicts, fmt_float, new_report, to_csv, to_json)
 
 EXAMPLE2_INI = """\
 [equation]
@@ -322,6 +325,36 @@ class TestCsvWriter:
         assert "Lem21,13004,1857,-Infinity,-Infinity\n" in text
         assert text == csv_per_row([("Lem21", tuple(shared.evidence)), ("Thm23", rows)])
 
+    def test_planted_edge_cells_match_oracle(self):
+        # +-0.0 are certified, so Lem21 keeps the block; a subnormal, a value past 1e280 and
+        # a tie at p = 23 are not, and each sends its verdict to the template; an id's own
+        # NUL, quotes, "%" and newline stay on the block path
+        n = 20000
+        column = [z / 7.0 for z in range(n)]
+
+        def planted(i, value):
+            return column[:i] + [value] + column[i + 1:]
+
+        zeros = planted(4000, -0.0)
+        zeros[9000] = 0.0
+        evidence = {"Lem21": Evidence(range(5, 5 + n), planted(12000, -0.0), zeros, zeros),
+                    "Thm21": Evidence(range(1, 1 + n), planted(7001, 5e-324), column, column),
+                    "Thm22A": Evidence(range(1, 1 + n), column, planted(19999, 1e300), column),
+                    "Thm23": Evidence(range(-n, 0), column, column, planted(3, 3 * 2.0 ** -24)),
+                    'a\x00"%s",\n': Evidence(range(3), [0.5, -0.0, 2.5], [0.5, 0.5, 3.0], [1e-5, 1e17, 0.0])}
+        assert [cid for cid, ev in evidence.items() if _block_lines(ev) is not None] == ["Lem21", 'a\x00"%s",\n']
+        report = verdict_report(*(CriterionVerdict(cid, VerdictStatus.INCONCLUSIVE, "c", ev)
+                                  for cid, ev in evidence.items()))
+        text = to_csv(report)
+        assert "Lem21,4005,571.42857142857144,-0,-0\n" in text
+        assert "Lem21,12005,-0,1714.2857142857142,1714.2857142857142\n" in text
+        assert "Lem21,9005,1285.7142857142858,0,0\n" in text
+        assert "Thm21,7002,4.9406564584124654e-324," in text
+        assert "Thm22A,20000,2857,1.0000000000000001e+300,2857\n" in text
+        assert "Thm23,-19997,0.42857142857142855,0.42857142857142855,1.7881393432617188e-07\n" in text
+        assert text.endswith('\n"a\x00""%s"",\n",1,-0,0.5,1e+17\n"a\x00""%s"",\n",2,2.5,3,0\n')
+        assert text == csv_per_row([(cid, tuple(ev)) for cid, ev in evidence.items()])
+
     @settings(max_examples=100, deadline=None)
     @given(rows=st.lists(st.builds(EvidenceRow, st.integers(), st.floats(), st.floats(), st.floats()),
                          max_size=8),
@@ -359,6 +392,136 @@ class TestCsvWriter:
         evidence = json.loads(to_json(report))["verdicts"][0]["evidence"]
         assert [tuple(row) for row in evidence] == [EvidenceRow._fields] * len(self.SPECIAL)
         assert tuple(to_csv(report).split("\n")[0].split(",")[1:]) == EvidenceRow._fields
+
+
+def block_texts(values):
+    """Each value's text and whether it is certified, read from report._float_block."""
+    block, certified = _float_block(np.array(values, dtype=float))
+    ends = list(itertools.accumulate(np.count_nonzero(block, axis=0).tolist()))
+    text = block.T.tobytes().translate(None, b"\0").decode("ascii")
+    return [text[a:b] for a, b in zip([0] + ends, ends)], certified.tolist()
+
+
+def _decades(rng, n):
+    # powers of ten and their neighbours up to 5 ulps away: rounding up to the next power
+    # of ten, and the fixed/scientific switch at 1e-4 and 1e17
+    p = 10.0 ** rng.integers(-279, 280, n)
+    p[::3] = 10.0 ** rng.choice([-5, -4, 16, 17], len(p[::3]))
+    return p * (1 + rng.integers(-5, 6, n) * 2.0 ** -53)
+
+
+def _edges(rng, n):
+    tiny = np.array([5e-324, 2.2250738585072009e-308, 1e-280 / 2.0 ** 3, 1e300, 1.7976931348623157e308])
+    subnormal = rng.integers(1, 2 ** 52, n).astype(np.uint64).view(np.float64)
+    edge = [0.0, 1e-280, 1e280, np.nextafter(1e-280, 1.0), np.nextafter(1e280, 0.0)]
+    values = np.where(rng.random(n) < 0.5, rng.choice(edge, n), np.where(rng.random(n) < 0.5, subnormal,
+                                                                           rng.choice(tiny, n)))
+    return values * rng.choice([-1.0, 1.0], n)
+
+
+def _first_multiple_in(a, m, lo, hi):
+    """The least t >= 0 with lo <= a*t mod m <= hi (0 <= lo <= hi < m), or None."""
+    if lo == 0:
+        return 0
+    a %= m
+    if a == 0:
+        return None
+    t = -(-lo // a)
+    if a * t <= hi:
+        return t
+    u = _first_multiple_in(m % a, a, (-hi) % a, (-lo) % a)
+    if u is None:
+        return None
+    t = -(-(m * u + lo) // a)
+    return t if a * t - m * u <= hi else None
+
+
+def _near_tie(e, p, gap):
+    """A double m * 2^e (2^52 <= m < 2^53) with m * 2^e * 10^p within gap of a half-integer
+    but not on one, or None.  m * 2^e * 10^p is m * num / den, so its fraction is
+    (m * num mod den) / den: the least such m solves a linear congruence into an interval."""
+    num, den = (5 ** p, 2 ** (-e - p)) if p >= 0 else (2 ** e, 10 ** -p)
+    shift, half, width = num * 2 ** 52 % den, den // 2, int(gap * den)
+    for lo, hi in ((half + 1, half + width), (half - width, half - 1)):
+        lo, hi = (lo - shift) % den, (hi - shift) % den
+        t = _first_multiple_in(num, den, lo, hi) if 1 <= width and lo <= hi else None
+        if t is not None and t < 2 ** 52:
+            return math.ldexp(2 ** 52 + t, e)
+    return None
+
+
+def _near_ties(exact):
+    """Doubles x with x * 10^p within 1e-10 of a 17-digit half-integer, not on one: for p
+    in [17, 22], where 10^p is a double, or for p outside [0, 22]."""
+    pool = []
+    for p in (range(17, 23) if exact else [*range(-60, -1), *range(23, 60)]):
+        for target in (1e16, 2e16, 4e16, 8e16):
+            e = math.floor(math.log2(target / 10.0 ** p)) - 52
+            x = _near_tie(e, p, 1e-10) if e + p < 0 or (p < 0 <= e) else None
+            if x is not None and 10 ** 16 <= Fraction(x) * Fraction(10) ** p < 10 ** 17:
+                pool.append(x)
+    return pool
+
+
+# every odd m with m * 2^-(p+1) * 10^p of 17 digits, at p = 23 and 24
+TIES_PAST_22 = [m * 2.0 ** -24 for m in range(3, 17, 2)] + [2.0 ** -25, 3 * 2.0 ** -25]
+
+
+# a family of long float columns: (values from a generator and a length, whether each value
+# must be certified: True, False, or None for either)
+FLOAT_FAMILIES = {
+    "bit_patterns": (lambda rng, n: rng.integers(0, 2 ** 64, n, dtype=np.uint64).view(np.float64), None),
+    # ties at p = 1, 2: exact, so rounded half-even and certified
+    "binary_fractions": (lambda rng, n: np.floor(2.0 ** rng.integers(40, 53, n) * rng.uniform(0.5, 1, n))
+                         + rng.choice([0.125, 0.25, 0.5, 0.75], n), True),
+    "running_sums": (lambda rng, n: np.cumsum(10 ** rng.uniform(6, 9, n)), True),
+    # m * 2^-(p+1) * 10^p is a half-integer of 17 digits: a tie past p = 22, never certified
+    "ties_past_22": (lambda rng, n: rng.choice(TIES_PAST_22, n) * rng.choice([-1.0, 1.0], n), False),
+    # within 1e-10 of a tie: exact where 10^p is a double, else closer to 1/2 than the margin
+    "near_ties_exact": (lambda rng, n: rng.choice(_near_ties(True), n) * rng.choice([-1.0, 1.0], n), True),
+    "near_ties_inexact": (lambda rng, n: rng.choice(_near_ties(False), n) * rng.choice([-1.0, 1.0], n), False),
+    "decades": (_decades, True),
+    "edges": (_edges, None),
+}
+
+
+class TestFloatBlock:
+    """report._float_block, the CSV writer's float text, against "%.17g" on long columns."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(family=st.sampled_from(sorted(FLOAT_FAMILIES)), n=st.integers(1000, 20000),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_certified_text_is_percent_17g(self, family, n, seed):
+        build, must_certify = FLOAT_FAMILIES[family]
+        values = build(np.random.default_rng(seed), n)
+        values = values[np.isfinite(values)].tolist()
+        texts, certified = block_texts(values)
+        assert [(x, t) for x, t, c in zip(values, texts, certified) if c and t != "%.17g" % x] == []
+        if must_certify is not None:
+            assert set(certified) == {must_certify}
+        # +-0 and the normal values in [1e-280, 1e280] of a certain rounding are certified
+        outside = [x for x, c in zip(values, certified) if c and x and not 1e-280 <= abs(x) <= 1e280]
+        assert outside == []
+        assert all(c for x, c in zip(values, certified) if x == 0)
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_near_ties_lie_inside_the_margin(self, exact):
+        pool = _near_ties(exact)
+        assert len(pool) >= (15 if exact else 200)
+        for x in pool:
+            k = math.floor(math.log10(x))
+            scaled = Fraction(x) * Fraction(10) ** (16 - k)
+            assert 0 < abs(scaled - math.floor(scaled) - Fraction(1, 2)) <= 1e-10
+            assert (0 <= 16 - k <= 22) == exact
+
+    def test_binary_fractions_hold_exact_ties(self):
+        # the half-even rule decides about one in nine of these values
+        values = FLOAT_FAMILIES["binary_fractions"][0](np.random.default_rng(0), 20000)
+        k = np.floor(np.log10(values)).astype(int)
+        ties = sum((Fraction(x) * 10 ** (16 - e)).denominator == 2 for x, e in zip(values.tolist(), k.tolist()))
+        assert ties > 2000
+        texts, certified = block_texts(values)
+        assert all(certified) and texts == ["%.17g" % x for x in values.tolist()]
 
 
 def json_via_row_dicts(report):

@@ -4,6 +4,7 @@ import math
 import random
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -608,16 +609,27 @@ class TestResidualParity:
         assert type(got.value) is type(want.value)
         assert str(got.value) == str(want.value) == message
 
-    @pytest.mark.parametrize("k, want", [(1, "nan"), (5, "inf")], ids=["nan_first", "nan_later"])
+    @pytest.mark.parametrize("k, want", [(1, "nan"), (5, "nan")], ids=["nan_first", "nan_later"])
     def test_residual_is_first_max_of_pointwise(self, k, want):
         # r * Dx overflows from index k on: the pointwise values are inf - inf = nan from k and
-        # inf at k - 1; the residual is what max over the values in index order gives
+        # inf at k - 1; a NaN value makes the residual NaN wherever it comes
         eq = HalfLinearEquation(r=Sequence.from_expression("1e300"), q=Sequence.from_expression("0"),
                                 alpha=RationalExponent(1, 1), sigma=1,
                                 delay_form=DelayForm.MINUS_SIGMA, zeta0=0)
         cand = Sequence.from_table(0, [max(0, z - k) * 1e10 for z in range(30)])
         rows = residual_pointwise(eq, cand, 1, 20)
-        assert repr(residual(eq, cand, 1, 20)) == repr(max(abs(v) for _, v in rows)) == want
+        assert repr(residual(eq, cand, 1, 20)) == repr(float(np.max([abs(v) for _, v in rows]))) == want
+
+    def test_nan_after_a_finite_value_makes_the_residual_nan(self):
+        # q(3) * x(1)^3 = 0 * inf: the value at z = 3 is NaN, after the finite one at z = 2
+        eq = HalfLinearEquation(r=Sequence.from_expression("z^3"), q=Sequence.from_expression("z - 3"),
+                                alpha=RationalExponent(3, 1), sigma=3,
+                                delay_form=DelayForm.MINUS_SIGMA_PLUS_ONE, zeta0=2)
+        cand = Sequence.from_table(-2, [1e300 if z == 1 else (-1.0) ** z for z in range(-2, 40)])
+        rows = dict(residual_pointwise(eq, cand, 2, 30))
+        assert math.isfinite(rows[2]) and math.isnan(rows[3])
+        assert math.isnan(residual(eq, cand, 2, 30))
+        assert math.isnan(residual(eq, cand, 3, 30))
 
     @pytest.mark.parametrize("cand", [
         Sequence.from_table(-1, [1e308, -1e308] * 60),  # each difference overflows to +-inf

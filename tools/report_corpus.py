@@ -3,9 +3,10 @@
     PYTHONPATH=<tree>/src python tools/report_corpus.py OUTDIR
 
 The configs are those of tests/test_report_corpus.py.  On each it runs validate,
-classify, check and transform in JSON and CSV, and check and transform in JSON at
---horizon 7 and 1000; on each with a [simulate] section, simulate in JSON and CSV,
-and in JSON at --horizon 7 and 1000.  It then runs example 1..3 in JSON and CSV,
+classify, check and transform in JSON and CSV, and check and transform in JSON and
+CSV at --horizon 7 and 1000 (a CSV at 1000 rows spells each float column through the
+writer's block path when every value is certified); on each with a [simulate]
+section, simulate in JSON and CSV, and in JSON at --horizon 7 and 1000.  It then runs example 1..3 in JSON and CSV,
 in JSON at --horizon 1000, and example 1 at --lambda0 0.01.  Each report goes to its own file
 in OUTDIR, without its generated_at line and with the exit code as a last line.
 Run it once per tree, then compare the two directories:
@@ -49,8 +50,9 @@ def runs(configs: dict) -> list:
                 out.append((f"{stem}.{command}.{fmt}", build, [command, "--format", fmt]))
         for command in ("check", "transform"):
             for horizon in ("7", "1000"):
-                out.append((f"{stem}.{command}.h{horizon}.json", build,
-                            [command, "--format", "json", "--horizon", horizon]))
+                for fmt in ("json", "csv"):
+                    out.append((f"{stem}.{command}.h{horizon}.{fmt}", build,
+                                [command, "--format", fmt, "--horizon", horizon]))
         if "[simulate]" in build():
             for fmt in ("json", "csv"):
                 out.append((f"{stem}.simulate.{fmt}", build, ["simulate", "--format", fmt]))
