@@ -157,15 +157,21 @@ class EvidenceRow(NamedTuple):
     running_value: float
 
 
+def _python(values):
+    """A numpy array or scalar as Python values (tolist), anything else as it is."""
+    return values.tolist() if isinstance(values, (np.ndarray, np.generic)) else values
+
+
 class Evidence(abc.Sequence):
     """A verdict's evidence as four columns, read as a sequence of EvidenceRow.
 
-    `running_value` is the `partial_sum` list itself when the running value is
-    the partial sum, so a writer can format that column once.
+    A criterion gives float64 arrays, `running_value` being the `partial_sum` array
+    itself when the running value is the partial sum, so a writer formats it once.
+    Rows hold Python values: iteration lists each column, an index only its cells.
     """
     __slots__ = EvidenceRow._fields
 
-    def __init__(self, zeta, term: list, partial_sum: list, running_value: list):
+    def __init__(self, zeta, term, partial_sum, running_value):
         self.zeta, self.term = zeta, term
         self.partial_sum, self.running_value = partial_sum, running_value
 
@@ -173,10 +179,10 @@ class Evidence(abc.Sequence):
         return len(self.term)
 
     def __iter__(self):
-        return map(EvidenceRow, self.zeta, self.term, self.partial_sum, self.running_value)
+        return map(EvidenceRow, *(_python(getattr(self, f)) for f in self.__slots__))
 
     def __getitem__(self, i):
-        cells = (self.zeta[i], self.term[i], self.partial_sum[i], self.running_value[i])
+        cells = [_python(getattr(self, f)[i]) for f in self.__slots__]
         return tuple(map(EvidenceRow, *cells)) if isinstance(i, slice) else EvidenceRow(*cells)
 
     def __eq__(self, other):
@@ -244,9 +250,9 @@ def _tail_gate(criterion: str, eq: HalfLinearEquation) -> Optional[CriterionVerd
 def _evidence(start: int, term: np.ndarray, running: Optional[np.ndarray] = None) -> Evidence:
     """The evidence columns from index `start`; partial sums of `term` run left to right
     (np.cumsum), and the running value is the partial sum unless given."""
-    partial = np.cumsum(term).tolist()
-    return Evidence(range(start, start + len(term)), term.tolist(), partial,
-                    partial if running is None else running.tolist())
+    partial = np.cumsum(term)
+    return Evidence(range(start, start + len(term)), term, partial,
+                    partial if running is None else running)
 
 
 def _series_verdict(criterion, conclusion, start, term, flags=()) -> CriterionVerdict:

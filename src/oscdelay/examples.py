@@ -97,7 +97,7 @@ def reproduce_example(n: int, lambda0: float = 2.0, horizon: int = criteria.HORI
         rows.append(_row("Thm21 holds (oscillates or tends to zero)", True, v21.holds))
         rows.append(_row("Thm23 holds (limsup > 1)", True, v23.holds))
         at3 = 3 - eq.zeta0  # the evidence position of index 3
-        v3 = v23.evidence.running_value[at3] if at3 < len(v23.evidence) else None
+        v3 = float(v23.evidence.running_value[at3]) if at3 < len(v23.evidence) else None
         rows.append(_row("Thm23 running value at index 3", 12.0 * 2.0 ** (-2.0 / 3.0), v3))
         flags.append(
             "published threshold: oscillation for lambda0 > 1; the computed limsup "
@@ -109,7 +109,7 @@ def reproduce_example(n: int, lambda0: float = 2.0, horizon: int = criteria.HORI
         report["verdicts"] = [v22b]
         theta_err = _theta_error(eq, range(2, 51))
         rows.append(_row("max |theta(z) - 1/(z-1)| on [2, 50]", 0.0, theta_err))
-        term_err = max(abs(t - 1.0) for t in v22b.evidence.term)
+        term_err = float(abs(v22b.evidence.term - 1.0).max())
         rows.append(_row("max |q(s) * theta^(alpha+1)(s+1) - 1|", 0.0, term_err))
         rows.append(_row("Thm22B holds (series diverges)", True, v22b.holds))
     elif n == 3:

@@ -4,8 +4,8 @@ Reports are plain dict trees.  Every float is rendered with 17 significant
 digits ("%.17g", with fmt_float spelling NaN and the infinities) in both the
 JSON and CSV writers, so the two formats carry identical numeric strings and
 runs are byte-identical apart from the timestamp.  The CSV writer computes that
-text for a whole float column at once (`_float_block`), and a verdict with a value
-it does not certify is written through "%" as JSON evidence is.
+text for a whole float64 evidence column at once (`_float_block`), and a verdict with
+a value it does not certify is written through "%" as JSON evidence is.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from itertools import chain
 
 import numpy as np
 
-from .criteria import CriterionVerdict, Evidence, EvidenceRow
+from .criteria import CriterionVerdict, Evidence, EvidenceRow, _python
 
 SCHEMA_VERSION = 1
 
@@ -80,9 +80,10 @@ def _json_scalar(obj) -> str:
 
 
 def _column_text(values, cell) -> list:
-    """The text of each value: one "%.17g" format over a column of floats whose sum
-    is finite (fmt_float's text, as such a column holds no NaN or infinity), else
-    `cell` on each value (a sum that overflows only costs the per-cell spelling)."""
+    """The text of each value (an array's from one tolist): one "%.17g" format over a
+    column of floats whose sum is finite (fmt_float's text, as it holds no NaN or
+    infinity), else `cell` on each value (an overflowing sum costs the per-cell text)."""
+    values = _python(values)
     if set(map(type, values)) <= {float} and math.isfinite(sum(values)):
         return ("\n".join(["%.17g"] * len(values)) % tuple(values)).split("\n")
     return list(map(cell, values))
@@ -273,9 +274,10 @@ def _int_block(v: np.ndarray) -> np.ndarray:
 def _block_lines(ev: Evidence):
     """The evidence's lines "zeta,term,partial_sum,running_value\\n" as one text, from
     one block per column stacked and stripped of NULs; a running value that is the
-    partial sum reuses its block.  None when a column cannot take the block: zeta not a
-    range whose start, stop and step have fewer than 19 digits, a number column not all
-    float, or a value that `_float_block` does not certify."""
+    partial sum reuses its block; a float64 column is the block's input as it is.  None
+    when a column cannot take the block: zeta not a range whose start, stop and step
+    have fewer than 19 digits, a list column not all float, or a value that
+    `_float_block` does not certify."""
     zeta = ev.zeta
     if (type(zeta) is not range or not zeta
             or max(map(abs, (zeta.start, zeta.stop, zeta.step))) >= 10 ** 18):
@@ -285,9 +287,9 @@ def _block_lines(ev: Evidence):
         columns.append(ev.running_value)
     blocks = []
     for column in columns:
-        if not set(map(type, column)) <= {float}:
+        if not isinstance(column, np.ndarray) and not set(map(type, column)) <= {float}:
             return None
-        block, certified = _float_block(np.array(column))
+        block, certified = _float_block(np.asarray(column))
         if not certified.all():
             return None
         blocks.append(block)

@@ -144,10 +144,13 @@ def iterate(eq: HalfLinearEquation, init: InitialData, horizon: int) -> Trajecto
 
     # q on [lo, hi) and r on [lo + 1, hi + 1) are read as columns one block at a
     # time, so a trajectory that stops early evaluates at most one block past it.
-    # A flagged entry (non-finite q, non-finite or non-positive r) is computed
-    # again by the scalar call, which raises or returns the value the step uses.
-    # The odd powers are signed_pow inlined: every base is finite (the initial
-    # data, each step and each x are checked), a float ** float that overflows
+    # A block with finite q and r in (0, inf) runs unchecked, then tests its last
+    # x and y: a non-finite y or step makes that step's x non-finite, and a
+    # non-finite value stays so (inf - inf, 0 * inf, nan + ...).  Any other block,
+    # or one that ends non-finite or raises OverflowError, is dropped and rerun by
+    # the checked loop, which alone sets the status; there a flagged entry is
+    # computed again by the scalar call, which raises or returns the value the step
+    # uses.  The odd powers are signed_pow inlined: a float ** float that overflows
     # raises OverflowError, and a zero base gives +0.0.
     a, inv_a = alpha.value, inv_alpha.value
     isfinite, copysign = math.isfinite, math.copysign
@@ -155,8 +158,25 @@ def iterate(eq: HalfLinearEquation, init: InitialData, horizon: int) -> Trajecto
     for lo in range(z0, horizon - 1, ITERATE_BLOCK):
         hi = min(lo + ITERATE_BLOCK, horizon - 1)
         zs = np.arange(lo, hi)
-        q_col = eq.q.eval_array(zs).tolist()
-        r_col = eq.r.eval_array(zs + 1).tolist()
+        q_col, r_col = eq.q.eval_array(zs), eq.r.eval_array(zs + 1)
+        clean = np.isfinite(q_col).all() and ((r_col > 0) & (r_col < math.inf)).all()
+        q_col, r_col = q_col.tolist(), r_col.tolist()
+        if clean:
+            nx, ny = len(x), len(y)
+            try:
+                for z, qz, rz1 in zip(range(lo, hi), q_col, r_col):
+                    t = x[z + lag]
+                    y_last = y_last - qz * (copysign(abs(t) ** a, t) if t else 0.0)
+                    step = y_last / rz1
+                    x_last = x_last + (copysign(abs(step) ** inv_a, step) if step else 0.0)
+                    y.append(y_last)
+                    x.append(x_last)
+                if isfinite(x_last) and isfinite(y_last):
+                    continue
+            except OverflowError:
+                pass
+            del x[nx:], y[ny:]
+            y_last, x_last = y[-1], x[-1]
         for z, qz, rz1 in zip(range(lo, hi), q_col, r_col):
             try:
                 if not isfinite(qz):

@@ -29,6 +29,9 @@ from oscdelay.criteria import (
     THM22A,
     THM22B,
     THM23,
+    CriterionVerdict,
+    Evidence,
+    EvidenceRow,
     ProbeStatus,
     VerdictStatus,
 )
@@ -291,6 +294,57 @@ class TestFramework:
         rebuilt = replace(v, evidence=tuple(v.evidence))  # rows, taken as columns
         assert rebuilt == v and hash(rebuilt) == hash(v)
         assert repr(v.evidence).startswith("Evidence((EvidenceRow(")
+
+
+class _CountedColumn(np.ndarray):
+    """A float64 column that records the size of each tolist call on it or on its slices."""
+    sizes: list = []
+
+    def tolist(self):
+        _CountedColumn.sizes.append(self.size)
+        return super().tolist()
+
+
+class TestEvidenceColumns:
+    """A criterion's evidence holds float64 columns and gives rows of Python floats."""
+
+    def test_columns_are_float64_arrays(self):
+        for cid in (LEM21, THM23):
+            ev = evaluate_criterion(cid, example_equation(1), 60).evidence
+            columns = (ev.term, ev.partial_sum, ev.running_value)
+            assert all(type(c) is np.ndarray and c.dtype == np.float64 for c in columns)
+            assert (ev.running_value is ev.partial_sum) == (cid == LEM21)
+
+    def test_rows_hold_python_floats(self):
+        ev = evaluate_criterion(THM23, example_equation(1), 60).evidence
+        for row in (*ev, ev[3], ev[-1], *ev[2:5]):
+            assert type(row.zeta) is int
+            assert all(type(cell) is float for cell in row[1:])
+
+    def test_compare_and_hash_as_row_built_evidence(self):
+        v = evaluate_criterion(THM21, example_equation(3), 50)
+        rows = CriterionVerdict(THM21, v.status, v.conclusion, tuple(v.evidence)).evidence
+        assert type(rows.term) is list
+        assert rows == v.evidence and hash(rows) == hash(v.evidence)
+        assert tuple(rows) == tuple(v.evidence) and rows[7] == v.evidence[7]
+
+    def test_row_built_evidence_keeps_each_zeta(self):
+        rows = (EvidenceRow(2 ** 70, 0.5, 0.5, 0.5), EvidenceRow(-3, 1.0, 1.5, 2.0))
+        ev = CriterionVerdict(LEM21, VerdictStatus.INCONCLUSIVE, "c", rows).evidence
+        assert tuple(ev) == rows and ev.zeta == [2 ** 70, -3]
+        assert ev[0].zeta == 2 ** 70 and type(ev[1].zeta) is int
+
+    def test_index_converts_only_its_cells(self):
+        n = 20_000
+        column = (np.arange(n) / 7.0).view(_CountedColumn)
+        ev = Evidence(range(1, n + 1), column, column, column)
+        _CountedColumn.sizes = []
+        assert ev[12_345] == EvidenceRow(12_346, 12_345 / 7.0, 12_345 / 7.0, 12_345 / 7.0)
+        assert ev[10:13][2] == EvidenceRow(13, 12 / 7.0, 12 / 7.0, 12 / 7.0)
+        assert _CountedColumn.sizes and max(_CountedColumn.sizes) == 3  # the slice's cells only
+        _CountedColumn.sizes = []
+        assert len(list(ev)) == n
+        assert _CountedColumn.sizes == [n] * 3  # iteration lists each number column once
 
 
 class TestZeroWeight:

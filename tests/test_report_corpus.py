@@ -2,7 +2,8 @@
 classify, check and transform, the exit code, the violated hypotheses, the
 `classify` form, each verdict status and each error's stage; and for simulate,
 on the configs with a [simulate] section, its status and trajectory class at
-the run's horizon and at --horizon 7 and 1000.
+the run's horizon and at --horizon 7 and 1000.  Two of those configs iterate to
+horizon 3000, past the first block of 1024 steps that iterate reads.
 
 Five configs, from "1e-200*2^z" to "example1-horizon-1000", sit at the edge of
 the float range, where a term overflows; an overflowed term is never a
@@ -27,6 +28,9 @@ def ini(r, q, alpha, sigma, form, zeta0=1, closed_form=None, horizon=200):
     if closed_form:
         text += f'theta_closed_form = "{closed_form}"\n'
     return text + f"\n[check]\ncriteria = all\nhorizon = {horizon}\n"
+
+
+RUNAWAY_INIT = "\n[simulate]\ninit = 1.0, 2.0, 2.5\n"
 
 
 def readme_ini():
@@ -79,6 +83,10 @@ CONFIGS = {
                                            zeta0=10 ** 8),
     # pow with a literal exponent expands as ^: theta was 4.2e-4 off at z = 70 000
     "pow-r": lambda: ini("pow(z*(z+4), 2)", "(z^2-1)*z^2", 1, 2, "delay_plus_one"),
+    # trajectories that leave iterate's first block of 1024 steps: x overflows at 1263,
+    # and r(2000) = 0 stops the run at 2000
+    "runaway-horizon-3000": lambda: ini("1", "0-1", 1, 1, "delay", horizon=3000) + RUNAWAY_INIT,
+    "r-2000-z-horizon-3000": lambda: ini("2000-z", "1", 1, 1, "delay", horizon=3000) + RUNAWAY_INIT,
 }
 
 CH, NS, NF, IN = "certified_holds", "numerically_suggested", "numerically_fails", "inconclusive"
@@ -89,6 +97,8 @@ def verdicts(thm21, thm22a, thm22b, lem21, thm23):
 
 
 THETA_ERRORS = "error:check:Thm22A error:check:Thm22B error:check:Thm23"
+ALL_CHECK_ERRORS = ("error:check:Thm21 error:check:Thm22A error:check:Thm22B error:check:Lem21 "
+                    "error:check:Thm23")
 
 EXPECTED = {
     "readme": ("0", "0 non_canonical", f"0 {verdicts(CH, NS, CH, CH, NS)}",
@@ -155,6 +165,10 @@ EXPECTED = {
                                "2 error:transform"),
     "pow-r": ("0", "0 inconclusive", f"0 {verdicts(CH, NF, NF, CH, NS)}",
               "0 CanonicalSumQ=numerically_fails"),
+    "runaway-horizon-3000": ("0 H2@1", "0 H2@1 canonical", f"2 H2@1 {ALL_CHECK_ERRORS}",
+                             "2 H2@1 error:transform"),
+    "r-2000-z-horizon-3000": ("0 H1@2000", "2 H1@2000 error:classify",
+                              f"2 H1@2000 {ALL_CHECK_ERRORS}", "2 H1@2000 error:transform"),
 }
 
 
@@ -196,6 +210,11 @@ SIMULATE_EXPECTED = {
     # simulate reads no theta: the closed form is checked by the stages that read it
     "readme-form-1.0005/z": (WITNESS,) * 3,
     "readme-form-pole": (WITNESS,) * 3,
+    "runaway-horizon-3000": ("0 H2@1 overflowed eventually_positive",
+                             "0 H2@1 completed eventually_positive",
+                             "0 H2@1 completed eventually_positive"),
+    "r-2000-z-horizon-3000": ("0 H1@2000 domain_error oscillatory_witness",
+                              "0 completed eventually_positive", "0 completed oscillatory_witness"),
 }
 
 

@@ -337,6 +337,74 @@ class TestIterateParity:
         assert _bits(got.x) == _bits(want.x) and _bits(got.y) == _bits(want.y)
 
 
+def _rerun_case(case, block):
+    """(equation, initial data, horizon, planted index m, expected status) for a failure planted
+    at m, the middle of iterate's second block; z0 = 1 and the run spans three blocks."""
+    rng = random.Random(case)
+    z0, m, horizon = 1, 1 + block + block // 2, 1 + 3 * block
+    r = [rng.uniform(1.0, 2.0) for _ in range(horizon + 2)]  # r(z) is r[z - 1]
+    q = [rng.uniform(0.0, 1e-7) for _ in range(horizon + 2)]
+    alpha, values = RationalExponent(1, 1), (2.0, 2.5, 3.0)  # x rises from 2 on
+    if case == "alpha-3-power":
+        alpha, q = RationalExponent(3, 1), [0.0] * len(q)  # y stays r(1) / 8
+
+    def build():
+        return HalfLinearEquation(r=Sequence.from_table(z0, r), q=Sequence.from_table(z0, q),
+                                  alpha=alpha, sigma=1, delay_form=DelayForm.MINUS_SIGMA, zeta0=z0)
+
+    data = InitialData.for_equation(build(), values)
+    base = iterate_loop(build(), data, horizon)
+    x_at, y_at = base.x_at, lambda z: base.y[z - base.y_start]
+    if case == "nan-q":
+        q[m - 1], want = math.nan, TrajectoryStatus(StatusKind.DOMAIN_ERROR, m + 1)
+    elif case == "y-overflows":  # q(m) * x(m - 1) passes 2e308
+        q[m - 1], want = 1e308, TrajectoryStatus(StatusKind.OVERFLOWED, m + 1)
+    elif case == "zero-r":
+        r[m], want = 0.0, TrajectoryStatus(StatusKind.DOMAIN_ERROR, m + 1)
+    elif case == "subnormal-r":  # y(m + 1) / r(m + 1) is inf
+        r[m], want = 5e-324, TrajectoryStatus(StatusKind.OVERFLOWED, m + 2)
+    elif case == "alpha-3-power":
+        # two steps of (1.2e308)^(1/3) = 4.9e102 take x(m + 3) to 1e103, whose cube, read as
+        # x(d(m + 4)), raises OverflowError
+        r[m] = r[m + 1] = y_at(m + 1) / 1.2e308
+        want = TrajectoryStatus(StatusKind.OVERFLOWED, m + 6)
+    else:  # "x-reaches-inf": y(m + 1) = 1e308 and r = 1, so x(m + 3) = 2e308 is inf
+        q[m - 1], r[m:m + 4] = -1e308 / x_at(m - 1), [1.0] * 4
+        want = TrajectoryStatus(StatusKind.OVERFLOWED, m + 3)
+    return build(), data, horizon, m, want
+
+
+class TestIterateRerun:
+    """A failure in the middle of a block: the unchecked pass is dropped and the checked loop
+    reruns the block, so the values and the status are the per-index loop's, bit for bit."""
+
+    @pytest.mark.parametrize("case", ["nan-q", "y-overflows", "zero-r", "subnormal-r",
+                                      "alpha-3-power", "x-reaches-inf"])
+    @pytest.mark.parametrize("block", [8, 1024])
+    def test_failure_mid_block_matches_loop(self, case, block):
+        eq, data, horizon, m, status = _rerun_case(case, block)
+        want = iterate_loop(eq, data, horizon)
+        assert want.status == status
+        with mock.patch.object(solver, "ITERATE_BLOCK", block):
+            got = iterate(eq, data, horizon)
+        assert got.status == want.status
+        assert _bits(got.x) == _bits(want.x) and _bits(got.y) == _bits(want.y)
+
+    @pytest.mark.parametrize("block", [8, 1024])
+    def test_x_reaching_inf_on_clean_coefficients(self, block):
+        # the block's q is finite and its r in (0, inf), so it runs unchecked first: after x
+        # is inf, inf - inf and 0 * inf keep the end non-finite, and the block is rerun
+        eq, data, horizon, m, _ = _rerun_case("x-reaches-inf", block)
+        cells = np.arange(1 + block, 1 + 2 * block)
+        q, r = eq.q.eval_array(cells), eq.r.eval_array(cells + 1)
+        assert np.isfinite(q).all() and ((r > 0) & (r < math.inf)).all()
+        with mock.patch.object(solver, "ITERATE_BLOCK", block):
+            got = iterate(eq, data, horizon)
+        assert got.status == TrajectoryStatus(StatusKind.OVERFLOWED, m + 3)
+        assert got.end_index == m + 2 and all(map(math.isfinite, got.x + got.y))
+        assert got.x[-1] == pytest.approx(1e308)  # x(m + 2), before the step that overflows
+
+
 class _Reads:
     """Counts the scalar calls and the column calls (with their points) of each sequence."""
 

@@ -6,7 +6,8 @@ The configs are those of tests/test_report_corpus.py.  On each it runs validate,
 classify, check and transform in JSON and CSV, and check and transform in JSON and
 CSV at --horizon 7 and 1000 (a CSV at 1000 rows spells each float column through the
 writer's block path when every value is certified); on each with a [simulate]
-section, simulate in JSON and CSV, and in JSON at --horizon 7 and 1000.  It then runs example 1..3 in JSON and CSV,
+section, simulate in JSON and CSV, and in JSON at --horizon 7 and 1000 (two of them
+iterate to horizon 3000, past iterate's first block of 1024 steps).  It then runs example 1..3 in JSON and CSV,
 in JSON at --horizon 1000, and example 1 at --lambda0 0.01.  Each report goes to its own file
 in OUTDIR, without its generated_at line and with the exit code as a last line.
 Run it once per tree, then compare the two directories:
