@@ -17,8 +17,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .equation import (TREND_TOL, HalfLinearEquation, _fit_power_exponent, _geometric_ratio,
-                       tail_shortfall, theta_extended, theta_window, validate)
-from .errors import DomainError, StageError
+                       tail_shortfall, theta_window, validate)
+from .errors import StageError
 
 # canonical criterion identifiers
 THM21 = "Thm21"
@@ -255,11 +255,11 @@ def _evidence(start: int, term: np.ndarray, running: Optional[np.ndarray] = None
                     partial if running is None else running)
 
 
-def _series_verdict(criterion, conclusion, start, term, flags=()) -> CriterionVerdict:
+def _series_verdict(criterion, conclusion, start, term) -> CriterionVerdict:
     """The one path from a term column to a verdict: evidence columns and the probe."""
     probe = divergence_probe(term, start_index=start)
     return CriterionVerdict(criterion, _VERDICT_OF_PROBE[probe.status], conclusion,
-                            _evidence(start, term), probe, tuple(flags))
+                            _evidence(start, term), probe)
 
 
 @np.errstate(over="ignore")  # a running sum past float range is +inf
@@ -290,25 +290,20 @@ def crit_thm21(eq: HalfLinearEquation, horizon: int) -> CriterionVerdict:
 
 
 def crit_thm22a(eq: HalfLinearEquation, horizon: int) -> CriterionVerdict:
-    """Series of ((1/r(z)) * sum_{s=zeta0}^{z-1} q(s) theta^alpha(s - sigma))^(1/alpha)."""
+    """Series of ((1/r(z)) * sum_{s=zeta0+sigma}^{z-1} q(s) theta^alpha(s - sigma))^(1/alpha).
+
+    The inner sum starts at zeta0 + sigma, so theta is one window from zeta0.  From zeta0 it
+    would differ by a constant: the series are comparable where it is unbounded, and where it
+    is bounded both compare with sum r^(-1/alpha) < inf.  So they diverge together.
+    """
     z = _valid_indices(eq, horizon)
     if gated := _tail_gate(THM22A, eq):
         return gated
-    th = np.zeros(horizon)  # a zero weight leaves the inner sum as skipping the term would
-    flags: list[str] = []
-    below = min(eq.sigma, horizon)  # the reads at s - sigma < zeta0 go index by index
-    try:
-        th[below:] = theta_window(eq, eq.zeta0, horizon - below)
-    except DomainError:  # then every read does, and each that raises flags its term
-        below = horizon
-    for i, s in enumerate((z[:below] - eq.sigma).tolist()):
-        try:
-            th[i] = theta_extended(eq, s).value
-        except DomainError:
-            flags.append(f"theta({s}) not evaluable; term at s={s + eq.sigma} skipped")
+    th = np.zeros(horizon)  # a zero weight keeps s < zeta0 + sigma out of the inner sum
+    th[eq.sigma:] = theta_window(eq, eq.zeta0, max(horizon - eq.sigma, 0))
     weights = _weighted(eq.q.eval_array(z), th, eq.alpha.value)
     return _series_verdict(THM22A, "every solution oscillates", eq.zeta0,
-                           _root_series(eq, z, weights), flags)
+                           _root_series(eq, z, weights))
 
 
 def crit_thm22b(eq: HalfLinearEquation, horizon: int) -> CriterionVerdict:

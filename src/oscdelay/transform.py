@@ -25,7 +25,7 @@ from .equation import DelayForm, HalfLinearEquation, tail_shortfall, theta_exten
 from .errors import DomainError, StageError
 from .power import RationalExponent
 from .sequences import Sequence
-from .solver import residual_pointwise
+from .solver import residual, residual_pointwise
 
 
 def _coefficient(name: str, z: int, formula) -> float:
@@ -72,12 +72,8 @@ def to_canonical(eq: HalfLinearEquation, horizon: int) -> HalfLinearEquation:
                    alpha=RationalExponent(1, 1), theta_closed_form=None)
 
 
-def canonical_residual_pointwise(
-    ceq: HalfLinearEquation, candidate: Sequence, frm: int, to: int
-) -> list[tuple[int, float]]:
-    """Pointwise rt(z+1)(x(z+1)-x(z)) - rt(z)(x(z)-x(z-1)) + qt(z) x(z-sigma): the model
-    equation's left-hand side at y(z) = x(z-1), from one table of x on [frm - sigma, to + 1].
-    That is the comparison equation of the z - sigma + 1 form; the delay form is refused."""
+def _shifted(ceq: HalfLinearEquation, candidate: Sequence, frm: int, to: int) -> Sequence:
+    """One table of x on [frm - sigma, to + 1], read as y(z) = x(z-1); the delay form is refused."""
     if ceq.delay_form is DelayForm.MINUS_SIGMA:
         raise StageError("the comparison residual in y(z) = x(z-1) applies to the "
                          "z - sigma + 1 delay form, not the delay form")
@@ -85,12 +81,20 @@ def canonical_residual_pointwise(
     x = candidate.eval_array(zs)
     if not np.isfinite(x).all():
         candidate(int(zs[np.argmax(~np.isfinite(x))]))  # raises as a scalar call does
-    return residual_pointwise(ceq, Sequence.from_table(frm - ceq.sigma + 1, x), frm, to)
+    return Sequence.from_table(frm - ceq.sigma + 1, x)
+
+
+def canonical_residual_pointwise(
+    ceq: HalfLinearEquation, candidate: Sequence, frm: int, to: int
+) -> list[tuple[int, float]]:
+    """Pointwise rt(z+1)(x(z+1)-x(z)) - rt(z)(x(z)-x(z-1)) + qt(z) x(z-sigma): the model
+    equation's left-hand side at y(z) = x(z-1), the z - sigma + 1 form's comparison equation."""
+    return residual_pointwise(ceq, _shifted(ceq, candidate, frm, to), frm, to)
 
 
 def canonical_residual(ceq: HalfLinearEquation, candidate: Sequence, frm: int, to: int) -> float:
-    """Max absolute pointwise residual of the comparison equation."""
-    return max(abs(v) for _, v in canonical_residual_pointwise(ceq, candidate, frm, to))
+    """Max absolute pointwise residual of the comparison equation, NaN where any value is."""
+    return residual(ceq, _shifted(ceq, candidate, frm, to), frm, to)
 
 
 def crit_canonical_sumq(ceq: HalfLinearEquation, horizon: int) -> CriterionVerdict:

@@ -162,29 +162,31 @@ class TestThm22:
         v = crit_thm22a(example_equation(2), 200)
         assert v.holds
 
-    def test_22a_flags_skipped_shift(self):
-        # Example 2 starts at 2 because r(1) = 0; theta(1) is not extendable,
-        # so the first shifted term is skipped and flagged
-        v = crit_thm22a(example_equation(2), 50)
-        assert any("skipped" in f for f in v.flags)
+    def test_22a_reads_no_theta_below_zeta0(self, monkeypatch):
+        # example 2 starts at 2 because r(1) = 0, so theta(1) is not evaluable; the inner
+        # sum starts at zeta0 + sigma and reads theta only from zeta0 on
+        want = crit_thm22a(example_equation(2), 50)
 
-    def test_22a_flags_the_reads_a_window_cannot_serve(self):
+        def refuse(eq, zeta):
+            raise AssertionError(f"theta({zeta}) read below zeta0")
+
+        monkeypatch.setattr("oscdelay.equation.theta_extended", refuse)
+        v = crit_thm22a(example_equation(2), 50)
+        assert v == want and v.flags == ()
+        assert v.evidence.term[:2].tolist() == [0.0, 0.0]  # empty inner sums at z <= zeta0 + sigma
+
+    def test_22a_raises_where_the_window_cannot_serve(self):
         # r(80 000) < 0, in the block after the scanned range [1, 65 536]: theta from
-        # 65 537 on is not evaluable, so every read goes index by index and flags as before
+        # 65 537 on is not evaluable, and every theta criterion raises theta's error
         eq = HalfLinearEquation(r=Sequence.from_expression("z^2*(80000-z)"),
                                 q=Sequence.from_expression("1"), alpha=RationalExponent(1, 1),
                                 sigma=1, delay_form=DelayForm.MINUS_SIGMA_PLUS_ONE, zeta0=1)
-        horizon = BLOCK + 4
-        want = []
-        for s in range(eq.zeta0 - eq.sigma, eq.zeta0 + horizon - eq.sigma):
-            try:
-                theta_extended(eq, s)
-            except DomainError:
-                want.append(f"theta({s}) not evaluable; term at s={s + eq.sigma} skipped")
-        v = crit_thm22a(eq, horizon)
-        assert list(v.flags) == want and len(want) == 4  # theta(0), and 65 537 to 65 539
-        terms = [t for t, _ in scalar_series(THM22A, eq, horizon)]
-        assert v.evidence.term == pytest.approx(terms, rel=1e-12)
+        errors = []
+        for cid in (THM22A, THM22B, THM23):
+            with pytest.raises(DomainError) as info:
+                evaluate_criterion(cid, eq, BLOCK + 4)
+            errors.append((type(info.value), str(info.value)))
+        assert errors == [(DomainError, "r(80000) is not positive")] * 3
 
     def test_example2_22b_certified(self):
         v = crit_thm22b(example_equation(2), 200)
@@ -349,7 +351,7 @@ class TestEvidenceColumns:
 
 class TestZeroWeight:
     """A zero weight (q, or Thm23's empty sum at zeta0) gives a zero term where theta^p
-    overflows to inf, as Thm22A's skipped shifts and to_canonical do, not 0 * inf = NaN.
+    overflows to inf, as to_canonical's zero q does, not 0 * inf = NaN.
     A non-zero weight times an overflowed theta^p is +inf: the term is finite but
     unknown, and the probe judges only the terms before it."""
 
@@ -409,19 +411,17 @@ def scalar_series(cid, eq, horizon):
         elif cid == THM21:
             out.append(((inner / eq.r(z)) ** inv_alpha, None))
             inner = inner + eq.q(z)
-        else:  # Thm22A: a shift theta cannot reach adds nothing
+        else:  # Thm22A: the inner sum starts at zeta0 + sigma
             out.append(((inner / eq.r(z)) ** inv_alpha, None))
-            try:
-                inner = inner + eq.q(z) * theta_extended(eq, z - eq.sigma).value ** a
-            except DomainError:
-                pass
+            if z >= eq.zeta0 + eq.sigma:
+                inner = inner + eq.q(z) * th(z - eq.sigma) ** a
     return out
 
 
 class TestOneCodePath:
     """Every series goes from its term column to evidence the same way."""
 
-    # non-canonical with a power-law tail; r(0) = 0, so Thm22A skips its first shifts
+    # non-canonical with a power-law tail
     EQ = HalfLinearEquation(
         r=Sequence.from_expression("(z*(z+1.7))^(5/3)"),
         q=Sequence.from_expression("4*(z^2-1)*z^(2/3)/3"),
@@ -431,9 +431,27 @@ class TestOneCodePath:
         zeta0=1,
     )
 
+    # theta below zeta0 is evaluable, so an inner sum from zeta0 would differ from
+    # Thm22A's, which starts at zeta0 + sigma, by a constant from z = zeta0 + 1 on
+    GEOMETRIC = HalfLinearEquation(
+        r=Sequence.from_expression("2^z"),
+        q=Sequence.from_expression("1 + 1/z"),
+        alpha=RationalExponent(1, 1),
+        sigma=3,
+        delay_form=DelayForm.MINUS_SIGMA_PLUS_ONE,
+        zeta0=1,
+    )
+
     @pytest.mark.parametrize("cid", CRITERION_IDS + (CANONICAL_SUM_Q,))
     def test_evidence_from_one_term_column(self, cid):
-        eq, horizon = self.EQ, 150
+        self.assert_one_term_column(cid, self.EQ)
+
+    @pytest.mark.parametrize("cid", CRITERION_IDS + (CANONICAL_SUM_Q,))
+    def test_evidence_where_theta_below_zeta0_is_evaluable(self, cid):
+        self.assert_one_term_column(cid, self.GEOMETRIC)
+
+    @staticmethod
+    def assert_one_term_column(cid, eq, horizon=150):
         if cid == CANONICAL_SUM_Q:
             v = crit_canonical_sumq(to_canonical(eq, horizon), horizon)
         else:

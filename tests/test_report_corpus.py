@@ -1,9 +1,11 @@
 """A corpus of configs whose reports are pinned in outline: for each of validate,
 classify, check and transform, the exit code, the violated hypotheses, the
-`classify` form, each verdict status and each error's stage; and for simulate,
-on the configs with a [simulate] section, its status and trajectory class at
-the run's horizon and at --horizon 7 and 1000.  Two of those configs iterate to
-horizon 3000, past the first block of 1024 steps that iterate reads.
+`classify` form, each verdict status with its flag count (`+2` for two flags, no
+suffix for none, so a flag that appears or vanishes moves the outline) and each
+error's stage; and for simulate, on the configs with a [simulate] section, its
+status and trajectory class at the run's horizon and at --horizon 7 and 1000.
+Two of those configs iterate to horizon 3000, past the first block of 1024 steps
+that iterate reads.
 
 Five configs, from "1e-200*2^z" to "example1-horizon-1000", sit at the edge of
 the float range, where a term overflows; an overflowed term is never a
@@ -107,7 +109,8 @@ EXPECTED = {
                      "0 CanonicalSumQ=certified_holds"),
     "delay-form": ("0", "0 non_canonical", f"0 {verdicts(CH, CH, CH, CH, NS)}",
                    "2 error:transform"),
-    "r-z": ("0", "0 inconclusive", f"0 {verdicts(CH, IN, IN, CH, IN)}", "2 error:transform"),
+    "r-z": ("0", "0 inconclusive", f"0 {verdicts(CH, IN + '+1', IN + '+1', CH, IN + '+1')}",
+            "2 error:transform"),
     "r-z-minus-5": ("0 H1@1", "2 H1@1 error:classify",
                     "2 H1@1 error:check:Thm21 error:check:Thm22A error:check:Thm22B "
                     "error:check:Lem21 error:check:Thm23", "2 H1@1 error:transform"),
@@ -150,7 +153,8 @@ EXPECTED = {
                                    "2 error:transform"),
     "theta-power-overflows": ("0", "0 non_canonical", f"0 {verdicts(NF, IN, IN, CH, NS)}",
                               "2 error:transform"),
-    "r-z-q-1/z-delay": ("0", "0 inconclusive", f"0 {verdicts(NS, IN, IN, NS, IN)}",
+    "r-z-q-1/z-delay": ("0", "0 inconclusive",
+                        f"0 {verdicts(NS, IN + '+1', IN + '+1', NS, IN + '+1')}",
                         "2 error:transform"),
     "r-z-minus-5-delay": ("0 H1@1", "2 H1@1 error:classify",
                           "2 H1@1 error:check:Thm21 error:check:Thm22A error:check:Thm22B "
@@ -161,7 +165,8 @@ EXPECTED = {
     "readme-equation-only": ("0", "0 non_canonical", f"0 {verdicts(CH, NS, CH, CH, NS)}",
                              "0 CanonicalSumQ=certified_holds"),
     # classify was canonical, and Thm22A, Thm22B and Thm23 were errors (NonConvergentError)
-    "r-0.5z^(3/2)-zeta0-1e8": ("0", "0 inconclusive", f"0 {verdicts(CH, IN, IN, CH, IN)}",
+    "r-0.5z^(3/2)-zeta0-1e8": ("0", "0 inconclusive",
+                               f"0 {verdicts(CH, IN + '+1', IN + '+1', CH, IN + '+1')}",
                                "2 error:transform"),
     "pow-r": ("0", "0 inconclusive", f"0 {verdicts(CH, NF, NF, CH, NS)}",
               "0 CanonicalSumQ=numerically_fails"),
@@ -177,9 +182,11 @@ def outline(code: int, report: dict) -> str:
     words += [f"{v['hypothesis']}@{v['index']}" for v in stages["validate"]["violations"]]
     if "classify" in stages:
         words.append(stages["classify"]["form"])
-    words += [f"{v['criterion']}={v['status']}" for v in stages.get("check", {}).get("verdicts", ())]
+    checked = list(stages.get("check", {}).get("verdicts", ()))
     if "transform" in stages:
-        words.append(f"CanonicalSumQ={stages['transform']['sumq_verdict']['status']}")
+        checked.append(stages["transform"]["sumq_verdict"])
+    words += [f"{v['criterion']}={v['status']}" + (f"+{len(v['flags'])}" if v["flags"] else "")
+              for v in checked]
     if "simulate" in stages:
         simulate = stages["simulate"]
         words.append(simulate["status"]["kind"])

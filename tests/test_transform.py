@@ -1,4 +1,5 @@
 """Tests for the canonical comparison transform."""
+import math
 import pickle
 import re
 
@@ -173,6 +174,18 @@ class TestCanonicalResidual:
         const = Sequence.from_expression("2.5")
         assert canonical_residual(ceq, const, 3, 50) == 0.0
 
+    def test_nan_after_a_finite_value_makes_the_residual_nan(self):
+        # q(3) * y(1)^3 = q(3) * x(0)^3 = 0 * inf at y(z) = x(z-1): the value at z = 3 is NaN,
+        # after the finite one at z = 2, and the residual is NaN as solver.residual's is
+        eq = HalfLinearEquation(r=Sequence.from_expression("z^3"), q=Sequence.from_expression("z - 3"),
+                                alpha=RationalExponent(3, 1), sigma=3,
+                                delay_form=DelayForm.MINUS_SIGMA_PLUS_ONE, zeta0=2)
+        cand = Sequence.from_table(-3, [1e300 if z == 0 else (-1.0) ** z for z in range(-3, 40)])
+        rows = dict(canonical_residual_pointwise(eq, cand, 2, 30))
+        assert math.isfinite(rows[2]) and math.isnan(rows[3])
+        assert math.isnan(canonical_residual(eq, cand, 2, 30))
+        assert math.isnan(canonical_residual(eq, cand, 3, 30))
+
     def test_delay_form_refused(self):
         # to_canonical's delay-form equation is the model equation in u = x / theta itself;
         # the residual in y(z) = x(z-1) would read x at z - sigma, below u's table
@@ -323,8 +336,9 @@ class TestAlphaOneIdentity:
            init=st.lists(st.floats(-1.0, 1.0), min_size=5, max_size=5))
     def test_comparison_residual_of_x_over_theta(self, r_text, q_text, sigma, form, init):
         values = init[:sigma + 2]
-        # a relative bound cannot hold where u is subnormal, with its absolute spacing 5e-324
-        assume(max(map(abs, values)) > 1e-250)
+        # a relative bound cannot hold where u is subnormal, with its absolute spacing
+        # 5e-324: one value is non-zero, and every non-zero value is above 1e-250
+        assume(any(values) and all(abs(v) > 1e-250 for v in values if v))
         eq = HalfLinearEquation(r=Sequence.from_expression(r_text), q=Sequence.from_expression(q_text),
                                 alpha=RationalExponent(1, 1), sigma=sigma, delay_form=form,
                                 zeta0=4)  # r > 0 from zeta0 - sigma
