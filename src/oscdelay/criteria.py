@@ -222,9 +222,9 @@ _VERDICT_OF_PROBE = {
 }
 
 
-def _valid_indices(eq: HalfLinearEquation, horizon: int) -> np.ndarray:
-    """The index column [zeta0, zeta0 + horizon), once the hypotheses hold on
-    [zeta0, zeta0 + horizon]; so r > 0 and r, q are finite on it."""
+def _valid_q(eq: HalfLinearEquation, horizon: int) -> np.ndarray:
+    """q on [zeta0, zeta0 + horizon), once the hypotheses hold on [zeta0, zeta0 + horizon];
+    so r > 0 and r, q are finite on it."""
     report = validate(eq, eq.zeta0 + horizon)
     # an identically-zero q (violation without an offending index) is allowed
     # through: the evaluators then report all-zero terms as a failing verdict
@@ -232,7 +232,7 @@ def _valid_indices(eq: HalfLinearEquation, horizon: int) -> np.ndarray:
     if hard:
         first = hard[0]
         raise StageError(f"hypothesis {first.hypothesis} violated: {first.detail}")
-    return np.arange(eq.zeta0, eq.zeta0 + horizon)
+    return eq.q.column(eq.zeta0, horizon)
 
 
 def _tail_gate(criterion: str, eq: HalfLinearEquation) -> Optional[CriterionVerdict]:
@@ -276,17 +276,17 @@ def _weighted(w: np.ndarray, th: np.ndarray, p: float) -> np.ndarray:
     return np.multiply(w, th ** p, out=w.copy(), where=w != 0)
 
 
-def _root_series(eq: HalfLinearEquation, z: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """((1/r(z)) * sum_{s=zeta0}^{z-1} weights(s))^(1/alpha); an overflow is +inf."""
+def _root_series(eq: HalfLinearEquation, weights: np.ndarray) -> np.ndarray:
+    """((1/r(z)) * sum_{s=zeta0}^{z-1} weights(s))^(1/alpha) from z = zeta0; an overflow is +inf."""
     with np.errstate(over="ignore"):
-        return (_exclusive_sum(weights) / eq.r.eval_array(z)) ** (eq.alpha.den / eq.alpha.num)
+        r = eq.r.column(eq.zeta0, len(weights))
+        return (_exclusive_sum(weights) / r) ** (eq.alpha.den / eq.alpha.num)
 
 
 def crit_thm21(eq: HalfLinearEquation, horizon: int) -> CriterionVerdict:
     """Series of ((1/r(z)) * sum_{s=zeta0}^{z-1} q(s))^(1/alpha)."""
-    z = _valid_indices(eq, horizon)
     return _series_verdict(THM21, "every solution oscillates or tends to zero", eq.zeta0,
-                           _root_series(eq, z, eq.q.eval_array(z)))
+                           _root_series(eq, _valid_q(eq, horizon)))
 
 
 def crit_thm22a(eq: HalfLinearEquation, horizon: int) -> CriterionVerdict:
@@ -296,31 +296,29 @@ def crit_thm22a(eq: HalfLinearEquation, horizon: int) -> CriterionVerdict:
     would differ by a constant: the series are comparable where it is unbounded, and where it
     is bounded both compare with sum r^(-1/alpha) < inf.  So they diverge together.
     """
-    z = _valid_indices(eq, horizon)
+    q = _valid_q(eq, horizon)
     if gated := _tail_gate(THM22A, eq):
         return gated
     th = np.zeros(horizon)  # a zero weight keeps s < zeta0 + sigma out of the inner sum
     th[eq.sigma:] = theta_window(eq, eq.zeta0, max(horizon - eq.sigma, 0))
-    weights = _weighted(eq.q.eval_array(z), th, eq.alpha.value)
     return _series_verdict(THM22A, "every solution oscillates", eq.zeta0,
-                           _root_series(eq, z, weights))
+                           _root_series(eq, _weighted(q, th, eq.alpha.value)))
 
 
 def crit_thm22b(eq: HalfLinearEquation, horizon: int) -> CriterionVerdict:
     """Series of q(s) * theta^(alpha+1)(s + 1)."""
-    z = _valid_indices(eq, horizon)
+    q = _valid_q(eq, horizon)
     if gated := _tail_gate(THM22B, eq):
         return gated
     th = theta_window(eq, eq.zeta0 + 1, horizon)
-    term = _weighted(eq.q.eval_array(z), th, eq.alpha.value + 1.0)
+    term = _weighted(q, th, eq.alpha.value + 1.0)
     return _series_verdict(THM22B, "every solution oscillates", eq.zeta0, term)
 
 
 def crit_lem21(eq: HalfLinearEquation, horizon: int) -> CriterionVerdict:
     """Series of q(z) itself."""
-    q = eq.q.eval_array(_valid_indices(eq, horizon))
     return _series_verdict(LEM21, "every eventually positive solution is eventually decreasing",
-                           eq.zeta0, q)
+                           eq.zeta0, _valid_q(eq, horizon))
 
 
 def crit_thm23(eq: HalfLinearEquation, horizon: int) -> CriterionVerdict:
@@ -330,7 +328,7 @@ def crit_thm23(eq: HalfLinearEquation, horizon: int) -> CriterionVerdict:
     horizon, with zeta1 = zeta0: since theta(z) -> 0, a later zeta1 moves
     individual v values but not the limsup.
     """
-    q = eq.q.eval_array(_valid_indices(eq, horizon))
+    q = _valid_q(eq, horizon)
     if gated := _tail_gate(THM23, eq):
         return gated
     q_prev = np.concatenate(([0.0], q))[:horizon]  # evidence term: q(z - 1), 0 at zeta0

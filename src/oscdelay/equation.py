@@ -86,8 +86,8 @@ class TailSumResult:
 
 @dataclass(frozen=True)
 class HalfLinearEquation:
-    """The equation's tail table (_table) is kept on it at the first theta lookup,
-    outside equality, hashing and pickles."""
+    """The equation's tail table (_table), kept on it at the first theta lookup, and
+    its validation reports by horizon (_reports) lie outside equality, hashing and pickles."""
 
     r: Sequence
     q: Sequence
@@ -107,7 +107,7 @@ class HalfLinearEquation:
             raise ValueError("|zeta0| and sigma must be at most 2^52")
 
     def __getstate__(self) -> dict:
-        return {k: v for k, v in self.__dict__.items() if k != "_table"}
+        return {k: v for k, v in self.__dict__.items() if k not in ("_table", "_reports")}
 
     def delayed_index(self, zeta: int) -> int:
         if self.delay_form is DelayForm.MINUS_SIGMA:
@@ -559,7 +559,7 @@ def _first_violation(hyp: str, name: str, rel: str, seq: Sequence, lo: int, hi: 
     The column flags the candidate offenders and the scalar seq(z) confirms and
     words each, in index order, so the report is the one the per-index loop gives.
     """
-    v = seq.eval_array(np.arange(lo, hi + 1))
+    v = seq.column(lo, hi + 1 - lo)
     bad = ~np.isfinite(v) | ((v <= 0) if hyp == "H1" else (v < 0))
     positive = bool((v > 0).any())
     for z in (lo + np.flatnonzero(bad)).tolist():
@@ -577,10 +577,14 @@ def validate(eq: HalfLinearEquation, horizon: int) -> ValidationReport:
     """Sample r and q on [zeta0, horizon] and report violated hypotheses.
 
     H1: r > 0 everywhere sampled.  H2: q >= 0 everywhere sampled and q > 0
-    somewhere on the horizon.  Violations are report entries, not failures.
+    somewhere on the horizon.  Violations are report entries, not failures.  Each
+    horizon's report is kept on eq.
     """
     if horizon <= eq.zeta0:
         raise ValueError(f"horizon must exceed zeta0 = {eq.zeta0}")
+    reports = vars(eq).setdefault("_reports", {})
+    if horizon in reports:
+        return reports[horizon]
     violations: list[Violation] = []
     for hyp, name, seq, rel in (("H1", "r", eq.r, "<="), ("H2", "q", eq.q, "<")):
         found, positive = _first_violation(hyp, name, rel, seq, eq.zeta0, horizon)
@@ -592,4 +596,5 @@ def validate(eq: HalfLinearEquation, horizon: int) -> ValidationReport:
             )
     # first offenders in index order; H1 before H2 at the same index (stable sort)
     violations.sort(key=lambda v: math.inf if v.index is None else v.index)
-    return ValidationReport(horizon=horizon, violations=tuple(violations))
+    reports[horizon] = ValidationReport(horizon=horizon, violations=tuple(violations))
+    return reports[horizon]

@@ -207,6 +207,12 @@ def _scaled(a: np.ndarray, k: np.ndarray) -> tuple:
     return floor, rounded, (lo == 0) | (np.abs(frac - 0.5) > 1e-9)
 
 
+def _divmod(v: np.ndarray, divisor: int) -> tuple:
+    """(v // divisor, v % divisor) for v >= 0: numpy divides by a scalar fast, takes a remainder slowly."""
+    quotient = v // divisor
+    return quotient, v - quotient * divisor
+
+
 def _float_block(x: np.ndarray) -> tuple:
     """The "%.17g" text of each value of a float64 column, as a column-major uint8 block
     (row j holds byte j of every value's text, NUL where a text has no byte there), and
@@ -233,9 +239,10 @@ def _float_block(x: np.ndarray) -> tuple:
     digits[carry] = 10 ** 16
     k += carry
 
-    quads = digits // 10 ** np.array([12, 8, 4, 0])[:, None] % 10 ** 4
+    lead, rest = _divmod(digits, 10 ** 16)
+    quads = np.stack(_divmod(np.stack(_divmod(rest, 10 ** 8)), 10 ** 4), axis=1).reshape(4, n)
     d = np.empty((17, n), np.uint8)
-    d[0] = np.where(zero, 48, digits // 10 ** 16 + 48)
+    d[0] = np.where(zero, 48, lead + 48)
     d[1:] = _quads()[quads].view(np.uint8).reshape(4, n, 4).transpose(0, 2, 1).reshape(16, n)
     kept = ((d != 48) * (_ROW + 1)).max(axis=0)  # digits up to the last non-zero one
 
@@ -271,13 +278,14 @@ def _int_block(v: np.ndarray) -> np.ndarray:
     return np.vstack([np.where(v < 0, 45, 0), digits]).astype(np.uint8)
 
 
-def _block_lines(ev: Evidence):
-    """The evidence's lines "zeta,term,partial_sum,running_value\\n" as one text, from
-    one block per column stacked and stripped of NULs; a running value that is the
-    partial sum reuses its block; a float64 column is the block's input as it is.  None
-    when a column cannot take the block: zeta not a range whose start, stop and step
-    have fewer than 19 digits, a list column not all float, or a value that
-    `_float_block` does not certify."""
+def _block_lines(ev: Evidence, prefix: str = "", zetas: dict | None = None):
+    """The evidence's lines "prefix zeta,term,partial_sum,running_value\\n" as one text,
+    from one block per column stacked and stripped of NULs; prefix, ASCII with no NUL,
+    leads each line as constant rows; zetas keeps each range's block for the next
+    verdict; a running value that is the partial sum reuses its block; a float64
+    column is the block's input as it is.  None when a column cannot take the block:
+    zeta not a range whose start, stop and step have fewer than 19 digits, a list
+    column not all float, or a value that `_float_block` does not certify."""
     zeta = ev.zeta
     if (type(zeta) is not range or not zeta
             or max(map(abs, (zeta.start, zeta.stop, zeta.step))) >= 10 ** 18):
@@ -293,10 +301,14 @@ def _block_lines(ev: Evidence):
         if not certified.all():
             return None
         blocks.append(block)
+    zetas = {} if zetas is None else zetas
+    if zeta not in zetas:
+        zetas[zeta] = _int_block(np.arange(zeta.start, zeta.stop, zeta.step))
     term, partial, running = blocks[0], blocks[1], blocks[-1]
-    comma, newline = np.full((1, len(zeta)), 44, np.uint8), np.full((1, len(zeta)), 10, np.uint8)
-    stack = np.concatenate([_int_block(np.arange(zeta.start, zeta.stop, zeta.step)), comma,
-                            term, comma, partial, comma, running, newline])
+    n = len(zeta)
+    lead, comma, newline = (np.broadcast_to(np.frombuffer(text.encode("ascii"), np.uint8)[:, None],
+                                            (len(text), n)) for text in (prefix, ",", "\n"))
+    stack = np.concatenate([lead, zetas[zeta], comma, term, comma, partial, comma, running, newline])
     return stack.T.tobytes().translate(None, b"\0").decode("ascii")
 
 
@@ -327,13 +339,15 @@ def to_csv(report: dict) -> str:
     column is formatted once, a running value that is the partial sum reusing its
     text, and the lines come from one repeated template."""
     parts = ["criterion_id," + ",".join(EvidenceRow._fields) + "\n"]
+    zetas: dict = {}
     for verdict in _verdicts(report):
         ev = verdict.evidence
         cid = _csv_cell(verdict.criterion) + ","
-        lines = _block_lines(ev)
+        inline = cid.isascii() and "\0" not in cid
+        lines = _block_lines(ev, cid if inline else "", zetas)
         if lines is not None:
-            # the id joins after the NUL strip, which would drop a NUL of its own
-            parts.append(cid + lines.replace("\n", "\n" + cid)[:-len(cid)])
+            # any other id joins after the NUL strip, which would drop a NUL of its own
+            parts.append(lines if inline else cid + lines.replace("\n", "\n" + cid)[:-len(cid)])
             continue
         cells = zip(ev.zeta, *_number_text(ev, _csv_number))
         line = cid.replace("%", "%%") + "%d,%s,%s,%s\n"

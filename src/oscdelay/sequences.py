@@ -2,10 +2,13 @@
 
 A Sequence is backed by a parsed expression in z or by a table of values.
 Evaluation is pure and deterministic; repeated evaluation at the same index
-returns bit-identical values.
+returns bit-identical values.  A table keeps its float64 array, and an
+expression the column of the index window `column` last read, both outside
+equality, hashing and pickles.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -30,6 +33,13 @@ class Sequence:
     @classmethod
     def from_table(cls, start: int, values) -> "Sequence":
         return cls(domain_start=start, table=tuple(map(float, values)))
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k not in ("_array", "_memo")}
+
+    @functools.cached_property
+    def _array(self) -> np.ndarray:
+        return np.array(self.table, dtype=float)
 
     def describe(self) -> str:
         if self.ast is None:
@@ -68,7 +78,7 @@ class Sequence:
         if self.ast is None:
             outside = (z < self.domain_start) | (z >= self.domain_start + len(self.table))
             n = int(np.argmax(outside)) if outside.any() else z.size
-            out[:n] = np.asarray(self.table, dtype=float)[z[:n].astype(int) - self.domain_start]
+            out[:n] = self._array[z[:n].astype(int) - self.domain_start]
             return out
         for i, zeta in enumerate(z.astype(int).tolist()):
             try:
@@ -76,3 +86,25 @@ class Sequence:
             except DomainError:
                 break
         return out
+
+    def column(self, lo: int, n: int) -> np.ndarray:
+        """eval_array(np.arange(lo, lo + n)), an expression's served from one contiguous
+        window of its column: a window that overlaps or touches it grows it by the
+        indices it lacks, a disjoint one replaces it.  The array form is elementwise, so
+        each slice is the window's own column bit for bit.  A window whose missing part
+        raises DomainError is eval_array's, index by index, and leaves the memo as it was."""
+        if self.ast is None or n <= 0:
+            return self.eval_array(np.arange(lo, lo + n))
+        start, memo = getattr(self, "_memo", (lo, np.empty(0)))
+        if lo > start + memo.size or lo + n < start:
+            start, memo = lo, np.empty(0)
+        first, end = min(lo, start), start + memo.size
+        try:
+            below, above = (expr.eval_values(self.ast, np.arange(a, b, dtype=float)) if a < b else memo[:0]
+                            for a, b in ((first, start), (end, max(lo + n, end))))
+        except DomainError:
+            return self.eval_array(np.arange(lo, lo + n))
+        if below.size or above.size:
+            memo = np.concatenate([below, memo, above])
+            object.__setattr__(self, "_memo", (first, memo))
+        return memo[lo - first:lo - first + n].copy()

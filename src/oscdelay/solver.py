@@ -157,8 +157,7 @@ def iterate(eq: HalfLinearEquation, init: InitialData, horizon: int) -> Trajecto
     y_last, x_last = y[-1], x[-1]
     for lo in range(z0, horizon - 1, ITERATE_BLOCK):
         hi = min(lo + ITERATE_BLOCK, horizon - 1)
-        zs = np.arange(lo, hi)
-        q_col, r_col = eq.q.eval_array(zs), eq.r.eval_array(zs + 1)
+        q_col, r_col = eq.q.column(lo, hi - lo), eq.r.column(lo + 1, hi - lo)
         clean = np.isfinite(q_col).all() and ((r_col > 0) & (r_col < math.inf)).all()
         q_col, r_col = q_col.tolist(), r_col.tolist()
         if clean:
@@ -264,12 +263,12 @@ def _residual_column(eq: HalfLinearEquation, candidate: Sequence, frm: int, to: 
     a = eq.alpha
     x = candidate.eval_array(np.arange(frm, to + 3))
     xd = candidate.eval_array(eq.delayed_index(z))
-    r = eq.r.eval_array(np.arange(frm, to + 2))
+    r = eq.r.column(frm, to + 2 - frm)
     with np.errstate(invalid="ignore", over="ignore"):
         lhs = (
             r[1:] * signed_pow_array(x[2:] - x[1:-1], a)
             - r[:-1] * signed_pow_array(x[1:-1] - x[:-2], a)
-            + eq.q.eval_array(z) * signed_pow_array(xd, a)
+            + eq.q.column(frm, to + 1 - frm) * signed_pow_array(xd, a)
         )
     for s in (frm + np.flatnonzero(~np.isfinite(lhs))).tolist():
         candidate(s), candidate(s + 1), candidate(s + 2), candidate(eq.delayed_index(s))

@@ -20,7 +20,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .criteria import CANONICAL_SUM_Q, CriterionVerdict, _series_verdict, _valid_indices
+from .criteria import CANONICAL_SUM_Q, CriterionVerdict, _series_verdict, _valid_q
 from .equation import DelayForm, HalfLinearEquation, tail_shortfall, theta_extended, theta_window
 from .errors import DomainError, StageError
 from .power import RationalExponent
@@ -43,7 +43,7 @@ def _coefficient(name: str, z: int, formula) -> float:
 
 def to_canonical(eq: HalfLinearEquation, horizon: int) -> HalfLinearEquation:
     """The comparison equation, with rt and qt tabulated on [zeta0, zeta0 + horizon],
-    the window _valid_indices checks; theta must certify finite.  The first index
+    the window _valid_q checks; theta must certify finite.  The first index
     where rt or qt is not evaluable or not finite is a StageError."""
     if eq.alpha.value < 1:
         raise StageError(f"the transform requires alpha >= 1, got {eq.alpha}")
@@ -104,5 +104,5 @@ def crit_canonical_sumq(ceq: HalfLinearEquation, horizon: int) -> CriterionVerdi
     return _series_verdict(
         CANONICAL_SUM_Q,
         "the canonical comparison equation oscillates, hence so does the original",
-        ceq.zeta0, ceq.q.eval_array(_valid_indices(ceq, horizon)),
+        ceq.zeta0, _valid_q(ceq, horizon),
     )

@@ -394,6 +394,39 @@ class TestCsvWriter:
         assert tuple(to_csv(report).split("\n")[0].split(",")[1:]) == EvidenceRow._fields
 
 
+class TestCsvIds:
+    """Each kind of criterion id against the "%" template oracle at 20 000 rows: an ASCII
+    id with no NUL leads each line inside the block, any other joins after the strip."""
+    N = 20000
+
+    def _evidence(self, zeta):
+        term = np.arange(len(zeta)) / 7.0
+        partial = np.cumsum(term)
+        return Evidence(zeta, term, partial, partial)
+
+    @pytest.mark.parametrize("criterion", ["Thm21", "a,b", "Lem21 \u03b8", 'a\x00"%s",\n'],
+                             ids=["ascii", "quoted", "non-ascii", "nul"])
+    def test_id_matches_oracle(self, criterion):
+        # a second verdict on an equal range shares its zeta block
+        verdicts = [CriterionVerdict(cid, VerdictStatus.INCONCLUSIVE, "c", self._evidence(range(3, 3 + self.N)))
+                    for cid in (criterion, "Lem21")]
+        assert all(_block_lines(v.evidence) is not None for v in verdicts)
+        text = to_csv(verdict_report(*verdicts))
+        assert text.count("\n") == 2 * self.N + 1 + (criterion.count("\n") * self.N)
+        assert text == csv_per_row(rows_of(verdict_report(*verdicts)))
+
+    def test_verdicts_on_other_ranges_match_oracle(self, tmp_path):
+        cfg = parse_config(write_config(tmp_path, POLY_INI.replace("horizon = 200", "horizon = 20000")))
+        report = run_stages(cfg, ("check", "transform"))
+        report["verdicts"] = [
+            CriterionVerdict(cid, VerdictStatus.INCONCLUSIVE, "c", self._evidence(zeta))
+            for cid, zeta in (("Thm21", range(5, 5 + self.N)), ("Lem21", range(-self.N, 0)),
+                              ("Thm23", range(0, 2 * self.N, 2)), ("Thm21", range(1, 1 + self.N)))]
+        sections = rows_of(report)
+        assert [cid for cid, _ in sections] == [*CRITERION_IDS, "CanonicalSumQ", "Thm21", "Lem21", "Thm23", "Thm21"]
+        assert to_csv(report) == csv_per_row(sections)
+
+
 def block_texts(values):
     """Each value's text and whether it is certified, read from report._float_block."""
     block, certified = _float_block(np.array(values, dtype=float))

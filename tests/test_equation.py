@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oscdelay import expr
 from oscdelay import (
     DelayForm,
     FormClass,
@@ -358,6 +359,30 @@ class TestValidateParity:
     ])
     def test_same_report_as_loop(self, eq, horizon):
         assert validate(eq, horizon) == validate_loop(eq, horizon)
+
+
+class TestValidateMemo:
+    """validate keeps each horizon's report on the equation."""
+
+    def test_one_report_per_horizon(self, monkeypatch):
+        eq = seq_eq("40 - z", "z")
+        points = []
+        eval_values = expr.eval_values
+        monkeypatch.setattr(expr, "eval_values", lambda ast, z: points.append(len(z)) or eval_values(ast, z))
+        reports = {h: validate(eq, h) for h in (30, 50, 30, 20, 50)}
+        assert reports[30].violations == () and reports[20].violations == ()
+        assert reports[50].violations == (Violation("H1", 40, "r(40) = 0.0 <= 0"),)
+        for h, report in reports.items():
+            assert report is validate(eq, h) and report == validate_loop(seq_eq("40 - z", "z"), h)
+        # r and q are each read once over [1, 30], and grown to 50
+        assert sorted(points) == [20, 20, 30, 30]
+
+    def test_a_pickle_carries_no_reports(self):
+        eq = seq_eq("z", "1")
+        validate(eq, 100)
+        copy = pickle.loads(pickle.dumps(eq))
+        assert copy == eq and "_reports" in vars(eq) and "_reports" not in vars(copy)
+        assert validate(copy, 100) == validate(eq, 100)
 
 
 class TestDivisionByZero:

@@ -1,4 +1,5 @@
 """Tests for the coefficient expression language."""
+import gc
 import math
 import pickle
 
@@ -854,3 +855,98 @@ class TestColumnContract:
         with pytest.raises(DomainError, match=r"^table\[2\.\.4\] is not finite at index 3$"):
             seq(3)
         assert _same(("value", seq.eval_array(np.arange(2, 5)).tolist()), ("value", [1.0, entry, 3.0]))
+
+
+# --- Sequence.column: one memoized window of an expression's column
+
+# the benchmark family's r and q, a non-fused r, a non-literal power and a constant
+MEMO_TEXTS = ["(z*(z+1.7))^(5/3)", "2.3*(z^2-1)*z^(2/3)", "2^z", "pow(z, 1.1275)", "1"]
+
+
+@st.composite
+def window_orders(draw):
+    """A first window [lo, lo + n) from 600 on, then reads relative to the memo it leaves:
+    a sub-window, an extension below, an extension above, or a disjoint window."""
+    lo, n = draw(st.integers(600, 1200)), draw(st.integers(1, 400))
+    windows, (start, end) = [(lo, n)], (lo, lo + n)
+    for kind in draw(st.lists(st.sampled_from(["sub", "below", "above", "disjoint"]), max_size=6)):
+        if kind == "sub":
+            lo = draw(st.integers(start, end - 1))
+            n = draw(st.integers(1, end - lo))
+        elif kind == "below":
+            lo = draw(st.integers(max(1, start - 300), start))
+            n = draw(st.integers(max(1, start - lo), end - lo + 50))
+        elif kind == "above":
+            lo = draw(st.integers(start, end))
+            n = draw(st.integers(end - lo + 1, end - lo + 300))
+        else:
+            n = draw(st.integers(1, 300))
+            lo = draw(st.sampled_from([end + draw(st.integers(1, 50)), max(1, start - n - draw(st.integers(1, 50)))]))
+            if lo + n >= start and lo <= end:  # no room below the memo: go above
+                lo = end + 1
+        windows.append((lo, n))
+        start, end = (lo, lo + n) if kind == "disjoint" else (min(lo, start), max(lo + n, end))
+    return windows
+
+
+def _memo_window(seq):
+    start, memo = seq._memo
+    return start, start + memo.size
+
+
+class TestColumnMemo:
+    @given(text=st.sampled_from(MEMO_TEXTS), windows=window_orders())
+    @settings(max_examples=150, deadline=None)
+    def test_each_slice_is_a_fresh_column_bit_for_bit(self, text, windows):
+        seq = Sequence.from_expression(text)
+        start = end = None
+        for lo, n in windows:
+            got = seq.column(lo, n)
+            want = eval_values(seq.ast, np.arange(lo, lo + n, dtype=float))
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (lo, n)
+            # the memo grows over a window that overlaps or touches it, else moves to it
+            touches = start is not None and lo <= end and lo + n >= start
+            start, end = (min(lo, start), max(lo + n, end)) if touches else (lo, lo + n)
+            assert _memo_window(seq) == (start, end)
+            got[:] = -1.0  # a slice is the caller's own
+            assert seq.column(lo, n).tobytes() == want.tobytes()
+
+    def test_a_pole_reads_index_by_index_and_leaves_no_memo(self):
+        seq = Sequence.from_expression("1/(z-50)")
+        got = seq.column(1, 100)
+        prefix = [eval_at(seq.ast, z) for z in range(1, 50)]
+        assert got[:49].tolist() == prefix and np.isnan(got[49:]).all()
+        assert got.tobytes() == seq.eval_array(np.arange(1, 101)).tobytes()
+        assert not hasattr(seq, "_memo")
+        # a memo already there stays as it was
+        seq.column(1, 40)
+        assert seq.column(30, 30).tobytes() == seq.eval_array(np.arange(30, 60)).tobytes()
+        assert _memo_window(seq) == (1, 41)
+
+    def test_theta_keeps_no_memo_longer_than_the_windows_asked_for(self):
+        from oscdelay.equation import DelayForm, HalfLinearEquation, _table, theta, validate
+        from oscdelay.power import RationalExponent
+
+        eq = HalfLinearEquation(Sequence.from_expression("2^z"), Sequence.from_expression("1"),
+                                RationalExponent(1, 1), 1, DelayForm.MINUS_SIGMA, 1)
+        validate(eq, 101)
+        theta(eq, 1)
+        assert _table(eq).r is eq.r and _memo_window(eq.r) == (1, 102)
+        nodes, stack = set(), [eq.r.ast]
+        while stack:
+            node = stack.pop()
+            nodes.add(id(node))
+            stack += [v for v in vars(node).values() if isinstance(v, expr.Ast)]
+        memos = [len(seq._memo[1]) for seq in gc.get_objects()
+                 if isinstance(seq, Sequence) and id(seq.ast) in nodes and hasattr(seq, "_memo")]
+        assert memos == [101]
+
+    def test_a_pickle_carries_no_memo(self):
+        seq = Sequence.from_expression("(z*(z+1.7))^(5/3)")
+        table = Sequence.from_table(3, [1.0, 2.0, 4.0])
+        seq.column(1, 20000), table.eval_array(np.arange(3, 6))
+        assert hasattr(seq, "_memo") and hasattr(table, "_array")
+        for original in (seq, table):
+            copy = pickle.loads(pickle.dumps(original))
+            assert copy == original and not {"_memo", "_array"} & set(vars(copy))
+        assert len(pickle.dumps(seq)) < 1000

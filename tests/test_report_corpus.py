@@ -15,6 +15,7 @@ report of the corpus in full.
 import json
 import pathlib
 import re
+import time
 
 import pytest
 
@@ -312,3 +313,19 @@ def test_corpus_diff_tells_digits_from_other_moves(old, new, kinds, moves):
     got_kinds, got_moves = _corpus_tool().compare(old, new)
     assert got_kinds == kinds
     assert got_moves == pytest.approx(moves)
+
+
+def test_corpus_diff_of_long_reports_reads_only_the_changed_middle():
+    # 30 000 lines that mask alike around one status that moved: a line diff over all of
+    # them is quadratic in the repeated lines (minutes), the changed middle alone is not
+    def report(status):
+        return ('{\n  "samples": [\n' + "".join(f"    {z / 7},\n" for z in range(14996))
+                + f'  ],\n  "status": "{status}",\n  "evidence": [\n'
+                + "".join(f"    {z * 3.5},\n" for z in range(14996)) + "  ]\n}\nexit 0\n")
+    old, new = report("holds"), report("inconclusive")
+    assert old.count("\n") == new.count("\n") == 30000
+    compare = _corpus_tool().compare
+    t0 = time.perf_counter()
+    kinds, moves = compare(old, new)
+    assert time.perf_counter() - t0 < 1.0
+    assert (kinds, moves) == ({"status"}, {})

@@ -406,23 +406,32 @@ class TestIterateRerun:
 
 
 class _Reads:
-    """Counts the scalar calls and the column calls (with their points) of each sequence."""
+    """Counts the scalar calls and the column calls (with their points) of each sequence,
+    through eval_array or a window read by column."""
 
     def __init__(self, monkeypatch):
         self.calls, self.columns, self.points = 0, {}, {}
-        call, eval_array = Sequence.__call__, Sequence.eval_array
+        call, eval_array, column = Sequence.__call__, Sequence.eval_array, Sequence.column
 
         def counted_call(seq, zeta):
             self.calls += 1
             return call(seq, zeta)
 
-        def counted_eval_array(seq, z):
+        def count(seq, n):
             self.columns[id(seq)] = self.columns.get(id(seq), 0) + 1
-            self.points[id(seq)] = self.points.get(id(seq), 0) + len(z)
+            self.points[id(seq)] = self.points.get(id(seq), 0) + n
+
+        def counted_eval_array(seq, z):
+            count(seq, len(z))
             return eval_array(seq, z)
+
+        def counted_column(seq, lo, n):
+            count(seq, n)
+            return column(seq, lo, n)
 
         monkeypatch.setattr(Sequence, "__call__", counted_call)
         monkeypatch.setattr(Sequence, "eval_array", counted_eval_array)
+        monkeypatch.setattr(Sequence, "column", counted_column)
 
 
 class TestIterateReads:

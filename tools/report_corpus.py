@@ -125,6 +125,22 @@ def _relative(a: str, b: str) -> float:
     return abs(x - y) / scale if scale != float("inf") else float("inf")
 
 
+def _line_ops(a: list, b: list) -> list:
+    """difflib opcodes from a to b: the common head and tail pair line by line, and
+    SequenceMatcher, quadratic in lines that repeat, reads only the middle between."""
+    head = 0
+    while head < min(len(a), len(b)) and a[head] == b[head]:
+        head += 1
+    tail = 0
+    while tail < min(len(a), len(b)) - head and a[-1 - tail] == b[-1 - tail]:
+        tail += 1
+    ops = [("equal", 0, head, 0, head)]
+    if head + tail < max(len(a), len(b)):
+        middle = difflib.SequenceMatcher(None, a[head:len(a) - tail], b[head:len(b) - tail], autojunk=False)
+        ops += [(op, i1 + head, i2 + head, j1 + head, j2 + head) for op, i1, i2, j1, j2 in middle.get_opcodes()]
+    return ops + [("equal", len(a) - tail, len(a), len(b) - tail, len(b))]
+
+
 def compare(old: str, new: str) -> tuple:
     """(kinds of move other than digits, {field: largest relative move in digits})."""
     a, b = old.splitlines(True), new.splitlines(True)
@@ -134,10 +150,7 @@ def compare(old: str, new: str) -> tuple:
         a, b = a[:-1], b[:-1]
     mask = [NUMBER.sub("#", line) for line in a], [NUMBER.sub("#", line) for line in b]
     fa, fb = _fields(a), _fields(b)
-    # digits-only moves keep every masked line: pair them without a line diff
-    ops = ([("equal", 0, len(a), 0, len(b))] if mask[0] == mask[1]
-           else difflib.SequenceMatcher(None, *mask, autojunk=False).get_opcodes())
-    for op, i1, i2, j1, j2 in ops:
+    for op, i1, i2, j1, j2 in _line_ops(*mask):
         if op == "equal":
             for i, j in zip(range(i1, i2), range(j1, j2)):
                 xs, ys = NUMBER.findall(a[i]), NUMBER.findall(b[j])
