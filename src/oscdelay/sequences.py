@@ -3,8 +3,8 @@
 A Sequence is backed by a parsed expression in z or by a table of values.
 Evaluation is pure and deterministic; repeated evaluation at the same index
 returns bit-identical values.  A table keeps its float64 array, and an
-expression the column of the index window `column` last read, both outside
-equality, hashing and pickles.
+expression one window of its column (`column`), both outside equality,
+hashing and pickles.
 """
 from __future__ import annotations
 
