@@ -13,13 +13,15 @@ import traceback
 from dataclasses import replace
 
 from . import criteria
-from .config import CheckConfig, OutputConfig, RunConfig, parse_config, parse_criteria
+from .config import SCHEMA, RunConfig, parse_config, parse_criteria
 from .equation import classify_form, theta, validate
 from .errors import ConfigError, OscDelayError, StageError
 from .examples import reproduce_example
 from .report import new_report, render
 from .solver import classify_trajectory, iterate
 from .transform import crit_canonical_sumq, to_canonical
+
+HORIZON, FORMAT = SCHEMA["check"].keys["horizon"], SCHEMA["output"].keys["format"]
 
 
 def _require_simulate(cfg: RunConfig) -> None:
@@ -116,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_config:
             p.add_argument("--config", required=True, help="path to an INI run configuration")
         p.add_argument("--horizon", type=int, default=None, help="override the stage horizon")
-        p.add_argument("--format", choices=("json", "csv"), default=None)
+        p.add_argument("--format", choices=FORMAT.choices, default=None)
         p.add_argument("--out", default=None, help="write the report to this path")
         p.add_argument("--quiet", action="store_true")
 
@@ -144,12 +146,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    check = cfg.check
-    if getattr(args, "criterion", None) is not None:  # only the check command has it
-        check = replace(check, criteria=parse_criteria(args.criterion))
-    if args.horizon is not None:
-        check = replace(check, horizon=args.horizon)
-    output = OutputConfig(format=args.format or cfg.output.format, path=args.out or cfg.output.path)
+    criterion = getattr(args, "criterion", None)  # only the check command has it
+    check = replace(cfg.check, horizon=args.horizon or cfg.check.horizon,
+                    criteria=cfg.check.criteria if criterion is None else parse_criteria(criterion))
+    output = replace(cfg.output, format=args.format or cfg.output.format, path=args.out or cfg.output.path)
     return replace(cfg, check=check, output=output)
 
 
@@ -165,31 +165,28 @@ _COMMAND_STAGES = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.horizon is not None and args.horizon < 1:
-            raise ConfigError(f"--horizon must be at least 1, got {args.horizon}")
+        if args.horizon is not None:
+            HORIZON.read(str(args.horizon), "--horizon")
         if args.command == "example":
             if not math.isfinite(args.lambda0):
                 raise ConfigError(f"--lambda0 must be finite, got {args.lambda0}")
             example = reproduce_example(args.number, lambda0=args.lambda0,
-                                        horizon=args.horizon or CheckConfig.horizon)
+                                        horizon=args.horizon or HORIZON.default)
             report = new_report({"example": args.number, "lambda0": args.lambda0})
             report["stages"]["example"] = example
             report["verdicts"] = example.pop("verdicts")
             report["discrepancy_flags"] = example.pop("discrepancy_flags")
-            fmt = args.format or "json"
-            _emit(report, fmt, args.out, args.quiet)
+            _emit(report, args.format or FORMAT.default, args.out, args.quiet)
             return 0
 
-        cfg = parse_config(args.config)
-        cfg = _apply_overrides(cfg, args)
+        cfg = _apply_overrides(parse_config(args.config), args)
         # CSV rows are verdict evidence; refused before any stage runs, nothing is written
         if cfg.output.format == "csv" and args.command not in ("check", "transform"):
             raise ConfigError(f"{args.command} writes no CSV rows; check, transform and example do")
         if args.command == "simulate":
             _require_simulate(cfg)
         report = run_stages(cfg, _COMMAND_STAGES[args.command])
-        fmt = cfg.output.format
-        _emit(report, fmt, cfg.output.path, args.quiet)
+        _emit(report, cfg.output.format, cfg.output.path, args.quiet)
         return 2 if report["errors"] else 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

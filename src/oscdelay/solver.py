@@ -69,7 +69,7 @@ class TrajectoryStatus:
 @dataclass(frozen=True)
 class Trajectory:
     start_index: int          # index of x[0]
-    x: tuple
+    x: tuple                  # floats: iterate converts its initial data once
     y_start: int              # index of y[0] (= zeta0)
     y: tuple
     status: TrajectoryStatus
@@ -85,7 +85,7 @@ class Trajectory:
         return self.start_index + len(self.x) - 1
 
     def as_sequence(self) -> Sequence:
-        return Sequence.from_table(self.start_index, self.x)
+        return Sequence(domain_start=self.start_index, table=self.x)
 
 
 class TrajectoryKind(enum.Enum):
@@ -116,7 +116,7 @@ def iterate(eq: HalfLinearEquation, init: InitialData, horizon: int) -> Trajecto
     if horizon <= eq.zeta0 + 1:
         raise ValueError(f"horizon must exceed zeta0 + 1 = {eq.zeta0 + 1}")
 
-    x = list(init.values)  # x[i] = x(start + i)
+    x = list(map(float, init.values))  # x[i] = x(start + i)
     start = init.start_index
     z0 = eq.zeta0
     alpha = eq.alpha

@@ -16,9 +16,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oscdelay
-from oscdelay import criteria
+from oscdelay import config, criteria
 from oscdelay.cli import build_parser, main, run_stages
-from oscdelay.config import parse_config, parse_criteria
+from oscdelay.config import REQUIRED, SCHEMA, parse_config, parse_criteria
 from oscdelay.criteria import (CRITERION_IDS, CriterionVerdict, Evidence, EvidenceRow, VerdictStatus,
                                evaluate_criterion)
 from oscdelay.equation import BLOCK, MAX_TERMS
@@ -97,8 +97,62 @@ STRUCTURE_ERRORS = [
     (EXAMPLE3_INI.replace("alpha = 5/3\n", ""), "missing key 'alpha' in [equation]"),
     ('r = "1"\nq = "1"\n', "cannot parse config"),
     ("[check]\ncriteria = all\nhorizon = 10\n", "missing [equation] section"),
+    (EXAMPLE2_INI.replace("[check]", "[chek]"),
+     "unknown section [chek]; known: [equation], [simulate], [check], [output]"),
+    (EXAMPLE2_INI.replace("horizon = 150", "horizn = 10"), "unknown key 'horizn' in [check]; known: criteria, horizon"),
+    (EXAMPLE2_INI.replace('q = "z^(4/3)"\n', 'q = "z^(4/3)"\nqq = 3\n'),
+     "unknown key 'qq' in [equation]; known: r, q, alpha"),
+    # configparser's own default section would copy horizon into [simulate] and [check]
+    ("[DEFAULT]\nhorizon = 5\n\n" + EXAMPLE3_INI, "unknown section [DEFAULT]; known: [equation]"),
 ]
-STRUCTURE_ERROR_IDS = ["missing-alpha", "no-section-header", "no-equation-section"]
+STRUCTURE_ERROR_IDS = ["missing-alpha", "no-section-header", "no-equation-section", "misspelt-section",
+                       "misspelt-check-key", "unknown-equation-key", "default-section"]
+
+
+@st.composite
+def config_texts(draw):
+    """{section: {key: text}} over SCHEMA: [equation] and every required key always,
+    each other section and key drawn in or out, and texts quoted, cased and spaced as a
+    person might write them."""
+    sigma = draw(st.integers(1, 3))
+    init = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=sigma + 2,
+                    max_size=sigma + 2).filter(any).map(lambda values: ", ".join(map(repr, values)))
+    texts = {
+        "equation": {"r": st.sampled_from(['"(z*(z+1))^(5/3)"', "'z^2 + 1'", '"(z*(z-1))^(1/3)"']),
+                     "q": st.sampled_from(['"z^(4/3)"', '"1"', '"4*(z^2-1)*z^(2/3)/3"']),
+                     "alpha": st.sampled_from(["1/3", "1", '"5/3"', "3", "7/5"]),
+                     "sigma": st.just(str(sigma)),
+                     "form": st.sampled_from(["delay", "delay_plus_one", "Delay_Plus_One"]),
+                     "zeta0": st.integers(-3, 5).map(str),
+                     "theta_closed_form": st.sampled_from(['"1/z"', '"1/(z-1)"'])},
+        "simulate": {"init": init},
+        "check": {"criteria": st.sampled_from(["all", "ALL", "Thm21", "Lem21, Thm23", " Thm22B ,Thm21,"]),
+                  "horizon": st.integers(1, 10 ** 6).map(str)},
+        "output": {"format": st.sampled_from(["json", "csv", "JSON"]),
+                   "path": st.sampled_from(["report.json", '"out/r.csv"', "''", ""])},
+    }
+    drawn = {}
+    for name, section in SCHEMA.items():
+        if name == "equation" or draw(st.booleans()):
+            drawn[name] = {k: draw(texts[name][k]) for k, key in section.keys.items()
+                           if key.default is REQUIRED or draw(st.booleans())}
+    return drawn
+
+
+def ini_text(sections):
+    """An INI config from {section: {key: text}}."""
+    return "".join(f"[{name}]\n" + "".join(f"{key} = {text}\n" for key, text in keys.items())
+                   for name, keys in sections.items())
+
+
+def echo_texts(echo):
+    """echo()'s settings as config texts: a str quoted, a list comma-joined, None left out."""
+    def text(value):
+        if isinstance(value, list):
+            return ", ".join(map(str, value))
+        return f'"{value}"' if isinstance(value, str) else str(value)
+    return {name: {key: text(value) for key, value in keys.items() if value is not None}
+            for name, keys in echo.items()}
 
 
 def write_config(tmp_path, text):
@@ -166,6 +220,33 @@ class TestConfig:
         bad = EXAMPLE2_INI.replace("format = json", "format = xml")
         with pytest.raises(ConfigError):
             parse_config(write_config(tmp_path, bad))
+
+    @settings(max_examples=150, deadline=None)
+    @given(texts=config_texts())
+    def test_echo_parses_back_to_the_same_config(self, texts):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = pathlib.Path(tmp) / "run.ini"
+            path.write_text(ini_text(texts))
+            cfg = parse_config(str(path))
+            path.write_text(ini_text(echo_texts(cfg.echo())))
+            again = parse_config(str(path))
+        assert again == cfg
+        assert again.echo() == cfg.echo()
+
+    @pytest.mark.parametrize("where", ["README", "docstring"])
+    def test_documented_keys_are_the_schema(self, where):
+        if where == "README":
+            readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+            block = re.search(r"## Command line\n.*?```ini\n(.*?)```", readme.read_text(), re.S).group(1)
+        else:
+            block = config.__doc__
+        documented, keys = {}, None
+        for line in block.splitlines():
+            if header := re.match(r"\s*\[(\w+)\]", line):
+                keys = documented.setdefault(header.group(1), [])
+            elif key := re.match(r"\s*(\w+) =", line):
+                keys.append(key.group(1))
+        assert documented == {name: list(section.keys) for name, section in SCHEMA.items()}
 
 
 class TestReportFormats:
@@ -985,6 +1066,16 @@ class TestCli:
         verdicts = data["stages"]["check"]["verdicts"]
         assert [v["criterion"] for v in verdicts] == list(CRITERION_IDS)
         assert all(len(v["evidence"]) == 200 for v in verdicts)
+
+    def test_check_section_with_only_a_horizon_runs_every_criterion(self, tmp_path):
+        path = write_config(tmp_path, EXAMPLE3_INI.replace("criteria = Lem21\n", "").replace("120", "10"))
+        out = tmp_path / "chk.json"
+        assert main(["check", "--config", path, "--out", str(out), "--quiet"]) == 0
+        data = json.loads(out.read_text())
+        assert data["config"]["check"] == {"criteria": list(CRITERION_IDS), "horizon": 10}
+        verdicts = data["stages"]["check"]["verdicts"]
+        assert [v["criterion"] for v in verdicts] == list(CRITERION_IDS)
+        assert all(len(v["evidence"]) == 10 for v in verdicts)
 
     @pytest.mark.parametrize("command", ["validate", "simulate", "check", "transform"])
     def test_validate_stage_without_check_section_reads_the_default_horizon(self, tmp_path, command):
