@@ -20,7 +20,6 @@ from .solver import (
     TrajectoryKind,
     classify_trajectory,
     iterate,
-    lemma22_check,
     residual,
     residual_pointwise,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "TrajectoryKind",
     "classify_trajectory",
     "iterate",
-    "lemma22_check",
     "residual",
     "residual_pointwise",
     "CriterionVerdict",

@@ -106,9 +106,16 @@ def _emit(report: dict, fmt: str, out_path, quiet: bool) -> None:
         sys.stdout.write(text)
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a ConfigError (exit 1); subparsers are built from this class too."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 @functools.cache  # parse_args leaves the parser as it was: one per process
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="oscdelay",
         description="Oscillation analysis of second-order half-linear delay difference equations",
     )
@@ -163,8 +170,8 @@ _COMMAND_STAGES = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.horizon is not None:
             HORIZON.read(str(args.horizon), "--horizon")
         if args.command == "example":

@@ -19,9 +19,9 @@ from typing import Optional
 
 import numpy as np
 
-from .equation import DelayForm, HalfLinearEquation, theta
+from .equation import HalfLinearEquation
 from .errors import DomainError
-from .power import RationalExponent, signed_pow, signed_pow_array
+from .power import signed_pow, signed_pow_array
 from .sequences import Sequence
 
 
@@ -287,43 +287,3 @@ def residual(eq: HalfLinearEquation, candidate: Sequence, frm: int, to: int) -> 
     """Max absolute pointwise residual over [frm, to]; exact solutions give ~0."""
     return float(np.abs(_residual_column(eq, candidate, frm, to)).max())
 
-
-# relative slack lemma22_check allows lhs over rhs before it reports a violation
-LEMMA22_TOL = 1e-9
-
-
-def lemma22_check(eq: HalfLinearEquation, traj: Trajectory) -> list[tuple[int, float, float]]:
-    """Check (r^(1/a)(z) Dx(z) / x(z-sigma+1))^(a-1) <= theta(z)^(1-a) on the positive window.
-
-    Requires alpha >= 1 and the z - sigma + 1 delay form.  Returns
-    (index, lhs, rhs) for each violation; genuine positive solutions give none.
-    """
-    if eq.delay_form is not DelayForm.MINUS_SIGMA_PLUS_ONE:
-        raise ValueError("the inequality applies to the z - sigma + 1 delay form")
-    a = eq.alpha
-    if a.value < 1:
-        raise ValueError("the inequality requires alpha >= 1")
-    # exponent a - 1 = (m - n)/n has even numerator, so the power is |t|^(a-1)
-    exp_num, exp_den = a.num - a.den, a.den
-    inv_a = a.reciprocal()
-    violations = []
-    checked = 0
-    for z in range(eq.zeta0, traj.end_index):
-        xz1 = traj.x_at(eq.delayed_index(z))
-        xz, xn = traj.x_at(z), traj.x_at(z + 1)
-        if xz1 <= 0 or xz <= 0:
-            continue
-        checked += 1
-        if exp_num == 0:
-            lhs = 1.0
-            rhs = 1.0
-        else:
-            base = signed_pow(eq.r(z), inv_a) * (xn - xz) / xz1
-            lhs = abs(base) ** (exp_num / exp_den)
-            th = theta(eq, z).value
-            rhs = th ** (1.0 - a.value)
-        if lhs > rhs * (1.0 + LEMMA22_TOL):
-            violations.append((z, lhs, rhs))
-    if checked == 0:
-        raise ValueError("no positive window to check")
-    return violations

@@ -818,11 +818,27 @@ class TestParserBuiltOnce:
 
     def test_parse_error_leaves_the_next_call_unaffected(self, tmp_path, capsys):
         expected = self.run_main(tmp_path, ["example", "3", "--horizon", "40"], fresh=True)
-        with pytest.raises(SystemExit) as exc:
-            main(["example", "3", "--horizon", "x"])
-        assert exc.value.code == 2
+        assert main(["example", "3", "--horizon", "x"]) == 1
         assert "invalid int value: 'x'" in capsys.readouterr().err
         assert self.run_main(tmp_path, ["example", "3", "--horizon", "40"]) == expected
+
+    @pytest.mark.parametrize("argv, named", [
+        (["check", "--config", "eq.ini", "--format", "xml"], "argument --format: invalid choice: 'xml'"),
+        (["example", "3", "--horizon", "x"], "argument --horizon: invalid int value: 'x'"),
+        (["check"], "the following arguments are required: --config"),
+        (["example", "4"], "argument number: invalid choice: 4"),
+        (["chek", "--config", "eq.ini"], "argument command: invalid choice: 'chek'"),
+    ])
+    def test_usage_error_is_a_config_error(self, argv, named, capsys):
+        # README's exit codes: 1 for a configuration error, 2 only for a stage error
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {named}")
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "-h"])
+        assert exc.value.code == 0
+        assert "--config" in capsys.readouterr().out
 
 
 class TestCli:

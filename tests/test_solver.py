@@ -1,5 +1,4 @@
-"""Tests for forward iteration, classification, residuals and the
-positive-solution inequality monitor."""
+"""Tests for forward iteration, trajectory classification and residuals."""
 import math
 import random
 from unittest import mock
@@ -21,7 +20,6 @@ from oscdelay import (
     classify_trajectory,
     example_equation,
     iterate,
-    lemma22_check,
     residual,
     residual_pointwise,
 )
@@ -720,128 +718,3 @@ class TestResidualParity:
         assert all(math.isnan(v) for _, v in rows)
         assert math.isnan(residual(eq, cand, 1, 50))
 
-
-class TestLemma22Check:
-    def test_alpha_one_never_violates(self):
-        eq = HalfLinearEquation(
-            r=Sequence.from_expression("z*(z+1)"),
-            q=Sequence.from_expression("1/z^3"),
-            alpha=RationalExponent(1, 1),
-            sigma=1,
-            delay_form=DelayForm.MINUS_SIGMA_PLUS_ONE,
-            zeta0=1,
-        )
-        init = InitialData.for_equation(eq, [1.0, 0.9, 0.85])
-        traj = iterate(eq, init, 40)
-        assert lemma22_check(eq, traj) == []
-
-    def test_positive_decreasing_solution_clean(self):
-        # small forcing keeps the trajectory positive and decreasing over the
-        # whole window, so the inequality must hold everywhere
-        eq = HalfLinearEquation(
-            r=Sequence.from_expression("(z*(z+1))^(5/3)"),
-            q=Sequence.from_expression("z^(0-4)/100"),
-            alpha=RationalExponent(5, 3),
-            sigma=2,
-            delay_form=DelayForm.MINUS_SIGMA_PLUS_ONE,
-            zeta0=1,
-            theta_closed_form=Sequence.from_expression("1/z"),
-        )
-        init = InitialData.for_equation(eq, [1.0, 0.5, 1.0 / 3.0, 0.25])
-        traj = iterate(eq, init, 80)
-        assert all(v > 0 for v in traj.x)
-        assert all(b < a for a, b in zip(traj.x, traj.x[1:]))
-        assert lemma22_check(eq, traj) == []
-
-    def test_oscillation_bound_violations_reported(self):
-        # every solution of the third example oscillates, so its trajectories
-        # cannot satisfy the eventually-positive bound for long: violations
-        # are genuine and must be reported with their indices
-        eq = example_equation(3)
-        init = InitialData.for_equation(eq, [1.0, 0.9, 0.8, 0.7])
-        traj = iterate(eq, init, 40)
-        violations = lemma22_check(eq, traj)
-        assert violations
-        for z, lhs, rhs in violations:
-            assert eq.zeta0 <= z < traj.end_index
-            assert lhs > rhs
-
-    def test_tabulated_violation(self):
-        eq = example_equation(3)
-        # a steep positive drop violates the bound at z = 1 by construction
-        traj = Trajectory(
-            start_index=-1,
-            x=(1.0, 1.0, 1.0, 1e-6, 1e-6, 1e-6),
-            y_start=1,
-            y=(),
-            status=TrajectoryStatus(StatusKind.COMPLETED),
-        )
-        violations = lemma22_check(eq, traj)
-        assert any(z == 1 for z, _, _ in violations)
-
-    def test_wrong_form_rejected(self):
-        eq = example_equation(2)
-        init = InitialData.for_equation(eq, [1.0, 0.9, 0.8])
-        traj = iterate(eq, init, 30)
-        with pytest.raises(ValueError):
-            lemma22_check(eq, traj)
-
-    def test_alpha_below_one_rejected(self):
-        eq = HalfLinearEquation(
-            r=Sequence.from_expression("2^z"),
-            q=Sequence.from_expression("1"),
-            alpha=RationalExponent(1, 3),
-            sigma=1,
-            delay_form=DelayForm.MINUS_SIGMA_PLUS_ONE,
-            zeta0=1,
-        )
-        init = InitialData.for_equation(eq, [1.0, 0.9, 0.8])
-        traj = iterate(eq, init, 30)
-        with pytest.raises(ValueError):
-            lemma22_check(eq, traj)
-
-    def test_no_positive_window_rejected(self):
-        eq = example_equation(3)
-        traj = Trajectory(
-            start_index=-1,
-            x=(-1.0, -1.0, -1.0, -1.0, -1.0, -1.0),
-            y_start=1,
-            y=(),
-            status=TrajectoryStatus(StatusKind.COMPLETED),
-        )
-        with pytest.raises(ValueError):
-            lemma22_check(eq, traj)
-
-
-# the six delay_plus_one families of ROADMAP item 6: (r, q, alpha, sigma), zeta0 1
-LEMMA22_FAMILIES = [
-    ("(z*(z+1))^(5/3)", "0.01*z^(2/3)", (5, 3), 1),
-    ("(z*(z+1))^(5/3)", "0.01*z^(2/3)", (5, 3), 3),
-    ("(z*(z+1.7))^(5/3)", "0.001*z^(2/3)", (5, 3), 2),
-    ("(z*(z+1))^3", "0.01*z^2", (3, 1), 1),
-    ("(z*(z+1))^(7/5)", "0.01*z^(2/5)", (7, 5), 1),
-    ("(z*(z+1))^(5/3)", "z^(-3)", (5, 3), 1),
-]
-
-
-def test_lemma22_holds_from_the_classified_onset():
-    """Counted from classify_trajectory's `since`, no eventually positive trajectory
-    violates Lemma 2.2's bound: 20 initial vectors per family, uniform in [-1, 1],
-    from one random.Random(1) stream in the order listed, to index 2000.  (Before
-    `since`, transients do violate it: 40 of the 59 eventually positive ones.)"""
-    rng = random.Random(1)
-    positive, violating = 0, []
-    for r, q, alpha, sigma in LEMMA22_FAMILIES:
-        eq = HalfLinearEquation(r=Sequence.from_expression(r), q=Sequence.from_expression(q),
-                                alpha=RationalExponent(*alpha), sigma=sigma,
-                                delay_form=DelayForm.MINUS_SIGMA_PLUS_ONE, zeta0=1)
-        for _ in range(20):
-            init = [rng.uniform(-1.0, 1.0) for _ in range(sigma + 2)]
-            traj = iterate(eq, InitialData.for_equation(eq, init), 2000)
-            cls = classify_trajectory(traj)
-            if cls.kind is not TrajectoryKind.EVENTUALLY_POSITIVE:
-                continue
-            positive += 1
-            violating += [(r, sigma, z) for z, _, _ in lemma22_check(eq, traj) if z >= cls.since]
-    assert positive >= 50
-    assert violating == []
