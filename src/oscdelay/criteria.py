@@ -290,17 +290,18 @@ def crit_thm21(eq: HalfLinearEquation, horizon: int) -> CriterionVerdict:
 
 
 def crit_thm22a(eq: HalfLinearEquation, horizon: int) -> CriterionVerdict:
-    """Series of ((1/r(z)) * sum_{s=zeta0+sigma}^{z-1} q(s) theta^alpha(s - sigma))^(1/alpha).
+    """Series of ((1/r(z)) * sum_{s=zeta0+d}^{z-1} q(s) theta^alpha(s - d))^(1/alpha), d the lag.
 
-    The inner sum starts at zeta0 + sigma, so theta is one window from zeta0.  From zeta0 it
-    would differ by a constant: the series are comparable where it is unbounded, and where it
-    is bounded both compare with sum r^(-1/alpha) < inf.  So they diverge together.
+    theta is read at the delayed index, as (**) with sigma is (*) with sigma - 1.  The inner
+    sum starts at zeta0 + d, so theta is one window from zeta0.  From zeta0 it would differ by
+    a constant: the series are comparable where it is unbounded, and where it is bounded both
+    compare with sum r^(-1/alpha) < inf.  So they diverge together.
     """
     q = _valid_q(eq, horizon)
     if gated := _tail_gate(THM22A, eq):
         return gated
-    th = np.zeros(horizon)  # a zero weight keeps s < zeta0 + sigma out of the inner sum
-    th[eq.sigma:] = theta_window(eq, eq.zeta0, max(horizon - eq.sigma, 0))
+    th = np.zeros(horizon)  # a zero weight keeps s < zeta0 + d out of the inner sum
+    th[eq.lag:] = theta_window(eq, eq.zeta0, max(horizon - eq.lag, 0))
     return _series_verdict(THM22A, "every solution oscillates", eq.zeta0,
                            _root_series(eq, _weighted(q, th, eq.alpha.value)))
 

@@ -4,11 +4,11 @@ The model is the second-order half-linear delay recurrence
 
     D(r(z) * (D x(z))^alpha) + q(z) * x^alpha(d(z)) = 0,    z >= zeta0,
 
-with forward difference D, delayed index d(z) = z - sigma or z - sigma + 1,
-and alpha an odd/odd rational.  The key coefficient functionals are the
-partial sums R(z) = sum_{s=zeta0}^{z-1} r(s)^(-1/alpha) and the tail sums
-theta(z) = sum_{s=z}^{inf} r(s)^(-1/alpha); the equation is canonical when R
-diverges and non-canonical when theta is finite.
+with forward difference D, delayed index d(z) = z - sigma or z - sigma + 1 (the
+first with sigma - 1), and alpha an odd/odd rational.  The key coefficient
+functionals are the partial sums R(z) = sum_{s=zeta0}^{z-1} r(s)^(-1/alpha) and
+the tail sums theta(z) = sum_{s=z}^{inf} r(s)^(-1/alpha); the equation is
+canonical when R diverges and non-canonical when theta is finite.
 """
 from __future__ import annotations
 
@@ -109,10 +109,13 @@ class HalfLinearEquation:
     def __getstate__(self) -> dict:
         return {k: v for k, v in self.__dict__.items() if k not in ("_table", "_reports")}
 
+    @property
+    def lag(self) -> int:
+        """d in d(z) = z - d: sigma in the delay form, sigma - 1 in the z - sigma + 1 form."""
+        return self.sigma if self.delay_form is DelayForm.MINUS_SIGMA else self.sigma - 1
+
     def delayed_index(self, zeta: int) -> int:
-        if self.delay_form is DelayForm.MINUS_SIGMA:
-            return zeta - self.sigma
-        return zeta - self.sigma + 1
+        return zeta - self.lag
 
 
 def _fused_power(r: Sequence, alpha: RationalExponent) -> Optional[tuple]:

@@ -33,8 +33,8 @@ ITERATE_BLOCK = 1024  # indices of r and q that iterate reads per column call
 class InitialData:
     """Starting values x(zeta0 - sigma), ..., x(zeta0 + 1), i.e. sigma + 2 reals.
 
-    The explicit two-step recurrence needs the full stencil, hence the
-    sigma + 2 count; every value must be finite and one nonzero.
+    The recurrence reads x(zeta0 - lag) on, so the z - sigma + 1 form, lag sigma - 1,
+    never reads the first value; every value must be finite and one nonzero.
     """
 
     start_index: int

@@ -1,17 +1,15 @@
 """Comparison transform to a canonical-form linear delay equation.
 
-A non-canonical equation with alpha >= 1 in the z - sigma + 1 delay form, or
-with alpha = 1 in either form, is mapped to the canonical comparison equation:
-the model equation with alpha = 1, the same delayed index d(z), and
+A non-canonical equation with alpha >= 1 and lag d, d(z) = z - d, is mapped to the
+canonical comparison equation: the model equation with alpha = 1, the same lag, and
 
     rt(z) = theta(z) theta(z+1) r^(1/alpha)(z),
     qt(z) = (1/alpha) theta(z+1) theta^(alpha-1)(z) theta(d(z)) q(z).
 
-In the z - sigma + 1 form it is D(rt(z) D x(z-1)) + qt(z) x(z - sigma) = 0
-written in y(z) = x(z-1).  At alpha = 1 it is exact: x solves the equation
-exactly when x / theta solves the comparison equation.  Oscillation of the
-comparison equation implies oscillation of the original; the test applied
-here is divergence of sum(qt).
+It is D(rt(z) D x(z-1)) + qt(z) x(z - d - 1) = 0 written in y(z) = x(z-1).
+At alpha = 1 it is exact: x solves the equation exactly when x / theta solves
+the comparison equation.  Oscillation of the comparison equation implies
+oscillation of the original; the test applied here is divergence of sum(qt).
 """
 from __future__ import annotations
 
@@ -21,7 +19,7 @@ from dataclasses import replace
 import numpy as np
 
 from .criteria import CANONICAL_SUM_Q, CriterionVerdict, _series_verdict, _valid_q
-from .equation import DelayForm, HalfLinearEquation, tail_shortfall, theta_extended, theta_window
+from .equation import HalfLinearEquation, tail_shortfall, theta_extended, theta_window
 from .errors import DomainError, StageError
 from .power import RationalExponent
 from .sequences import Sequence
@@ -47,8 +45,6 @@ def to_canonical(eq: HalfLinearEquation, horizon: int) -> HalfLinearEquation:
     where rt or qt is not evaluable or not finite is a StageError."""
     if eq.alpha.value < 1:
         raise StageError(f"the transform requires alpha >= 1, got {eq.alpha}")
-    if eq.delay_form is DelayForm.MINUS_SIGMA and eq.alpha.value != 1:
-        raise StageError(f"the transform applies to the delay form only at alpha = 1, got {eq.alpha}")
     if tail_shortfall(eq) is not None:
         raise StageError("theta could not be certified finite; transform unavailable")
 
@@ -73,22 +69,19 @@ def to_canonical(eq: HalfLinearEquation, horizon: int) -> HalfLinearEquation:
 
 
 def _shifted(ceq: HalfLinearEquation, candidate: Sequence, frm: int, to: int) -> Sequence:
-    """One table of x on [frm - sigma, to + 1], read as y(z) = x(z-1); the delay form is refused."""
-    if ceq.delay_form is DelayForm.MINUS_SIGMA:
-        raise StageError("the comparison residual in y(z) = x(z-1) applies to the "
-                         "z - sigma + 1 delay form, not the delay form")
-    zs = np.arange(frm - ceq.sigma, to + 2)
+    """One table of x on [frm - d - 1, to + 1], d the lag, read as y(z) = x(z-1)."""
+    zs = np.arange(frm - ceq.lag - 1, to + 2)
     x = candidate.eval_array(zs)
     if not np.isfinite(x).all():
         candidate(int(zs[np.argmax(~np.isfinite(x))]))  # raises as a scalar call does
-    return Sequence.from_table(frm - ceq.sigma + 1, x)
+    return Sequence.from_table(frm - ceq.lag, x)
 
 
 def canonical_residual_pointwise(
     ceq: HalfLinearEquation, candidate: Sequence, frm: int, to: int
 ) -> list[tuple[int, float]]:
-    """Pointwise rt(z+1)(x(z+1)-x(z)) - rt(z)(x(z)-x(z-1)) + qt(z) x(z-sigma): the model
-    equation's left-hand side at y(z) = x(z-1), the z - sigma + 1 form's comparison equation."""
+    """Pointwise rt(z+1)(x(z+1)-x(z)) - rt(z)(x(z)-x(z-1)) + qt(z) x(z-d-1): the model
+    equation's left-hand side at y(z) = x(z-1), the comparison equation."""
     return residual_pointwise(ceq, _shifted(ceq, candidate, frm, to), frm, to)
 
 

@@ -164,7 +164,7 @@ class TestThm22:
 
     def test_22a_reads_no_theta_below_zeta0(self, monkeypatch):
         # example 2 starts at 2 because r(1) = 0, so theta(1) is not evaluable; the inner
-        # sum starts at zeta0 + sigma and reads theta only from zeta0 on
+        # sum starts at zeta0 + d, d the lag, and reads theta only from zeta0 on
         want = crit_thm22a(example_equation(2), 50)
 
         def refuse(eq, zeta):
@@ -173,7 +173,7 @@ class TestThm22:
         monkeypatch.setattr("oscdelay.equation.theta_extended", refuse)
         v = crit_thm22a(example_equation(2), 50)
         assert v == want and v.flags == ()
-        assert v.evidence.term[:2].tolist() == [0.0, 0.0]  # empty inner sums at z <= zeta0 + sigma
+        assert v.evidence.term[:2].tolist() == [0.0, 0.0]  # empty inner sums at z <= zeta0 + d
 
     def test_22a_raises_where_the_window_cannot_serve(self):
         # r(80 000) < 0, in the block after the scanned range [1, 65 536]: theta from
@@ -400,7 +400,7 @@ def scalar_series(cid, eq, horizon):
         return [(eq.q(z) * th(z + 1) ** (a + 1.0), None) for z in zs]
     if cid == CANONICAL_SUM_Q:  # a zero q needs no theta at the shifted index
         return [(inv_alpha * th(z + 1) * th(z) ** (a - 1.0)
-                 * theta_extended(eq, z - eq.sigma + 1).value * eq.q(z) if eq.q(z) else 0.0, None)
+                 * theta_extended(eq, eq.delayed_index(z)).value * eq.q(z) if eq.q(z) else 0.0, None)
                 for z in zs]
     out, inner, q_prev = [], 0.0, 0.0
     for z in zs:
@@ -411,10 +411,10 @@ def scalar_series(cid, eq, horizon):
         elif cid == THM21:
             out.append(((inner / eq.r(z)) ** inv_alpha, None))
             inner = inner + eq.q(z)
-        else:  # Thm22A: the inner sum starts at zeta0 + sigma
+        else:  # Thm22A: the inner sum starts where the delayed index reaches zeta0
             out.append(((inner / eq.r(z)) ** inv_alpha, None))
-            if z >= eq.zeta0 + eq.sigma:
-                inner = inner + eq.q(z) * th(z - eq.sigma) ** a
+            if eq.delayed_index(z) >= eq.zeta0:
+                inner = inner + eq.q(z) * th(eq.delayed_index(z)) ** a
     return out
 
 
@@ -432,7 +432,7 @@ class TestOneCodePath:
     )
 
     # theta below zeta0 is evaluable, so an inner sum from zeta0 would differ from
-    # Thm22A's, which starts at zeta0 + sigma, by a constant from z = zeta0 + 1 on
+    # Thm22A's, which starts at zeta0 + d, by a constant from z = zeta0 + 1 on
     GEOMETRIC = HalfLinearEquation(
         r=Sequence.from_expression("2^z"),
         q=Sequence.from_expression("1 + 1/z"),
@@ -528,3 +528,41 @@ class TestTailGate:
         assert tail_shortfall(eq) is not None
         v = evaluate_criterion(cid, eq, 120)
         assert v.status is VerdictStatus.INCONCLUSIVE and v.flags[0].startswith("sum of r^(-1/alpha)")
+
+
+class TestMonotoneInQ:
+    """Each criterion's series grows with q, so one that holds at q holds at 4 q, as the
+    theorems imply.  A grid of r, q and alpha pins the property; it fixes nothing."""
+
+    R_TEXTS = ("2^z", "(z*(z+1))^(5/3)", "z*(z+1)", "z^3", "3^z/z")
+    Q_TEXTS = ("1", "0.01", "1e-6", "z^(2/3)", "1/z^2", "z^(-1/2)", "2^(z/2)")
+
+    @staticmethod
+    def verdicts(r_text, q_text, alpha) -> dict:
+        """{criterion: holds} at horizon 200; a criterion that raises is left out."""
+        eq = HalfLinearEquation(r=Sequence.from_expression(r_text), q=Sequence.from_expression(q_text),
+                                alpha=RationalExponent(*alpha), sigma=2,
+                                delay_form=DelayForm.MINUS_SIGMA, zeta0=3)  # r > 0 from zeta0 - sigma
+        runs = {cid: lambda cid=cid: evaluate_criterion(cid, eq, 200) for cid in CRITERION_IDS}
+        if alpha[0] >= alpha[1]:
+            runs[CANONICAL_SUM_Q] = lambda: crit_canonical_sumq(to_canonical(eq, 200), 200)
+        out = {}
+        for cid, run in runs.items():
+            try:
+                out[cid] = run().holds
+            except StageError:
+                pass
+        return out
+
+    @pytest.mark.parametrize("alpha", [(1, 3), (1, 1), (5, 3)], ids=["1/3", "1", "5/3"])
+    @pytest.mark.parametrize("r_text", R_TEXTS)
+    def test_what_holds_at_q_holds_at_four_q(self, r_text, alpha):
+        held = 0
+        for q_text in self.Q_TEXTS:
+            at_q = self.verdicts(r_text, q_text, alpha)
+            at_4q = self.verdicts(r_text, f"4*({q_text})", alpha)
+            assert at_q.keys() == at_4q.keys(), q_text
+            for cid, holds in at_q.items():
+                assert at_4q[cid] or not holds, (cid, q_text)
+                held += holds
+        assert held  # the grid reaches the implication on every r and alpha

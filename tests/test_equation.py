@@ -72,10 +72,10 @@ class TestModel:
         assert theta(eq, eq.zeta0).value == 1.0000000000000003e-15
 
     def test_delayed_index(self):
-        eq = example_equation(3)
-        assert eq.delayed_index(10) == 10 - 2 + 1
-        eq2 = example_equation(2)
-        assert eq2.delayed_index(10) == 10 - 1
+        eq = example_equation(3)  # z - sigma + 1 form, sigma 2
+        assert eq.delayed_index(10) == 10 - 2 + 1 and eq.lag == 1
+        eq2 = example_equation(2)  # delay form, sigma 1
+        assert eq2.delayed_index(10) == 10 - 1 and eq2.lag == 1
 
 
 class TestRPartial:

@@ -136,14 +136,27 @@ class TestToCanonical:
 
     @pytest.mark.parametrize("alpha, message", [
         ((1, 3), "the transform requires alpha >= 1, got 1/3"),
-        ((5, 3), "the transform applies to the delay form only at alpha = 1, got 5/3"),
-    ], ids=["alpha-1/3", "alpha-5/3"])
+    ], ids=["alpha-1/3"])
     def test_delay_form_refusal_names_alpha(self, alpha, message):
         eq = HalfLinearEquation(r=Sequence.from_expression("(z*(z+1))^(5/3)"),
                                 q=Sequence.from_expression("1"), alpha=RationalExponent(*alpha),
                                 sigma=1, delay_form=DelayForm.MINUS_SIGMA, zeta0=2)
         with pytest.raises(StageError, match=f"^{re.escape(message)}$"):
             to_canonical(eq, 100)
+
+    def test_delay_form_is_plus_one_with_sigma_plus_one(self):
+        # (*) with sigma reads x(z - sigma), as (**) with sigma + 1 does: one lag, one
+        # comparison equation, at every alpha >= 1
+        def eq(sigma, form):
+            return HalfLinearEquation(r=Sequence.from_expression("(z*(z+1))^(5/3)"),
+                                      q=Sequence.from_expression("1"), alpha=RationalExponent(5, 3),
+                                      sigma=sigma, delay_form=form, zeta0=2)
+        star = to_canonical(eq(1, DelayForm.MINUS_SIGMA), 100)
+        plus_one = to_canonical(eq(2, DelayForm.MINUS_SIGMA_PLUS_ONE), 100)
+        zs = range(2, 103)
+        assert [star.r(z) for z in zs] == [plus_one.r(z) for z in zs]
+        assert [star.q(z) for z in zs] == [plus_one.q(z) for z in zs]
+        assert star.lag == plus_one.lag == 1 and (star.sigma, star.delay_form) == (1, DelayForm.MINUS_SIGMA)
 
     def test_uncertified_theta_rejected(self):
         # r^(-1/alpha) = 1/z diverges: no certified finite tail sum exists
@@ -186,19 +199,23 @@ class TestCanonicalResidual:
         assert math.isnan(canonical_residual(eq, cand, 2, 30))
         assert math.isnan(canonical_residual(eq, cand, 3, 30))
 
-    def test_delay_form_refused(self):
-        # to_canonical's delay-form equation is the model equation in u = x / theta itself;
-        # the residual in y(z) = x(z-1) would read x at z - sigma, below u's table
-        eq = HalfLinearEquation(r=Sequence.from_expression("z*(z+1)"), q=Sequence.from_expression("0.3"),
-                                alpha=RationalExponent(1, 1), sigma=2,
-                                delay_form=DelayForm.MINUS_SIGMA, zeta0=3)
-        traj = iterate(eq, InitialData.for_equation(eq, [1.0, 0.5, -0.2, 0.7]), 155)
+    def test_delay_form_is_plus_one_with_sigma_plus_one(self):
+        # to_canonical's equation is the model equation in u = x / theta itself, in either
+        # form; the residual in y(z) = x(z-1) reads x(z - d - 1), d the lag, so (*) with
+        # sigma gives the residual of (**) with sigma + 1
+        def eq(sigma, form):
+            return HalfLinearEquation(r=Sequence.from_expression("z*(z+1)"), q=Sequence.from_expression("0.3"),
+                                      alpha=RationalExponent(1, 1), sigma=sigma, delay_form=form, zeta0=3)
+        star, plus_one = eq(2, DelayForm.MINUS_SIGMA), eq(3, DelayForm.MINUS_SIGMA_PLUS_ONE)
+        traj = iterate(star, InitialData.for_equation(star, [1.0, 0.5, -0.2, 0.7]), 155)
         lo = traj.start_index
-        u = Sequence.from_table(lo, [x / theta_extended(eq, lo + i).value for i, x in enumerate(traj.x)])
-        ceq = to_canonical(eq, 155)
+        u = Sequence.from_table(lo, [x / theta_extended(star, lo + i).value for i, x in enumerate(traj.x)])
+        ceq, ceq_plus_one = to_canonical(star, 155), to_canonical(plus_one, 155)
         assert residual(ceq, u, 3, 147) <= 1e-13 * max(abs(u(z)) for z in range(lo, 155))
-        with pytest.raises(StageError, match="z - sigma \\+ 1 delay form, not the delay form"):
-            canonical_residual(ceq, u, 4, 150)
+        rows = canonical_residual_pointwise(ceq, u, 4, 150)
+        assert rows == canonical_residual_pointwise(ceq_plus_one, u, 4, 150)
+        assert rows == reference_residual(ceq_plus_one, u, 4, 150)
+        assert canonical_residual(ceq, u, 4, 150) == max(abs(v) for _, v in rows)
 
     def test_four_fifths_mismatch_value(self):
         # with the computed constant 4/5 the alternating candidate misses by
